@@ -15,6 +15,7 @@ from .errors import (
     KineticDomainError,
     NoConvergence,
     NoRealMomenta,
+    StepSizeUnderflow,
 )
 from .model import (
     AngularMomentum,

@@ -21,8 +21,14 @@ from .errors import (
     CollisionError,
     DegeneratePlane,
     KineticDomainError,
+    StepSizeUnderflow,
 )
-from .model import MassTriple, ScalarProducts, potential_derivatives
+from .model import (
+    MassTriple,
+    check_scalar_products,
+    potential_constants,
+    potential_partials,
+)
 from . import reduction
 from .reduction import ReducedState
 
@@ -97,60 +103,158 @@ class TrajectoryRecord:
 
 
 # --- analytic gradients -----------------------------------------------------
+#
+# Each gradient is a float kernel: a closure over the mass constants that
+# takes the phase point as a list of Python floats and returns a tuple
+# (dH/dq, dH/dp).  The vector fields call the kernels on `z.tolist()` and
+# allocate one output array, (dH/dp, -dH/dq); the public gradient functions
+# wrap the same kernels.
+
+def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
+    """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4); `k` from `potential_constants`."""
+    s11 = q1 * q1 + q2 * q2
+    s22 = q3 * q3 + q4 * q4
+    s12 = q1 * q3 + q2 * q4
+    check_scalar_products(s11, s22, s12)
+    _, v1, v2, v3 = potential_partials(k, s11, s22, s12)
+    return (2.0 * q1 * v1 + q3 * v3,
+            2.0 * q2 * v1 + q4 * v3,
+            2.0 * q3 * v2 + q1 * v3,
+            2.0 * q4 * v2 + q2 * v3)
+
 
 def potential_gradient_q(masses: MassTriple, q: np.ndarray) -> np.ndarray:
     """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4)."""
-    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
-                       q[0] * q[2] + q[1] * q[3])
-    _, v1, v2, v3 = potential_derivatives(masses, s)
-    return np.array([
-        2.0 * q[0] * v1 + q[2] * v3,
-        2.0 * q[1] * v1 + q[3] * v3,
-        2.0 * q[2] * v2 + q[0] * v3,
-        2.0 * q[3] * v2 + q[1] * v3,
-    ])
+    return np.array(_potential_gradient_q(potential_constants(masses),
+                                          *np.asarray(q, dtype=float).tolist()))
 
 
-def gradient_reduced(masses: MassTriple, state: ReducedState) -> np.ndarray:
-    """(dH/dq, dH/dp) of the fully reduced Hamiltonian, analytically.
+def _reduced_gradient(masses: MassTriple, mu1: float, mu2: float):
+    """Kernel (q1..q4, p1..p4) -> (dH/dq, dH/dp) of the reduced Hamiltonian.
 
     The kinetic functions enter through W = sum over the two blocks of
     (2 nu)^-1 ((Ld+Ls)^2 qi^2 + (Ld-Ls)^2 qj^2); the roots depend on q, p
     only through L3, with d(Ld+Ls)^2/dL3 = -2 L3 (Ld+Ls)^2/(Ld Ls) and
-    d(Ld-Ls)^2/dL3 = +2 L3 (Ld-Ls)^2/(Ld Ls).
+    d(Ld-Ls)^2/dL3 = +2 L3 (Ld-Ls)^2/(Ld Ls).  With dA/dq = (q4, -q3, -q2, q1)/2,
+    dL3/dq = (p2, -p1, p4, -p3) and dL3/dp = (-q2, q1, -q4, q3).
     """
-    q, p = state.q, state.p
     nu1, nu2 = masses.nu1, masses.nu2
-    area = state.area
-    if abs(area) < reduction.AREA_TOL:
-        raise ChartSingular(f"oriented area A = {area} too small")
-    l3 = state.l3
-    sig = state.mu1 + state.mu2
-    dlt = state.mu1 - state.mu2
-    ld2 = dlt * dlt - l3 * l3
-    ls2 = sig * sig - l3 * l3
-    if ld2 <= 0.0 or ls2 <= 0.0:
-        raise KineticDomainError(f"L3^2 = {l3 * l3} at the kinetic domain boundary")
-    ld, ls = math.sqrt(ld2), math.sqrt(ls2)
-    gp = (ld + ls) ** 2
-    gm = (ld - ls) ** 2
-    wp = gp * (q[2] ** 2 / (2.0 * nu1) + q[0] ** 2 / (2.0 * nu2))
-    wm = gm * (q[3] ** 2 / (2.0 * nu1) + q[1] ** 2 / (2.0 * nu2))
-    w = wp + wm
-    w_l3 = 2.0 * l3 * (wm - wp) / (ld * ls)
-    inv16a2 = 1.0 / (16.0 * area * area)
+    two_nu1, two_nu2 = 2.0 * nu1, 2.0 * nu2
+    kv = potential_constants(masses)
+    sig = mu1 + mu2
+    dlt = mu1 - mu2
+    sig2, dlt2 = sig * sig, dlt * dlt
 
-    dw_q = np.array([gp * q[0] / nu2, gm * q[1] / nu2,
-                     gp * q[2] / nu1, gm * q[3] / nu1])
-    da_q = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
-    dl3_q = np.array([p[1], -p[0], p[3], -p[2]])
-    dl3_p = np.array([-q[1], q[0], -q[3], q[2]])
+    def grad(z):
+        q1, q2, q3, q4, p1, p2, p3, p4 = z
+        area = 0.5 * (q1 * q4 - q2 * q3)
+        if abs(area) < reduction.AREA_TOL:
+            raise ChartSingular(f"oriented area A = {area} too small")
+        l3 = q1 * p2 - q2 * p1 + q3 * p4 - q4 * p3
+        ld2 = dlt2 - l3 * l3
+        ls2 = sig2 - l3 * l3
+        if ld2 <= 0.0 or ls2 <= 0.0:
+            raise KineticDomainError(f"L3^2 = {l3 * l3} at the kinetic domain boundary")
+        ld, ls = math.sqrt(ld2), math.sqrt(ls2)
+        gp = (ld + ls) ** 2
+        gm = (ld - ls) ** 2
+        wp = gp * (q3 * q3 / two_nu1 + q1 * q1 / two_nu2)
+        wm = gm * (q4 * q4 / two_nu1 + q2 * q2 / two_nu2)
+        w_l3 = 2.0 * l3 * (wm - wp) / (ld * ls)
+        inv16a2 = 1.0 / (16.0 * area * area)
+        wa = 0.5 * (wp + wm) / (8.0 * area ** 3)
+        wl = w_l3 * inv16a2
+        v1, v2, v3, v4 = _potential_gradient_q(kv, q1, q2, q3, q4)
+        return ((gp * q1 / nu2 + w_l3 * p2) * inv16a2 - wa * q4 + v1,
+                (gm * q2 / nu2 - w_l3 * p1) * inv16a2 + wa * q3 + v2,
+                (gp * q3 / nu1 + w_l3 * p4) * inv16a2 + wa * q2 + v3,
+                (gm * q4 / nu1 - w_l3 * p3) * inv16a2 - wa * q1 + v4,
+                p1 / nu1 - wl * q2,
+                p2 / nu1 + wl * q1,
+                p3 / nu2 - wl * q4,
+                p4 / nu2 + wl * q3)
+    return grad
 
-    grad_q = (dw_q + w_l3 * dl3_q) * inv16a2 \
-        - w / (8.0 * area ** 3) * da_q + potential_gradient_q(masses, q)
-    grad_p = np.array([p[0] / nu1, p[1] / nu1, p[2] / nu2, p[3] / nu2]) \
-        + (w_l3 * inv16a2) * dl3_p
-    return np.concatenate([grad_q, grad_p])
+
+def gradient_reduced(masses: MassTriple, state: ReducedState) -> np.ndarray:
+    """(dH/dq, dH/dp) of the fully reduced Hamiltonian, analytically."""
+    grad = _reduced_gradient(masses, state.mu1, state.mu2)
+    return np.array(grad(state.q.tolist() + state.p.tolist()))
+
+
+def _partial_gradient(masses: MassTriple):
+    """Kernel from the 16 chart variables to the gradient of the partial Hamiltonian.
+
+    The kinetic part is (u1^2 + u2^2)/(2 nu1) + (u3^2 + u4^2)/(2 nu2) with
+    u1 = q3 B - q4 p_psi1/(2A), u2 = -q4 C + q3 p_psi2/(2A),
+    u3 = -q1 B + q2 p_psi1/(2A), u4 = q2 C - q1 p_psi2/(2A), and
+    B = nb/den, C = nc/den, den = 2 A (cos 2psi1 - cos 2psi2).  Its derivative
+    along any variable is sum_i (u_i/nu) du_i, and du_i is linear in
+    (dB, dC, d(1/2A)) plus the explicit q-dependence of u_i.
+    """
+    nu1, nu2 = masses.nu1, masses.nu2
+    kv = potential_constants(masses)
+    sin, cos = math.sin, math.cos
+
+    def grad(z):
+        (q1, q2, q3, q4, ps1, ps2, _, _,
+         p1, p2, p3, p4, pp1, pp2, pt1, pt2) = z
+        area = 0.5 * (q1 * q4 - q2 * q3)
+        if abs(area) < reduction.AREA_TOL:
+            raise ChartSingular(f"oriented area A = {area} too small")
+        l3 = q1 * p2 - q2 * p1 + q3 * p4 - q4 * p3
+        s1, c1 = sin(ps1), cos(ps1)
+        s2, c2 = sin(ps2), cos(ps2)
+        sin2a, cos2a = sin(2 * ps1), cos(2 * ps1)
+        sin2b, cos2b = sin(2 * ps2), cos(2 * ps2)
+        e = cos2a - cos2b
+        if abs(e) < reduction.PSI_TOL:
+            raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
+        den = 2.0 * area * e
+        s1c2, c1s2 = s1 * c2, c1 * s2
+        b = (l3 * sin2a + 2.0 * (pt1 * s1c2 + pt2 * c1s2)) / den
+        c = (l3 * sin2b + 2.0 * (pt1 * c1s2 + pt2 * s1c2)) / den
+        inv2a = 0.5 / area
+        r1 = (q3 * b - q4 * pp1 * inv2a) / nu1
+        r2 = (-q4 * c + q3 * pp2 * inv2a) / nu1
+        r3 = (-q1 * b + q2 * pp1 * inv2a) / nu2
+        r4 = (q2 * c - q1 * pp2 * inv2a) / nu2
+        # sum_i r_i du_i = rb dB + rc dC + ra d(1/2A) + explicit q terms
+        rb = r1 * q3 - r3 * q1
+        rc = r4 * q2 - r2 * q4
+        ra = pp1 * (r3 * q2 - r1 * q4) + pp2 * (r2 * q3 - r4 * q1)
+        # d/dL3 and d/dA of the kinetic part through B, C and 1/2A
+        g_l = (rb * sin2a + rc * sin2b) / den
+        g_a = 2.0 * e * (rb * b + rc * c) / den + ra * inv2a / area
+        ha = 0.5 * g_a
+        v1, v2, v3, v4 = _potential_gradient_q(kv, q1, q2, q3, q4)
+        # d/dpsi: dB = dnb/den - B de/e, dC = dnc/den - C de/e
+        cc, ss = c1 * c2, s1 * s2
+        dn_mixed = 2.0 * (pt2 * cc - pt1 * ss)
+        dn_diag = 2.0 * (pt1 * cc - pt2 * ss)
+        de1 = -2.0 * sin2a / e
+        de2 = 2.0 * sin2b / e
+        return (
+            p2 * g_l - q4 * ha - r3 * b - r4 * pp2 * inv2a + v1,
+            -p1 * g_l + q3 * ha + r3 * pp1 * inv2a + r4 * c + v2,
+            p4 * g_l + q2 * ha + r1 * b + r2 * pp2 * inv2a + v3,
+            -p3 * g_l - q1 * ha - r1 * pp1 * inv2a - r2 * c + v4,
+            rb * ((2.0 * l3 * cos2a + dn_diag) / den - b * de1)
+            + rc * (dn_mixed / den - c * de1),
+            rb * (dn_mixed / den - b * de2)
+            + rc * ((2.0 * l3 * cos2b + dn_diag) / den - c * de2),
+            0.0,
+            0.0,
+            p1 / nu1 - q2 * g_l,
+            p2 / nu1 + q1 * g_l,
+            p3 / nu2 - q4 * g_l,
+            p4 / nu2 + q3 * g_l,
+            (r3 * q2 - r1 * q4) * inv2a,
+            (r2 * q3 - r4 * q1) * inv2a,
+            2.0 * (rb * s1c2 + rc * c1s2) / den,
+            2.0 * (rb * c1s2 + rc * s1c2) / den,
+        )
+    return grad
 
 
 def gradient_partial(masses: MassTriple, z: np.ndarray) -> np.ndarray:
@@ -159,146 +263,54 @@ def gradient_partial(masses: MassTriple, z: np.ndarray) -> np.ndarray:
     Variable order matches `reduction.partial_to_array`:
     (q1..q4, psi1, psi2, th1, th2, p1..p4, p_psi1, p_psi2, p_th1, p_th2).
     """
-    q = z[0:4]
-    ps1, ps2 = z[4], z[5]
-    p = z[8:12]
-    pp1, pp2 = z[12], z[13]
-    pt1, pt2 = z[14], z[15]
-    nu1, nu2 = masses.nu1, masses.nu2
-
-    area = 0.5 * (q[0] * q[3] - q[1] * q[2])
-    if abs(area) < reduction.AREA_TOL:
-        raise ChartSingular(f"oriented area A = {area} too small")
-    l3 = q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
-    s1, c1 = math.sin(ps1), math.cos(ps1)
-    s2, c2 = math.sin(ps2), math.cos(ps2)
-    sin2a, cos2a = math.sin(2 * ps1), math.cos(2 * ps1)
-    sin2b, cos2b = math.sin(2 * ps2), math.cos(2 * ps2)
-    e = cos2a - cos2b
-    if abs(e) < reduction.PSI_TOL:
-        raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
-    den = 2.0 * area * e
-    nb = l3 * sin2a + 2.0 * (pt1 * s1 * c2 + pt2 * c1 * s2)
-    nc = l3 * sin2b + 2.0 * (pt1 * c1 * s2 + pt2 * s1 * c2)
-    b = nb / den
-    c = nc / den
-    inv2a = 0.5 / area
-
-    u1 = q[2] * b - q[3] * pp1 * inv2a
-    u2 = -q[3] * c + q[2] * pp2 * inv2a
-    u3 = -q[0] * b + q[1] * pp1 * inv2a
-    u4 = q[1] * c - q[0] * pp2 * inv2a
-    r1, r2 = u1 / nu1, u2 / nu1
-    r3, r4 = u3 / nu2, u4 / nu2
-
-    da_q = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
-    dl3_q = np.array([p[1], -p[0], p[3], -p[2]])
-    dl3_p = np.array([-q[1], q[0], -q[3], q[2]])
-
-    grad = np.zeros(16)
-
-    def du_all(db, dc, da, dl, k_q=None):
-        """d(u1..u4) for a variable with dB=db, dC=dc, dA=da, dq_k delta."""
-        da2 = -da * inv2a / area  # d(1/2A)
-        d1 = q[2] * db - q[3] * pp1 * da2
-        d2 = -q[3] * dc + q[2] * pp2 * da2
-        d3 = -q[0] * db + q[1] * pp1 * da2
-        d4 = q[1] * dc - q[0] * pp2 * da2
-        if k_q == 0:
-            d3 += -b
-            d4 += -pp2 * inv2a
-        elif k_q == 1:
-            d3 += pp1 * inv2a
-            d4 += c
-        elif k_q == 2:
-            d1 += b
-            d2 += pp2 * inv2a
-        elif k_q == 3:
-            d1 += -pp1 * inv2a
-            d2 += -c
-        return r1 * d1 + r2 * d2 + r3 * d3 + r4 * d4
-
-    # q components
-    dv_q = potential_gradient_q(masses, q)
-    for k in range(4):
-        dden = 2.0 * da_q[k] * e
-        db = (dl3_q[k] * sin2a - b * dden) / den
-        dc = (dl3_q[k] * sin2b - c * dden) / den
-        grad[k] = du_all(db, dc, da_q[k], dl3_q[k], k_q=k) + dv_q[k]
-
-    # psi1, psi2
-    dnb1 = 2.0 * l3 * cos2a + 2.0 * (pt1 * c1 * c2 - pt2 * s1 * s2)
-    dnc1 = 2.0 * (-pt1 * s1 * s2 + pt2 * c1 * c2)
-    de1 = -2.0 * sin2a
-    dnb2 = 2.0 * (-pt1 * s1 * s2 + pt2 * c1 * c2)
-    dnc2 = 2.0 * l3 * cos2b + 2.0 * (pt1 * c1 * c2 - pt2 * s1 * s2)
-    de2 = 2.0 * sin2b
-    for idx, (dnb_, dnc_, de_) in ((4, (dnb1, dnc1, de1)), (5, (dnb2, dnc2, de2))):
-        dden = 2.0 * area * de_
-        db = (dnb_ - b * dden) / den
-        dc = (dnc_ - c * dden) / den
-        grad[idx] = du_all(db, dc, 0.0, 0.0)
-
-    # theta1, theta2: cyclic
-    grad[6] = 0.0
-    grad[7] = 0.0
-
-    # p components
-    for k in range(4):
-        db = dl3_p[k] * sin2a / den
-        dc = dl3_p[k] * sin2b / den
-        grad[8 + k] = du_all(db, dc, 0.0, dl3_p[k])
-    grad[8] += p[0] / nu1
-    grad[9] += p[1] / nu1
-    grad[10] += p[2] / nu2
-    grad[11] += p[3] / nu2
-
-    # p_psi
-    grad[12] = r1 * (-q[3] * inv2a) + r3 * (q[1] * inv2a)
-    grad[13] = r2 * (q[2] * inv2a) + r4 * (-q[0] * inv2a)
-
-    # p_theta
-    for idx, (dnb_, dnc_) in ((14, (2.0 * s1 * c2, 2.0 * c1 * s2)),
-                              (15, (2.0 * c1 * s2, 2.0 * s1 * c2))):
-        db = dnb_ / den
-        dc = dnc_ / den
-        grad[idx] = du_all(db, dc, 0.0, 0.0)
-
-    return grad
+    return np.array(_partial_gradient(masses)(np.asarray(z, dtype=float).tolist()))
 
 
 def reduced_field(masses: MassTriple, mu1: float, mu2: float) -> VectorField:
     """Canonical field of the reduced Hamiltonian on z = (q1..q4, p1..p4)."""
+    reduction.check_momenta(mu1, mu2)
+    grad = _reduced_gradient(masses, mu1, mu2)
+
     def rhs(t, z):
-        state = ReducedState(z[0:4], z[4:8], mu1, mu2)
-        g = gradient_reduced(masses, state)
-        return np.concatenate([g[4:8], -g[0:4]])
+        g1, g2, g3, g4, g5, g6, g7, g8 = grad(z.tolist())
+        return np.array((g5, g6, g7, g8, -g1, -g2, -g3, -g4))
     return VectorField(8, rhs, name="reduced")
 
 
 def partial_field(masses: MassTriple) -> VectorField:
     """Canonical field of the partial Hamiltonian on the 16 chart variables."""
+    grad = _partial_gradient(masses)
+
     def rhs(t, z):
-        g = gradient_partial(masses, z)
-        return np.concatenate([g[8:16], -g[0:8]])
+        (g1, g2, g3, g4, g5, g6, g7, g8,
+         g9, g10, g11, g12, g13, g14, g15, g16) = grad(z.tolist())
+        return np.array((g9, g10, g11, g12, g13, g14, g15, g16,
+                         -g1, -g2, -g3, -g4, -g5, -g6, -g7, -g8))
     return VectorField(16, rhs, name="partial")
 
 
 def full_field(masses: MassTriple) -> VectorField:
     """Canonical field on (x1, x2, y1, y2) in R^16."""
     nu1, nu2 = masses.nu1, masses.nu2
+    kv = potential_constants(masses)
 
     def rhs(t, z):
-        x1, x2 = z[0:4], z[4:8]
-        y1, y2 = z[8:12], z[12:16]
-        s = ScalarProducts(float(x1 @ x1), float(x2 @ x2), float(x1 @ x2))
-        _, v1, v2, v3 = potential_derivatives(masses, s)
-        return np.concatenate([
-            y1 / nu1,
-            y2 / nu2,
-            -(2.0 * v1 * x1 + v3 * x2),
-            -(2.0 * v2 * x2 + v3 * x1),
-        ])
+        (a1, a2, a3, a4, b1, b2, b3, b4,
+         y1, y2, y3, y4, y5, y6, y7, y8) = z.tolist()
+        s11 = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
+        s22 = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
+        s12 = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
+        check_scalar_products(s11, s22, s12)
+        _, v1, v2, v3 = potential_partials(kv, s11, s22, s12)
+        w1, w2 = 2.0 * v1, 2.0 * v2
+        return np.array((
+            y1 / nu1, y2 / nu1, y3 / nu1, y4 / nu1,
+            y5 / nu2, y6 / nu2, y7 / nu2, y8 / nu2,
+            -(w1 * a1 + v3 * b1), -(w1 * a2 + v3 * b2),
+            -(w1 * a3 + v3 * b3), -(w1 * a4 + v3 * b4),
+            -(w2 * b1 + v3 * a1), -(w2 * b2 + v3 * a2),
+            -(w2 * b3 + v3 * a3), -(w2 * b4 + v3 * a4),
+        ))
     return VectorField(16, rhs, name="full")
 
 
@@ -308,20 +320,22 @@ def zero_field(dimension: int) -> VectorField:
 
 # --- integrators ------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner)
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner).  The last row of A
+# equals the fifth-order weights, so the input of stage 7 is the new state.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 
 class _DomainHit(Exception):
@@ -336,15 +350,17 @@ def _try_rhs(field, t, y):
         raise _DomainHit(f"{type(exc).__name__}: {exc}") from exc
 
 
-def _dopri_step(field, t, y, h):
-    k = [None] * 7
+def _dopri_step(field, t, y, h, k):
+    """One Dormand-Prince step: (fifth-order state, local error estimate).
+
+    `k` is a (7, dimension) array that receives the stages; exactly seven
+    field evaluations per call.
+    """
     k[0] = _try_rhs(field, t, y)
     for i in range(1, 7):
-        yi = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
+        yi = y + h * (_DP_A[i] @ k[:i])
         k[i] = _try_rhs(field, t + _DP_C[i] * h, yi)
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
-    y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k) if b != 0.0)
-    return y5, y5 - y4
+    return yi, h * (_DP_E @ k)
 
 
 def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
@@ -359,6 +375,8 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     given, steps land exactly on those times (on top of adaptive control).
     """
     y = np.asarray(start, dtype=float).copy()
+    if not (np.all(np.isfinite(y)) and math.isfinite(t_end)):
+        raise ValueError("start and t_end must be finite")
     monitors = monitors or {}
     times = [0.0]
     states = [y.copy()]
@@ -388,28 +406,33 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
         h = config.dt
         while t < t_end - 1e-15 * max(1.0, t_end):
             stop = min(next_stop(t), t_end)
-            hs = min(h, stop - t)
+            # within 1e-9 h of h, the distance to the stop is h plus the
+            # rounding of the summed steps: land on the stop exactly instead
+            # of leaving a sliver step of a few ulps
+            land = stop - t <= h * (1.0 + 1e-9)
+            hs = stop - t if land else h
             try:
                 y = _midpoint_step(field, t, y, hs)
             except _DomainHit as hit:
                 exit_reason, exit_time = hit.reason, t
                 break
-            t += hs
+            t = stop if land else t + hs
             n_steps += 1
             record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
     elif config.method == "dopri":
         h = config.first_step if config.first_step else min(config.max_step, t_end / 50.0)
         h = max(h, 1e-12)
+        stages = np.empty((7, y.size))
         while t < t_end - 1e-15 * max(1.0, t_end):
             stop = min(next_stop(t), t_end)
             h = min(h, config.max_step, stop - t)
             try:
-                ynew, err = _dopri_step(field, t, y, h)
+                ynew, err = _dopri_step(field, t, y, h, stages)
             except _DomainHit as hit:
                 h_hit, reason = _bisect_exit(field, t, y, h, hit.reason)
                 if h_hit > 0.0:
                     try:
-                        y, _ = _dopri_step(field, t, y, h_hit)
+                        y, _ = _dopri_step(field, t, y, h_hit, stages)
                         t += h_hit
                     except _DomainHit:
                         pass
@@ -417,6 +440,8 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                 break
             scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(ynew))
             enorm = math.sqrt(float(np.mean((err / scale) ** 2)))
+            if not math.isfinite(enorm):
+                raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
             if enorm <= 1.0:
                 t += h
                 y = ynew
@@ -427,6 +452,8 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             fac = 0.9 * (enorm + 1e-300) ** -0.2
             h *= min(5.0, max(0.2, fac))
             h = min(h, config.max_step)
+            if enorm > 1.0 and h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflow(f"step size {h!r} underflows at t = {t!r}")
             if n_steps + n_rejected > config.max_steps:
                 raise RuntimeError("integrator exceeded max_steps")
     else:
@@ -492,14 +519,35 @@ def reduced_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
     return {"H": ham}
 
 
+def _per_sample(decode):
+    """Memoise decode(z) on the values of z.
+
+    The integrator passes one phase point to every monitor of a sample, so
+    monitors that share a decoding compute it once per sample.
+    """
+    key = value = None
+
+    def cached(z):
+        nonlocal key, value
+        values = z.tolist()
+        if values != key:
+            key, value = values, decode(z)
+        return value
+    return cached
+
+
 def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
+    def decode(z):
+        part = reduction.array_to_partial(z)
+        return part, reduction.invariant_set_residual(part, mu1, mu2)
+    sample = _per_sample(decode)
+
     def ham(t, z):
-        return reduction.hamiltonian_partial(masses, reduction.array_to_partial(z))
+        return reduction.hamiltonian_partial(masses, sample(z)[0])
 
     def make_c(i):
         def c(t, z):
-            return reduction.invariant_set_residual(
-                reduction.array_to_partial(z), mu1, mu2)[i]
+            return sample(z)[1][i]
         return c
 
     mons = {"H": ham}
@@ -513,14 +561,19 @@ def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
 def full_monitors(masses: MassTriple) -> dict:
     from .model import angular_momentum, hamiltonian_full
 
+    def decode(z):
+        state = reduction.array_to_full(z)
+        return state, angular_momentum(state)
+    sample = _per_sample(decode)
+
     def ham(t, z):
-        return hamiltonian_full(masses, reduction.array_to_full(z))
+        return hamiltonian_full(masses, sample(z)[0])
 
     def mu1(t, z):
-        return angular_momentum(reduction.array_to_full(z)).mu1
+        return sample(z)[1].mu1
 
     def mu2(t, z):
-        return angular_momentum(reduction.array_to_full(z)).mu2
+        return sample(z)[1].mu2
 
     return {"H": ham, "mu1": mu1, "mu2": mu2}
 
@@ -567,8 +620,8 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
                                 qp_deviation=np.array([]),
                                 domain_exit=rec_full.domain_exit or rec_red.domain_exit)
 
-    mu10 = angular_momentum(reduction.array_to_full(z_full0)).mu1
-    mu20 = angular_momentum(reduction.array_to_full(z_full0)).mu2
+    am0 = angular_momentum(reduction.array_to_full(z_full0))
+    mu10, mu20 = am0.mu1, am0.mu2
 
     devs = []
     max_res = 0.0
@@ -581,7 +634,8 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
             continue
         zf = rec_full.states[kf]
         zr = rec_red.states[kr]
-        proj = reduction.project_to_partial(reduction.array_to_full(zf))
+        full = reduction.array_to_full(zf)
+        proj = reduction.project_to_partial(full)
         best = math.inf
         for img in reduction.chart_images(proj):
             d = max(np.max(np.abs(img.q - zr[0:4])), np.max(np.abs(img.p - zr[4:8])))
@@ -589,7 +643,7 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
         devs.append(best)
         res = reduction.invariant_set_residual(proj, mu10, abs(mu20))
         max_res = max(max_res, float(np.max(np.abs(res))))
-        am = angular_momentum(reduction.array_to_full(zf))
+        am = angular_momentum(full)
         max_mu = max(max_mu, abs(am.mu1 - mu10), abs(am.mu2 - mu20))
         times_out.append(ts)
     return ComparisonReport(

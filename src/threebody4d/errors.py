@@ -35,3 +35,8 @@ class NoConvergence(RuntimeError):
 
 class DegenerateHessian(RuntimeError):
     """|det| of a Hessian fell below tolerance where definiteness is needed."""
+
+
+class StepSizeUnderflow(RuntimeError):
+    """Adaptive step control collapsed: a non-finite error estimate, or a
+    rejected step shrank below 1e-14 * max(1, |t|)."""

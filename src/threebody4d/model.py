@@ -83,11 +83,16 @@ class ScalarProducts:
     s12: float
 
     def __post_init__(self):
-        if self.s11 < 0 or self.s22 < 0:
-            raise ValueError("squared norms must be non-negative")
-        slack = 1e-9 * (self.s11 * self.s22) + 1e-300
-        if self.s12 * self.s12 > self.s11 * self.s22 + slack:
-            raise ValueError("s12^2 exceeds s11*s22 (Cauchy-Schwarz violated)")
+        check_scalar_products(self.s11, self.s22, self.s12)
+
+
+def check_scalar_products(s11: float, s22: float, s12: float) -> None:
+    """Raise ValueError unless (s11, s22, s12) can be (|x1|^2, |x2|^2, x1.x2)."""
+    if s11 < 0 or s22 < 0:
+        raise ValueError("squared norms must be non-negative")
+    slack = 1e-9 * (s11 * s22) + 1e-300
+    if s12 * s12 > s11 * s22 + slack:
+        raise ValueError("s12^2 exceeds s11*s22 (Cauchy-Schwarz violated)")
 
 
 @dataclass(frozen=True)
@@ -181,50 +186,66 @@ def centre_of_mass(masses: MassTriple, r1, r2, r3, v1, v2, v3):
     return x3, y3
 
 
+def potential_constants(masses: MassTriple) -> tuple:
+    """Mass constants of V(s11, s22, s12): (a2^2, 2 a2, a3^2, 2 a3, -m2 m3, -m3 m1, -m1 m2).
+
+    The squared distances are d1 = s11, d2 = a2^2 s11 + 2 a2 s12 + s22 and
+    d3 = a3^2 s11 - 2 a3 s12 + s22, and V = sum_k c_k / sqrt(d_k).
+    """
+    a2, a3 = masses.a2, masses.a3
+    m1, m2, m3 = masses.m1, masses.m2, masses.m3
+    return a2 * a2, 2.0 * a2, a3 * a3, 2.0 * a3, -m2 * m3, -m3 * m1, -m1 * m2
+
+
+def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
+    return s11, k[0] * s11 + k[1] * s12 + s22, k[2] * s11 - k[3] * s12 + s22
+
+
 def mutual_distances_sq(masses: MassTriple, s: ScalarProducts) -> tuple[float, float, float]:
     """Squared mutual distances (d1, d2, d3) = (|r2-r3|, |r3-r1|, |r1-r2|).
 
     In Jacobi coordinates d1 = |x1|, d2 = |a2 x1 + x2|, d3 = |a3 x1 - x2|.
     """
-    a2, a3 = masses.a2, masses.a3
-    d1 = s.s11
-    d2 = a2 * a2 * s.s11 + 2.0 * a2 * s.s12 + s.s22
-    d3 = a3 * a3 * s.s11 - 2.0 * a3 * s.s12 + s.s22
-    return d1, d2, d3
+    return _distances_sq(potential_constants(masses), s.s11, s.s22, s.s12)
+
+
+def potential_partials(k: tuple, s11: float, s22: float, s12: float):
+    """V and its partials (V1, V2, V3) wrt (s11, s22, s12) on plain floats.
+
+    `k` is `potential_constants(masses)`, computed once by callers that
+    evaluate V many times for the same masses.
+    """
+    aa2, g2, aa3, g3, c1, c2, c3 = k
+    d1, d2, d3 = _distances_sq(k, s11, s22, s12)
+    if d1 <= COLLISION_TOL or d2 <= COLLISION_TOL or d3 <= COLLISION_TOL:
+        raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
+    i1, i2, i3 = d1 ** -0.5, d2 ** -0.5, d3 ** -0.5
+    # w_k = d(c_k / sqrt(d_k))/d(d_k); the gradients of d1, d2, d3 in
+    # (s11, s22, s12) are (1, 0, 0), (a2^2, 1, 2 a2) and (a3^2, 1, -2 a3)
+    w1 = -0.5 * c1 * i1 / d1
+    w2 = -0.5 * c2 * i2 / d2
+    w3 = -0.5 * c3 * i3 / d3
+    return (c1 * i1 + c2 * i2 + c3 * i3,
+            w1 + w2 * aa2 + w3 * aa3,
+            w2 + w3,
+            w2 * g2 - w3 * g3)
 
 
 def potential_derivatives(masses: MassTriple, s: ScalarProducts):
     """Newtonian potential V and its partials (V1, V2, V3) wrt (s11, s22, s12)."""
-    d1, d2, d3 = mutual_distances_sq(masses, s)
-    if min(d1, d2, d3) <= COLLISION_TOL:
-        raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    a2, a3 = masses.a2, masses.a3
-    c1, c2, c3 = -m2 * m3, -m3 * m1, -m1 * m2
-    # d(dk^2)/d(s11, s22, s12) are constant vectors g_k
-    g = ((1.0, 0.0, 0.0), (a2 * a2, 1.0, 2.0 * a2), (a3 * a3, 1.0, -2.0 * a3))
-    v = 0.0
-    grad = [0.0, 0.0, 0.0]
-    for ck, dk, gk in zip((c1, c2, c3), (d1, d2, d3), g):
-        inv = dk ** -0.5
-        v += ck * inv
-        w = -0.5 * ck * inv / dk  # d(ck/dk)/d(dk^2)
-        for i in range(3):
-            grad[i] += w * gk[i]
-    return v, grad[0], grad[1], grad[2]
+    return potential_partials(potential_constants(masses), s.s11, s.s22, s.s12)
 
 
 def potential_hessian_s(masses: MassTriple, s: ScalarProducts) -> np.ndarray:
     """3x3 Hessian of V with respect to (s11, s22, s12)."""
-    d = mutual_distances_sq(masses, s)
+    k = potential_constants(masses)
+    d = _distances_sq(k, s.s11, s.s22, s.s12)
     if min(d) <= COLLISION_TOL:
         raise CollisionError(f"squared distance below tolerance: {d}")
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    a2, a3 = masses.a2, masses.a3
-    cs = (-m2 * m3, -m3 * m1, -m1 * m2)
-    g = np.array([[1.0, 0.0, 0.0], [a2 * a2, 1.0, 2.0 * a2], [a3 * a3, 1.0, -2.0 * a3]])
+    aa2, g2, aa3, g3 = k[0:4]
+    g = np.array([[1.0, 0.0, 0.0], [aa2, 1.0, g2], [aa3, 1.0, -g3]])
     h = np.zeros((3, 3))
-    for ck, dk, gk in zip(cs, d, g):
+    for ck, dk, gk in zip(k[4:7], d, g):
         h += 0.75 * ck * dk ** -2.5 * np.outer(gk, gk)
     return h
 

@@ -97,6 +97,14 @@ class PartialState:
         return float(self.p_theta[0] - self.p_theta[1])
 
 
+def check_momenta(mu1: float, mu2: float) -> None:
+    """Raise unless mu1 > mu2 >= 0, the domain of the reduced system."""
+    if mu2 < 0:
+        raise ValueError(f"mu2 must be >= 0, got {mu2}")
+    if mu1 <= mu2:
+        raise DegenerateMomenta(f"need mu1 > mu2, got ({mu1}, {mu2})")
+
+
 @dataclass(frozen=True)
 class ReducedState:
     """Point of the fully reduced system with fixed momenta mu1 > mu2 >= 0."""
@@ -109,10 +117,7 @@ class ReducedState:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if self.mu2 < 0:
-            raise ValueError(f"mu2 must be >= 0, got {self.mu2}")
-        if self.mu1 <= self.mu2:
-            raise DegenerateMomenta(f"need mu1 > mu2, got ({self.mu1}, {self.mu2})")
+        check_momenta(self.mu1, self.mu2)
 
     @property
     def area(self) -> float:

@@ -1,0 +1,238 @@
+"""Reference implementations the library's float kernels are compared against.
+
+These are the straightforward numpy forms of the potential partials, the
+analytic gradients, the three vector fields and the partial/full monitors:
+one small array per term and a fresh decoding of the phase point for every
+monitor.  They are slower than the library versions and exist only so the
+tests can check that the fast forms compute the same numbers.
+"""
+
+import math
+
+import numpy as np
+
+from threebody4d import model, reduction
+from threebody4d.errors import ChartSingular, CollisionError, KineticDomainError
+from threebody4d.model import MassTriple, ScalarProducts
+
+
+def potential_derivatives(masses: MassTriple, s: ScalarProducts):
+    """V and (V1, V2, V3), summed term by term over the three pairs."""
+    d1, d2, d3 = model.mutual_distances_sq(masses, s)
+    if min(d1, d2, d3) <= model.COLLISION_TOL:
+        raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
+    m1, m2, m3 = masses.m1, masses.m2, masses.m3
+    a2, a3 = masses.a2, masses.a3
+    c1, c2, c3 = -m2 * m3, -m3 * m1, -m1 * m2
+    g = ((1.0, 0.0, 0.0), (a2 * a2, 1.0, 2.0 * a2), (a3 * a3, 1.0, -2.0 * a3))
+    v = 0.0
+    grad = [0.0, 0.0, 0.0]
+    for ck, dk, gk in zip((c1, c2, c3), (d1, d2, d3), g):
+        inv = dk ** -0.5
+        v += ck * inv
+        w = -0.5 * ck * inv / dk
+        for i in range(3):
+            grad[i] += w * gk[i]
+    return v, grad[0], grad[1], grad[2]
+
+
+def potential_gradient_q(masses: MassTriple, q: np.ndarray) -> np.ndarray:
+    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
+                       q[0] * q[2] + q[1] * q[3])
+    _, v1, v2, v3 = potential_derivatives(masses, s)
+    return np.array([
+        2.0 * q[0] * v1 + q[2] * v3,
+        2.0 * q[1] * v1 + q[3] * v3,
+        2.0 * q[2] * v2 + q[0] * v3,
+        2.0 * q[3] * v2 + q[1] * v3,
+    ])
+
+
+def gradient_reduced(masses: MassTriple, state: reduction.ReducedState) -> np.ndarray:
+    q, p = state.q, state.p
+    nu1, nu2 = masses.nu1, masses.nu2
+    area = state.area
+    if abs(area) < reduction.AREA_TOL:
+        raise ChartSingular(f"oriented area A = {area} too small")
+    l3 = state.l3
+    sig = state.mu1 + state.mu2
+    dlt = state.mu1 - state.mu2
+    ld2 = dlt * dlt - l3 * l3
+    ls2 = sig * sig - l3 * l3
+    if ld2 <= 0.0 or ls2 <= 0.0:
+        raise KineticDomainError(f"L3^2 = {l3 * l3} at the kinetic domain boundary")
+    ld, ls = math.sqrt(ld2), math.sqrt(ls2)
+    gp = (ld + ls) ** 2
+    gm = (ld - ls) ** 2
+    wp = gp * (q[2] ** 2 / (2.0 * nu1) + q[0] ** 2 / (2.0 * nu2))
+    wm = gm * (q[3] ** 2 / (2.0 * nu1) + q[1] ** 2 / (2.0 * nu2))
+    w = wp + wm
+    w_l3 = 2.0 * l3 * (wm - wp) / (ld * ls)
+    inv16a2 = 1.0 / (16.0 * area * area)
+
+    dw_q = np.array([gp * q[0] / nu2, gm * q[1] / nu2,
+                     gp * q[2] / nu1, gm * q[3] / nu1])
+    da_q = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
+    dl3_q = np.array([p[1], -p[0], p[3], -p[2]])
+    dl3_p = np.array([-q[1], q[0], -q[3], q[2]])
+
+    grad_q = (dw_q + w_l3 * dl3_q) * inv16a2 \
+        - w / (8.0 * area ** 3) * da_q + potential_gradient_q(masses, q)
+    grad_p = np.array([p[0] / nu1, p[1] / nu1, p[2] / nu2, p[3] / nu2]) \
+        + (w_l3 * inv16a2) * dl3_p
+    return np.concatenate([grad_q, grad_p])
+
+
+def gradient_partial(masses: MassTriple, z: np.ndarray) -> np.ndarray:
+    q = z[0:4]
+    ps1, ps2 = z[4], z[5]
+    p = z[8:12]
+    pp1, pp2 = z[12], z[13]
+    pt1, pt2 = z[14], z[15]
+    nu1, nu2 = masses.nu1, masses.nu2
+
+    area = 0.5 * (q[0] * q[3] - q[1] * q[2])
+    if abs(area) < reduction.AREA_TOL:
+        raise ChartSingular(f"oriented area A = {area} too small")
+    l3 = q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
+    s1, c1 = math.sin(ps1), math.cos(ps1)
+    s2, c2 = math.sin(ps2), math.cos(ps2)
+    sin2a, cos2a = math.sin(2 * ps1), math.cos(2 * ps1)
+    sin2b, cos2b = math.sin(2 * ps2), math.cos(2 * ps2)
+    e = cos2a - cos2b
+    if abs(e) < reduction.PSI_TOL:
+        raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
+    den = 2.0 * area * e
+    nb = l3 * sin2a + 2.0 * (pt1 * s1 * c2 + pt2 * c1 * s2)
+    nc = l3 * sin2b + 2.0 * (pt1 * c1 * s2 + pt2 * s1 * c2)
+    b = nb / den
+    c = nc / den
+    inv2a = 0.5 / area
+
+    u1 = q[2] * b - q[3] * pp1 * inv2a
+    u2 = -q[3] * c + q[2] * pp2 * inv2a
+    u3 = -q[0] * b + q[1] * pp1 * inv2a
+    u4 = q[1] * c - q[0] * pp2 * inv2a
+    r1, r2 = u1 / nu1, u2 / nu1
+    r3, r4 = u3 / nu2, u4 / nu2
+
+    da_q = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
+    dl3_q = np.array([p[1], -p[0], p[3], -p[2]])
+    dl3_p = np.array([-q[1], q[0], -q[3], q[2]])
+
+    grad = np.zeros(16)
+
+    def du_all(db, dc, da, dl, k_q=None):
+        da2 = -da * inv2a / area
+        d1 = q[2] * db - q[3] * pp1 * da2
+        d2 = -q[3] * dc + q[2] * pp2 * da2
+        d3 = -q[0] * db + q[1] * pp1 * da2
+        d4 = q[1] * dc - q[0] * pp2 * da2
+        if k_q == 0:
+            d3 += -b
+            d4 += -pp2 * inv2a
+        elif k_q == 1:
+            d3 += pp1 * inv2a
+            d4 += c
+        elif k_q == 2:
+            d1 += b
+            d2 += pp2 * inv2a
+        elif k_q == 3:
+            d1 += -pp1 * inv2a
+            d2 += -c
+        return r1 * d1 + r2 * d2 + r3 * d3 + r4 * d4
+
+    dv_q = potential_gradient_q(masses, q)
+    for k in range(4):
+        dden = 2.0 * da_q[k] * e
+        db = (dl3_q[k] * sin2a - b * dden) / den
+        dc = (dl3_q[k] * sin2b - c * dden) / den
+        grad[k] = du_all(db, dc, da_q[k], dl3_q[k], k_q=k) + dv_q[k]
+
+    dnb1 = 2.0 * l3 * cos2a + 2.0 * (pt1 * c1 * c2 - pt2 * s1 * s2)
+    dnc1 = 2.0 * (-pt1 * s1 * s2 + pt2 * c1 * c2)
+    de1 = -2.0 * sin2a
+    dnb2 = 2.0 * (-pt1 * s1 * s2 + pt2 * c1 * c2)
+    dnc2 = 2.0 * l3 * cos2b + 2.0 * (pt1 * c1 * c2 - pt2 * s1 * s2)
+    de2 = 2.0 * sin2b
+    for idx, (dnb_, dnc_, de_) in ((4, (dnb1, dnc1, de1)), (5, (dnb2, dnc2, de2))):
+        dden = 2.0 * area * de_
+        db = (dnb_ - b * dden) / den
+        dc = (dnc_ - c * dden) / den
+        grad[idx] = du_all(db, dc, 0.0, 0.0)
+
+    for k in range(4):
+        db = dl3_p[k] * sin2a / den
+        dc = dl3_p[k] * sin2b / den
+        grad[8 + k] = du_all(db, dc, 0.0, dl3_p[k])
+    grad[8] += p[0] / nu1
+    grad[9] += p[1] / nu1
+    grad[10] += p[2] / nu2
+    grad[11] += p[3] / nu2
+
+    grad[12] = r1 * (-q[3] * inv2a) + r3 * (q[1] * inv2a)
+    grad[13] = r2 * (q[2] * inv2a) + r4 * (-q[0] * inv2a)
+
+    for idx, (dnb_, dnc_) in ((14, (2.0 * s1 * c2, 2.0 * c1 * s2)),
+                              (15, (2.0 * c1 * s2, 2.0 * s1 * c2))):
+        db = dnb_ / den
+        dc = dnc_ / den
+        grad[idx] = du_all(db, dc, 0.0, 0.0)
+
+    return grad
+
+
+def reduced_rhs(masses: MassTriple, mu1: float, mu2: float, z: np.ndarray) -> np.ndarray:
+    g = gradient_reduced(masses, reduction.ReducedState(z[0:4], z[4:8], mu1, mu2))
+    return np.concatenate([g[4:8], -g[0:4]])
+
+
+def partial_rhs(masses: MassTriple, z: np.ndarray) -> np.ndarray:
+    g = gradient_partial(masses, z)
+    return np.concatenate([g[8:16], -g[0:8]])
+
+
+def full_rhs(masses: MassTriple, z: np.ndarray) -> np.ndarray:
+    x1, x2 = z[0:4], z[4:8]
+    y1, y2 = z[8:12], z[12:16]
+    s = ScalarProducts(float(x1 @ x1), float(x2 @ x2), float(x1 @ x2))
+    _, v1, v2, v3 = potential_derivatives(masses, s)
+    return np.concatenate([
+        y1 / masses.nu1,
+        y2 / masses.nu2,
+        -(2.0 * v1 * x1 + v3 * x2),
+        -(2.0 * v2 * x2 + v3 * x1),
+    ])
+
+
+def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
+    """One decoding of the phase point per callable."""
+    def ham(t, z):
+        return reduction.hamiltonian_partial(masses, reduction.array_to_partial(z))
+
+    def make_c(i):
+        def c(t, z):
+            return reduction.invariant_set_residual(
+                reduction.array_to_partial(z), mu1, mu2)[i]
+        return c
+
+    mons = {"H": ham}
+    for i in range(4):
+        mons[f"c{i + 1}"] = make_c(i)
+    mons["p_theta1"] = lambda t, z: z[14]
+    mons["p_theta2"] = lambda t, z: z[15]
+    return mons
+
+
+def full_monitors(masses: MassTriple) -> dict:
+    """One decoding and one angular momentum per callable."""
+    def ham(t, z):
+        return model.hamiltonian_full(masses, reduction.array_to_full(z))
+
+    def mu1(t, z):
+        return model.angular_momentum(reduction.array_to_full(z)).mu1
+
+    def mu2(t, z):
+        return model.angular_momentum(reduction.array_to_full(z)).mu2
+
+    return {"H": ham, "mu1": mu1, "mu2": mu2}

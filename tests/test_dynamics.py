@@ -1,6 +1,7 @@
 """Vector fields, integrators, conservation, full-vs-reduced comparison."""
 
 import io
+import itertools
 import json
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from threebody4d import dynamics, equilibria, model, reduction
+from threebody4d.errors import DegenerateMomenta, StepSizeUnderflow
 
 from conftest import central_gradient, random_chart_point, random_reduced_state
 
@@ -241,3 +243,66 @@ def test_integrator_config_validation():
     with pytest.raises(ValueError):
         dynamics.integrate(dynamics.zero_field(2), np.zeros(2), 1.0,
                            dynamics.IntegratorConfig(method="rk4"))
+
+
+def test_reduced_field_checks_momenta_once():
+    with pytest.raises(DegenerateMomenta):
+        dynamics.reduced_field(MASSES, 0.4, 1.3)
+    with pytest.raises(ValueError):
+        dynamics.reduced_field(MASSES, 1.3, -0.1)
+
+
+def test_integrate_rejects_non_finite_input():
+    field = dynamics.reduced_field(MASSES, MU1, MU2)
+    z0 = np.array([1.1, 0.1, -0.2, 0.9, 0.0, 0.0, 0.0, 0.0])
+    cfg = dynamics.IntegratorConfig()
+    with pytest.raises(ValueError):
+        dynamics.integrate(field, np.where(np.arange(8) == 5, math.nan, z0), 1.0, cfg)
+    for t_end in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            dynamics.integrate(field, z0, t_end, cfg)
+
+
+def test_dopri_nan_momentum_raises_step_size_underflow():
+    # a NaN makes every error estimate NaN; the step must not shrink for ever
+    z0 = np.array([1.1, 0.1, -0.2, 0.9, 0.02, -0.01, 0.03, 0.01])
+    field = dynamics.reduced_field(MASSES, math.nan, 0.4)
+    with pytest.raises(StepSizeUnderflow):
+        dynamics.integrate(field, z0, 1.0, dynamics.IntegratorConfig(max_steps=10_000))
+
+
+def test_dopri_collapsing_step_raises_step_size_underflow():
+    # finite error estimates that no step size can bring under tolerance
+    calls = itertools.count()
+    noisy = dynamics.VectorField(1, lambda t, z: np.array([(-1e6) ** (next(calls) % 2)]))
+    with pytest.raises(StepSizeUnderflow):
+        dynamics.integrate(noisy, np.zeros(1), 1.0,
+                           dynamics.IntegratorConfig(max_steps=10_000))
+
+
+def test_dopri_takes_seven_evaluations_per_attempted_step():
+    counted = itertools.count()
+    field = dynamics.partial_field(MASSES)
+
+    def evaluate(t, z):
+        next(counted)
+        return field.evaluate(t, z)
+
+    red = random_reduced_state(np.random.default_rng(4), MU1, MU2)
+    z0 = reduction.partial_to_array(reduction.embed_reduced(red))
+    cfg = dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, first_step=0.05)
+    rec = dynamics.integrate(dynamics.VectorField(16, evaluate), z0, 0.12, cfg)
+    assert rec.domain_exit is None and rec.n_rejected > 0
+    assert next(counted) == 7 * (rec.n_steps + rec.n_rejected)
+
+
+@pytest.mark.parametrize("n", [10, 100, 300, 1000])
+def test_midpoint_takes_exactly_n_steps_to_n_dt(n):
+    rep = equilibria.isosceles_equilibrium(1.0, 0.25)
+    z0 = np.concatenate([rep.q, [1e-3, -5e-4, 8e-4, -2e-4]])
+    dt = 2 * math.pi / rep.omega1 / 300
+    cfg = dynamics.IntegratorConfig(method="midpoint", dt=dt, monitor_every=n)
+    rec = dynamics.integrate(dynamics.reduced_field(EQUAL, rep.mu1, rep.mu2),
+                             z0, n * dt, cfg)
+    assert rec.n_steps == n
+    assert rec.times[-1] == n * dt

@@ -1,0 +1,103 @@
+"""The float gradient kernels and the shared-decoding monitors against the
+reference forms in `oracles.py`."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from threebody4d import dynamics, model, reduction
+
+import oracles
+from conftest import random_chart_point, random_full_state
+
+MASSES = model.MassTriple(1.0, 2.0, 3.0)
+RTOL = 1e-13
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
+
+signed = st.builds(lambda m, s: m * s, st.floats(0.6, 1.6), st.sampled_from((-1.0, 1.0)))
+chart_q = st.tuples(signed, signed, signed, signed).filter(
+    lambda q: abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25)
+momenta = st.tuples(*[st.floats(-0.6, 0.6)] * 4)
+psi_pair = st.tuples(st.floats(0.25, 1.3), st.floats(0.25, 1.3)).filter(
+    lambda a: abs(math.cos(2 * a[0]) - math.cos(2 * a[1])) > 0.15)
+# p_psi away from zero and p_theta drawn freely: points off the invariant set
+p_psi = st.tuples(signed, signed).map(lambda v: (0.3 * v[0], 0.3 * v[1]))
+p_theta = st.tuples(st.floats(0.1, 2.0), st.floats(-2.0, 2.0))
+angle = st.floats(-math.pi, math.pi)
+
+
+def _close(fast, ref):
+    return float(np.max(np.abs(fast - ref))) <= RTOL * float(np.max(np.abs(ref)))
+
+
+@PROPERTY
+@given(q=chart_q, p=momenta, mu1=st.floats(0.8, 2.0), ratio=st.floats(0.05, 0.85))
+def test_reduced_kernel_matches_oracle(q, p, mu1, ratio):
+    mu2 = ratio * mu1
+    state = reduction.ReducedState(q, p, mu1, mu2)
+    assume(abs(state.l3) < 0.8 * (mu1 - mu2))
+    assert _close(dynamics.gradient_reduced(MASSES, state),
+                  oracles.gradient_reduced(MASSES, state))
+    z = np.concatenate([state.q, state.p])
+    assert _close(dynamics.reduced_field(MASSES, mu1, mu2).evaluate(0.0, z),
+                  oracles.reduced_rhs(MASSES, mu1, mu2, z))
+
+
+@PROPERTY
+@given(q=chart_q, p=momenta, psi=psi_pair, theta=st.tuples(angle, angle),
+       pp=p_psi, pt=p_theta)
+def test_partial_and_full_kernels_match_oracles(q, p, psi, theta, pp, pt):
+    part = reduction.PartialState(q=q, p=p,
+                                  angles=reduction.RotationAngles(*psi, *theta),
+                                  p_psi=pp, p_theta=pt)
+    z = reduction.partial_to_array(part)
+    assert _close(dynamics.gradient_partial(MASSES, z), oracles.gradient_partial(MASSES, z))
+    assert _close(dynamics.partial_field(MASSES).evaluate(0.0, z),
+                  oracles.partial_rhs(MASSES, z))
+    zf = reduction.full_to_array(reduction.lift_to_full(part))
+    assert _close(dynamics.full_field(MASSES).evaluate(0.0, zf), oracles.full_rhs(MASSES, zf))
+
+
+@PROPERTY
+@given(x=st.tuples(*[st.floats(-2.0, 2.0)] * 8))
+def test_potential_partials_match_summed_terms(x):
+    s11 = x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2
+    s22 = x[4] ** 2 + x[5] ** 2 + x[6] ** 2 + x[7] ** 2
+    s12 = x[0] * x[4] + x[1] * x[5] + x[2] * x[6] + x[3] * x[7]
+    s = model.ScalarProducts(s11, s22, s12)
+    assume(min(model.mutual_distances_sq(MASSES, s)) > 1e-6)
+    assert model.potential_derivatives(MASSES, s) == oracles.potential_derivatives(MASSES, s)
+
+
+def test_partial_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    fast = dynamics.partial_monitors(MASSES, 1.3, 0.4)
+    ref = oracles.partial_monitors(MASSES, 1.3, 0.4)
+    decodes = []
+    decode = reduction.array_to_partial
+    monkeypatch.setattr(reduction, "array_to_partial",
+                        lambda z: decodes.append(1) or decode(z))
+    for k in range(50):
+        z = reduction.partial_to_array(random_chart_point(rng))
+        del decodes[:]
+        values = {name: fn(0.1 * k, z) for name, fn in fast.items()}
+        assert len(decodes) == 1
+        assert values == {name: fn(0.1 * k, z) for name, fn in ref.items()}
+    z[14] += 1.0  # the same array, changed in place, is a new sample
+    assert fast["H"](0.0, z) == ref["H"](0.0, z)
+
+
+def test_full_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
+    rng = np.random.default_rng(12)
+    ref = oracles.full_monitors(MASSES)
+    calls = []
+    ang = model.angular_momentum
+    monkeypatch.setattr(model, "angular_momentum", lambda st: calls.append(1) or ang(st))
+    fast = dynamics.full_monitors(MASSES)
+    for k in range(50):
+        z = reduction.full_to_array(random_full_state(rng))
+        del calls[:]
+        values = {name: fn(0.1 * k, z) for name, fn in fast.items()}
+        assert len(calls) == 1
+        assert values == {name: fn(0.1 * k, z) for name, fn in ref.items()}
