@@ -24,6 +24,7 @@ from .errors import (
     DegenerateHessian,
     NoConvergence,
     NoRealMomenta,
+    StepSizeUnderflow,
 )
 
 EXIT_OK = 0
@@ -36,8 +37,19 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(text: str) -> float:
+    """One finite number from a command-line value."""
+    try:
+        val = float(text)
+    except ValueError as exc:
+        raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(val):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return val
+
+
 def _parse_masses(text: str) -> model.MassTriple:
-    parts = [float(v) for v in text.split(",")]
+    parts = [_number(v) for v in text.split(",")]
     if len(parts) != 3:
         raise ConfigError(f"expected three masses, got {text!r}")
     try:
@@ -46,13 +58,28 @@ def _parse_masses(text: str) -> model.MassTriple:
         raise ConfigError(str(exc)) from exc
 
 
+def _parse_pair(text: str) -> tuple:
+    """Two distinct 1-based body indices, 'i,j'."""
+    try:
+        pair = tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad --pair {text!r}") from exc
+    if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= {1, 2, 3}:
+        raise ConfigError(f"--pair must name two distinct bodies in 1..3, got {text!r}")
+    return pair
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Grid spec 'start:stop:count[:log]' or comma-separated values."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise ConfigError(f"bad grid spec {text!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _number(parts[0]), _number(parts[1])
+        try:
+            count = int(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"bad grid count in {text!r}") from exc
         if count < 1:
             raise ConfigError("grid needs at least one point")
         if len(parts) == 4 and parts[3] == "log":
@@ -62,7 +89,7 @@ def _parse_grid(text: str) -> np.ndarray:
         if len(parts) == 4:
             raise ConfigError(f"unknown grid qualifier {parts[3]!r}")
         return np.linspace(start, stop, count)
-    vals = [float(v) for v in text.split(",") if v.strip()]
+    vals = [_number(v) for v in text.split(",") if v.strip()]
     if not vals:
         raise ConfigError("empty grid")
     return np.array(vals)
@@ -266,8 +293,7 @@ def cmd_equilibrium(args) -> int:
             if args.masses is None or args.u is None:
                 raise ConfigError("--general needs -m and -u")
             masses = _parse_masses(args.masses)
-            pair = tuple(int(v) for v in args.pair.split(","))
-            mm = masses.permuted(pair)
+            mm = masses.permuted(_parse_pair(args.pair))
             seed = equilibria.general_series_equilibrium(mm, args.u)
             report = equilibria.newton_equilibrium(
                 mm, seed.mu1, seed.mu2, seed.q,
@@ -324,9 +350,8 @@ def cmd_scan(args) -> int:
             if args.masses is None or args.u_grid is None:
                 raise ConfigError("general scan needs -m and --u-grid")
             masses = _parse_masses(args.masses)
-            pair = tuple(int(v) for v in args.pair.split(","))
-            table = equilibria.general_scan(masses, _parse_grid(args.u_grid), pair,
-                                            workers=args.workers)
+            table = equilibria.general_scan(masses, _parse_grid(args.u_grid),
+                                            _parse_pair(args.pair), workers=args.workers)
         else:
             raise ConfigError("choose --isosceles, --general or --region-map")
     except ConfigError as exc:
@@ -356,10 +381,15 @@ def _integrator_config(args) -> dynamics.IntegratorConfig:
 def cmd_integrate(args) -> int:
     try:
         masses = _parse_masses(args.masses)
+        numbers = {"--mu1": args.mu1, "--mu2": args.mu2, "--t-end": args.t_end,
+                   "--dt": args.dt, "--tol": args.tol}
+        for flag, val in numbers.items():
+            if val is not None and not math.isfinite(val):
+                raise ConfigError(f"{flag} must be finite, got {val!r}")
         if args.mu1 <= args.mu2 or args.mu2 < 0:
             raise ConfigError(f"need mu1 > mu2 >= 0, got ({args.mu1}, {args.mu2})")
-        q = np.array([float(v) for v in args.q.split(",")])
-        p = np.array([float(v) for v in args.p.split(",")])
+        q = np.array([_number(v) for v in args.q.split(",")])
+        p = np.array([_number(v) for v in args.p.split(",")])
         if q.shape != (4,) or p.shape != (4,):
             raise ConfigError("-q and -p need four components each")
         if args.t_end <= 0:
@@ -394,7 +424,13 @@ def cmd_integrate(args) -> int:
         print(f"invalid config: unknown system {args.system!r}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    rec = dynamics.integrate(field, z0, args.t_end, cfg, monitors=mons)
+    try:
+        rec = dynamics.integrate(field, z0, args.t_end, cfg, monitors=mons)
+        report = (dynamics.compare_full_vs_reduced(masses, red, args.t_end, cfg)
+                  if args.compare else None)
+    except (NoConvergence, StepSizeUnderflow) as exc:
+        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     with _open_out(args.out) as fh:
         if args.format == "json":
             rec.to_json(fh, state_labels=labels)
@@ -403,8 +439,7 @@ def cmd_integrate(args) -> int:
             if rec.domain_exit:
                 fh.write(f"# domain_exit: {rec.domain_exit} at t = {rec.exit_time:.17g}\n")
             rec.to_csv(fh, state_labels=labels)
-        if args.compare:
-            report = dynamics.compare_full_vs_reduced(masses, red, args.t_end, cfg)
+        if report is not None:
             fh.write(f"# compare: max_qp_deviation = {report.max_qp_deviation:.17g}, "
                      f"max_invariant_residual = {report.max_invariant_residual:.17g}, "
                      f"max_mu_drift = {report.max_mu_drift:.17g}\n")

@@ -21,6 +21,7 @@ from .errors import (
     CollisionError,
     DegeneratePlane,
     KineticDomainError,
+    NoConvergence,
     StepSizeUnderflow,
 )
 from .model import (
@@ -56,8 +57,10 @@ class IntegratorConfig:
     monitor_every: int = 1
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_step <= 0 or self.dt <= 0:
-            raise ValueError("tolerances and steps must be positive")
+        # written as not (x > 0) so that NaN fails too
+        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_step > 0
+                and self.dt > 0) or not math.isfinite(self.dt):
+            raise ValueError("tolerances and steps must be positive, dt finite")
 
 
 @dataclass
@@ -373,6 +376,11 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     kinetic boundary) the step size is bisected down to locate the boundary
     and the record is returned with `domain_exit` set.  If `t_samples` is
     given, steps land exactly on those times (on top of adaptive control).
+
+    The midpoint rule starts each implicit solve from a cubic extrapolation
+    of the slopes of the last four steps of length dt, and raises
+    `NoConvergence` when a solve fails; `dopri` raises `StepSizeUnderflow`
+    when its step control collapses.
     """
     y = np.asarray(start, dtype=float).copy()
     if not (np.all(np.isfinite(y)) and math.isfinite(t_end)):
@@ -404,6 +412,11 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     t = 0.0
     if config.method == "midpoint":
         h = config.dt
+        # converged midpoint slopes of the last steps, oldest first; `equal`
+        # counts how many trailing ones come from consecutive steps of length
+        # h, the only ones the extrapolation may span
+        slopes = np.empty((4, y.size))
+        equal = 0
         while t < t_end - 1e-15 * max(1.0, t_end):
             stop = min(next_stop(t), t_end)
             # within 1e-9 h of h, the distance to the stop is h plus the
@@ -411,11 +424,23 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             # of leaving a sliver step of a few ulps
             land = stop - t <= h * (1.0 + 1e-9)
             hs = stop - t if land else h
+            if hs != h:
+                equal = 0
+            if n_steps == 0:
+                k0 = None
+            elif equal == 4:
+                k0 = _EXTRAPOLATE @ slopes
+            else:
+                k0 = slopes[3]
             try:
-                y = _midpoint_step(field, t, y, hs)
+                y, k = _midpoint_step(field, t, y, hs, k0)
             except _DomainHit as hit:
                 exit_reason, exit_time = hit.reason, t
                 break
+            slopes[:3] = slopes[1:]
+            slopes[3] = k
+            if hs == h:
+                equal = min(equal + 1, 4)
             t = stop if land else t + hs
             n_steps += 1
             record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
@@ -495,19 +520,35 @@ def _bisect_exit(field, t, y, h, reason):
     return lo, reason
 
 
-def _midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):
-    """Implicit midpoint via fixed-point iteration."""
-    f0 = _try_rhs(field, t, y)
-    ynext = y + h * f0
-    scale = np.max(np.abs(y)) + 1.0
+# cubic extrapolation of four equally spaced slopes, oldest first, to the next
+_EXTRAPOLATE = np.array([-1.0, 4.0, -6.0, 4.0])
+
+
+def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
+    """One implicit midpoint step: (y + h k, k) with k = f(t + h/2, y + (h/2) k).
+
+    The slope k is found by fixed-point iteration from the predictor `k`, or
+    from f(t, y) when `k` is None.  It stops when successive iterates of the
+    new state differ by less than tol * (max|y| + 1), and raises
+    `NoConvergence` when that takes more than `max_iter` iterations or the
+    difference is not finite.
+    """
+    if k is None:
+        k = _try_rhs(field, t, y)
+    tm = t + 0.5 * h
+    half = 0.5 * h
+    bound = tol * (float(abs(y).max()) + 1.0)
     for _ in range(max_iter):
-        ymid = 0.5 * (y + ynext)
-        ynew = y + h * _try_rhs(field, t + 0.5 * h, ymid)
-        delta = np.max(np.abs(ynew - ynext))
-        ynext = ynew
-        if delta < tol * scale:
-            break
-    return ynext
+        knew = _try_rhs(field, tm, y + half * k)
+        delta = h * float(abs(knew - k).max())
+        k = knew
+        if delta < bound:
+            return y + h * k, k
+        if not math.isfinite(delta):
+            raise NoConvergence(f"implicit midpoint diverged at t = {t!r}: "
+                                f"iterate difference {delta!r}")
+    raise NoConvergence(f"implicit midpoint did not converge at t = {t!r} in "
+                        f"{max_iter} iterations: last iterate difference {delta!r}")
 
 
 # --- standard monitors and the full/reduced comparison ----------------------

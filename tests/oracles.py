@@ -236,3 +236,22 @@ def full_monitors(masses: MassTriple) -> dict:
         return model.angular_momentum(reduction.array_to_full(z)).mu2
 
     return {"H": ham, "mu1": mu1, "mu2": mu2}
+
+
+def midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):
+    """Implicit midpoint, iterated on the new state from an explicit Euler guess.
+
+    The guess costs one field evaluation.  The iteration stops when successive
+    iterates differ by less than tol * (max|y| + 1); after `max_iter`
+    iterations the last iterate is returned whether or not it converged.
+    """
+    ynext = y + h * field.evaluate(t, y)
+    scale = np.max(np.abs(y)) + 1.0
+    for _ in range(max_iter):
+        ymid = 0.5 * (y + ynext)
+        ynew = y + h * field.evaluate(t + 0.5 * h, ymid)
+        delta = np.max(np.abs(ynew - ynext))
+        ynext = ynew
+        if delta < tol * scale:
+            break
+    return ynext

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from threebody4d import cli
 
@@ -257,3 +258,21 @@ def test_full_precision_roundtrip(tmp_path):
     direct = equilibria.isosceles_equilibrium(1.0, 0.3)
     assert rep["mu1"] == direct.mu1  # lossless float round-trip
     assert rep["h"] == direct.h
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["equilibrium", "--general", "-m", "a,b,c", "-u", "0.01"], 2),
+    (["scan", "--isosceles", "-n", "1", "--t-grid", "0.1:x:3"], 2),
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.01", "--pair", "2,2"], 2),
+    (["integrate", "--mu1", "nan"], 2),
+    (["integrate", "--method", "midpoint", "--dt", "nan", "--t-end", "0.01"], 2),
+    (["integrate", "--method", "midpoint", "--dt", "0.05", "--t-end", "3"], 3),
+])
+def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
+                                                                argv, code):
+    out = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("invalid config: " if code == 2 else "solver failure: ")
+    assert not out.exists()

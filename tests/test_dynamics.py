@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from threebody4d import dynamics, equilibria, model, reduction
-from threebody4d.errors import DegenerateMomenta, StepSizeUnderflow
+from threebody4d.errors import DegenerateMomenta, NoConvergence, StepSizeUnderflow
 
+import oracles
 from conftest import central_gradient, random_chart_point, random_reduced_state
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
@@ -240,6 +241,10 @@ def test_integrator_config_validation():
         dynamics.IntegratorConfig(rel_tol=-1.0)
     with pytest.raises(ValueError):
         dynamics.IntegratorConfig(dt=0.0)
+    for bad in ({"dt": math.nan}, {"dt": math.inf}, {"rel_tol": math.nan},
+                {"abs_tol": math.nan}, {"max_step": math.nan}):
+        with pytest.raises(ValueError):
+            dynamics.IntegratorConfig(**bad)
     with pytest.raises(ValueError):
         dynamics.integrate(dynamics.zero_field(2), np.zeros(2), 1.0,
                            dynamics.IntegratorConfig(method="rk4"))
@@ -306,3 +311,71 @@ def test_midpoint_takes_exactly_n_steps_to_n_dt(n):
                              z0, n * dt, cfg)
     assert rec.n_steps == n
     assert rec.times[-1] == n * dt
+
+
+def _criterion_11_start():
+    """Isosceles n = 1, t = 0.25 with the criterion-11 perturbation; field, z0, dt."""
+    rep = equilibria.isosceles_equilibrium(1.0, 0.25)
+    z0 = np.concatenate([rep.q, [1e-3, -5e-4, 8e-4, -2e-4]])
+    dt = 2 * math.pi / rep.omega1 / 300
+    return dynamics.reduced_field(EQUAL, rep.mu1, rep.mu2), z0, dt
+
+
+def _oracle_deviation(field, rec):
+    """Max-abs distance of every recorded state from oracle steps between the recorded times."""
+    y = rec.states[0]
+    worst = 0.0
+    for i in range(1, len(rec.times)):
+        y = oracles.midpoint_step(field, rec.times[i - 1], y,
+                                  rec.times[i] - rec.times[i - 1])
+        worst = max(worst, float(np.max(np.abs(y - rec.states[i]))))
+    return worst
+
+
+def test_midpoint_predictor_matches_oracle_at_three_evaluations_per_step():
+    field, z0, dt = _criterion_11_start()
+    counted = itertools.count()
+
+    def evaluate(t, z):
+        next(counted)
+        return field.evaluate(t, z)
+
+    rec = dynamics.integrate(dynamics.VectorField(8, evaluate), z0, 300 * dt,
+                             dynamics.IntegratorConfig(method="midpoint", dt=dt))
+    assert rec.n_steps == 300 and len(rec.times) == 301
+    assert next(counted) <= 3.2 * rec.n_steps
+    assert _oracle_deviation(field, rec) < 1e-12
+
+
+def test_midpoint_lands_on_samples_off_the_grid():
+    field, z0, dt = _criterion_11_start()
+    samples = dt * np.array([10.4, 77.7, 150.25, 299.5])
+    rec = dynamics.integrate(field, z0, 300 * dt,
+                             dynamics.IntegratorConfig(method="midpoint", dt=dt),
+                             t_samples=samples)
+    assert all(s in rec.times for s in samples)
+    assert rec.times[-1] == 300 * dt
+    assert _oracle_deviation(field, rec) < 1e-12
+
+
+def test_midpoint_step_too_long_raises_no_convergence():
+    # the command line's default start; at dt = 0.05 the fixed-point map is
+    # not a contraction
+    field = dynamics.reduced_field(EQUAL, 1.0, 0.3)
+    z0 = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NoConvergence, match="did not converge"):
+        dynamics.integrate(field, z0, 3.0,
+                           dynamics.IntegratorConfig(method="midpoint", dt=0.05))
+
+
+def test_midpoint_nan_field_raises_no_convergence_at_once():
+    field, z0, dt = _criterion_11_start()
+    calls = itertools.count()
+
+    def evaluate(t, z):
+        return field.evaluate(t, z) if next(calls) < 5 else np.full(8, math.nan)
+
+    with pytest.raises(NoConvergence, match="diverged"):
+        dynamics.integrate(dynamics.VectorField(8, evaluate), z0, 300 * dt,
+                           dynamics.IntegratorConfig(method="midpoint", dt=dt))
+    assert next(calls) <= 7
