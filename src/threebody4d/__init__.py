@@ -15,6 +15,7 @@ from .errors import (
     KineticDomainError,
     NoConvergence,
     NoRealMomenta,
+    StepLimitExceeded,
     StepSizeUnderflow,
 )
 from .model import (

@@ -24,6 +24,7 @@ from .errors import (
     DegenerateHessian,
     NoConvergence,
     NoRealMomenta,
+    StepLimitExceeded,
     StepSizeUnderflow,
 )
 
@@ -46,6 +47,13 @@ def _number(text: str) -> float:
     if not math.isfinite(val):
         raise ConfigError(f"expected a finite number, got {text!r}")
     return val
+
+
+def _check_finite(flags: dict) -> None:
+    """Raise ConfigError for the first given flag whose value is not finite."""
+    for flag, val in flags.items():
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"{flag} must be finite, got {val!r}")
 
 
 def _parse_masses(text: str) -> model.MassTriple:
@@ -245,9 +253,11 @@ CHECKS = {
 
 def cmd_verify(args) -> int:
     masses = _parse_masses(args.masses)
-    if args.mu1 <= args.mu2:
-        print(f"invalid config: DegenerateMomenta: need mu1 > mu2, "
-              f"got ({args.mu1}, {args.mu2})", file=sys.stderr)
+    _check_finite({"--mu1": args.mu1, "--mu2": args.mu2, "--tol": args.tol})
+    try:
+        reduction.check_momenta(args.mu1, args.mu2)
+    except ValueError as exc:
+        print(f"invalid config: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     names = [c.strip() for c in args.checks.split(",")] if args.checks != "all" \
         else list(CHECKS.keys())
@@ -285,6 +295,7 @@ def cmd_verify(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     try:
+        _check_finite({"-n": args.n, "-t": args.t, "-u": args.u})
         if args.isosceles:
             if args.n is None or args.t is None:
                 raise ConfigError("--isosceles needs -n and -t")
@@ -300,13 +311,14 @@ def cmd_equilibrium(args) -> int:
                 dps=args.dps if args.dps > 0 else None)
         else:
             raise ConfigError("choose --isosceles or --general")
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     except (NoRealMomenta, NoConvergence, DegenerateHessian, DegenerateMomenta,
             ChartSingular, CollisionError) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:
+        # a ConfigError, or a parameter the library refused, such as n <= 0
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     with _open_out(args.out) as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
@@ -317,6 +329,7 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_scan(args) -> int:
     try:
+        _check_finite({"-n": args.n})
         if args.region_map:
             if args.n_grid is None or args.t_grid is None:
                 raise ConfigError("--region-map needs --n-grid and --t-grid")
@@ -354,7 +367,8 @@ def cmd_scan(args) -> int:
                                             _parse_pair(args.pair), workers=args.workers)
         else:
             raise ConfigError("choose --isosceles, --general or --region-map")
-    except ConfigError as exc:
+    except ValueError as exc:
+        # a ConfigError, or a parameter the library refused, such as n <= 0
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     with _open_out(args.out) as fh:
@@ -381,11 +395,8 @@ def _integrator_config(args) -> dynamics.IntegratorConfig:
 def cmd_integrate(args) -> int:
     try:
         masses = _parse_masses(args.masses)
-        numbers = {"--mu1": args.mu1, "--mu2": args.mu2, "--t-end": args.t_end,
-                   "--dt": args.dt, "--tol": args.tol}
-        for flag, val in numbers.items():
-            if val is not None and not math.isfinite(val):
-                raise ConfigError(f"{flag} must be finite, got {val!r}")
+        _check_finite({"--mu1": args.mu1, "--mu2": args.mu2, "--t-end": args.t_end,
+                       "--dt": args.dt, "--tol": args.tol})
         if args.mu1 <= args.mu2 or args.mu2 < 0:
             raise ConfigError(f"need mu1 > mu2 >= 0, got ({args.mu1}, {args.mu2})")
         q = np.array([_number(v) for v in args.q.split(",")])
@@ -428,7 +439,7 @@ def cmd_integrate(args) -> int:
         rec = dynamics.integrate(field, z0, args.t_end, cfg, monitors=mons)
         report = (dynamics.compare_full_vs_reduced(masses, red, args.t_end, cfg)
                   if args.compare else None)
-    except (NoConvergence, StepSizeUnderflow) as exc:
+    except (NoConvergence, StepSizeUnderflow, StepLimitExceeded) as exc:
         print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     with _open_out(args.out) as fh:

@@ -22,6 +22,7 @@ from .errors import (
     DegeneratePlane,
     KineticDomainError,
     NoConvergence,
+    StepLimitExceeded,
     StepSizeUnderflow,
 )
 from .model import (
@@ -85,10 +86,14 @@ class TrajectoryRecord:
         labels = state_labels or [f"y{i}" for i in range(dim)]
         cols = ["t"] + list(labels) + list(self.monitors.keys())
         fh.write(",".join(cols) + "\n")
-        mon = [np.asarray(v) for v in self.monitors.values()]
-        for k in range(len(self.times)):
-            row = [self.times[k]] + list(self.states[k]) + [m[k] for m in mon]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        table = np.column_stack([self.times, self.states]
+                                + [np.asarray(v) for v in self.monitors.values()])
+        # each row goes out as Python floats, which format faster than numpy
+        # scalars and to the same digits; one row at a time, so the table
+        # never exists as Python objects all at once
+        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        for row in table:
+            fh.write(line % tuple(row.tolist()))
 
     def to_json(self, fh, state_labels=None):
         dim = self.states.shape[1]
@@ -366,6 +371,22 @@ def _dopri_step(field, t, y, h, k):
     return yi, h * (_DP_E @ k)
 
 
+def _error_norm(err, y, ynew, abs_tol, rel_tol, ratio, work):
+    """RMS of err / (abs_tol + rel_tol * max(|y|, |ynew|)), the step-control norm.
+
+    `ratio` and `work` are scratch arrays of the state's size.  The sum is
+    numpy's pairwise sum, the one `np.mean` takes.
+    """
+    np.abs(y, out=ratio)
+    np.abs(ynew, out=work)
+    np.maximum(ratio, work, out=ratio)
+    ratio *= rel_tol
+    ratio += abs_tol
+    np.divide(err, ratio, out=ratio)
+    ratio *= ratio
+    return math.sqrt(float(ratio.sum()) / ratio.size)
+
+
 def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
               monitors: Optional[dict] = None,
               t_samples: Optional[np.ndarray] = None) -> TrajectoryRecord:
@@ -380,7 +401,9 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     The midpoint rule starts each implicit solve from a cubic extrapolation
     of the slopes of the last four steps of length dt, and raises
     `NoConvergence` when a solve fails; `dopri` raises `StepSizeUnderflow`
-    when its step control collapses.
+    when its step control collapses.  Both raise `StepLimitExceeded` when a
+    run needs more than `config.max_steps` steps; the midpoint rule does so
+    before its first step when t_end / dt alone exceeds the limit.
     """
     y = np.asarray(start, dtype=float).copy()
     if not (np.all(np.isfinite(y)) and math.isfinite(t_end)):
@@ -412,12 +435,20 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     t = 0.0
     if config.method == "midpoint":
         h = config.dt
+        # the same as ceil(t_end / h) > max_steps, and safe when t_end / h
+        # overflows
+        if t_end / h > config.max_steps:
+            raise StepLimitExceeded(f"t_end / dt = {t_end / h:.6g} steps exceed "
+                                    f"max_steps = {config.max_steps}")
         # converged midpoint slopes of the last steps, oldest first; `equal`
         # counts how many trailing ones come from consecutive steps of length
         # h, the only ones the extrapolation may span
         slopes = np.empty((4, y.size))
         equal = 0
         while t < t_end - 1e-15 * max(1.0, t_end):
+            if n_steps == config.max_steps:
+                raise StepLimitExceeded(f"midpoint reached max_steps = {config.max_steps} "
+                                        f"at t = {t!r}")
             stop = min(next_stop(t), t_end)
             # within 1e-9 h of h, the distance to the stop is h plus the
             # rounding of the summed steps: land on the stop exactly instead
@@ -448,6 +479,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
         h = config.first_step if config.first_step else min(config.max_step, t_end / 50.0)
         h = max(h, 1e-12)
         stages = np.empty((7, y.size))
+        ratio, work = np.empty(y.size), np.empty(y.size)
         while t < t_end - 1e-15 * max(1.0, t_end):
             stop = min(next_stop(t), t_end)
             h = min(h, config.max_step, stop - t)
@@ -463,8 +495,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                         pass
                 exit_reason, exit_time = reason, t
                 break
-            scale = config.abs_tol + config.rel_tol * np.maximum(np.abs(y), np.abs(ynew))
-            enorm = math.sqrt(float(np.mean((err / scale) ** 2)))
+            enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol, ratio, work)
             if not math.isfinite(enorm):
                 raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
             if enorm <= 1.0:
@@ -480,7 +511,8 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             if enorm > 1.0 and h < 1e-14 * max(1.0, abs(t)):
                 raise StepSizeUnderflow(f"step size {h!r} underflows at t = {t!r}")
             if n_steps + n_rejected > config.max_steps:
-                raise RuntimeError("integrator exceeded max_steps")
+                raise StepLimitExceeded(f"dopri exceeded max_steps = {config.max_steps} "
+                                        f"at t = {t!r}")
     else:
         raise ValueError(f"unknown method {config.method!r}")
 
@@ -561,39 +593,35 @@ def reduced_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
 
 
 def _per_sample(decode):
-    """Memoise decode(z) on the values of z.
+    """Memoise decode(z) on the values of z, compared bit for bit.
 
     The integrator passes one phase point to every monitor of a sample, so
-    monitors that share a decoding compute it once per sample.
+    monitors that share a decoding compute it once per sample.  The key is
+    the bytes of z: cheaper to take and compare than its list of floats,
+    and unlike that list it tells 0.0 from -0.0.
     """
     key = value = None
 
     def cached(z):
         nonlocal key, value
-        values = z.tolist()
-        if values != key:
-            key, value = values, decode(z)
+        raw = z.tobytes()
+        if raw != key:
+            key, value = raw, decode(z)
         return value
     return cached
 
 
 def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
-    def decode(z):
-        part = reduction.array_to_partial(z)
-        return part, reduction.invariant_set_residual(part, mu1, mu2)
-    sample = _per_sample(decode)
+    """H, the invariant-set residual c1..c4 and p_theta, from one kernel call per sample."""
+    kernel = reduction.partial_values_kernel(masses, mu1, mu2)
+    sample = _per_sample(lambda z: kernel(z.tolist()))
 
-    def ham(t, z):
-        return reduction.hamiltonian_partial(masses, sample(z)[0])
+    def make(i):
+        def monitor(t, z):
+            return sample(z)[i]
+        return monitor
 
-    def make_c(i):
-        def c(t, z):
-            return sample(z)[1][i]
-        return c
-
-    mons = {"H": ham}
-    for i in range(4):
-        mons[f"c{i + 1}"] = make_c(i)
+    mons = {name: make(i) for i, name in enumerate(("H", "c1", "c2", "c3", "c4"))}
     mons["p_theta1"] = lambda t, z: z[14]
     mons["p_theta2"] = lambda t, z: z[15]
     return mons

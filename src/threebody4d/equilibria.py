@@ -258,6 +258,11 @@ def rho_from_t(t: float) -> float:
     return 4.0 * t / (1.0 - t * t)
 
 
+def _check_mass_ratio(n: float) -> None:
+    if not n > 0:
+        raise ValueError(f"mass ratio n must be positive, got {n}")
+
+
 def isosceles_momenta(n: float, t: float, m: float = 1.0,
                       q4: float = 1.0) -> tuple[float, float, float]:
     """(mu1^2, mu2^2, q1) solving the two isosceles equilibrium conditions.
@@ -267,8 +272,7 @@ def isosceles_momenta(n: float, t: float, m: float = 1.0,
     """
     if not 0.0 < t < 1.0:
         raise ValueError(f"shape parameter t must be in (0, 1), got {t}")
-    if n <= 0:
-        raise ValueError(f"mass ratio n must be positive, got {n}")
+    _check_mass_ratio(n)
     m1 = n * m
     nu1 = m / 2.0
     nu2 = 2.0 * m * m1 / (2.0 * m + m1)
@@ -764,8 +768,10 @@ def isosceles_scan(n: float, t_grid, workers: int = 1) -> ScanTable:
 
     Per-point failures are recorded in the row and the scan continues; grid
     points are pure and independent, so `workers > 1` fans them out over a
-    process pool (ordering and output are identical either way).
+    process pool (ordering and output are identical either way).  A bad mass
+    ratio `n` is shared by every point, so it raises ValueError at once.
     """
+    _check_mass_ratio(n)
     jobs = [(n, float(t)) for t in t_grid]
     return ScanTable(_run_scan(_isosceles_scan_point, jobs, workers))
 

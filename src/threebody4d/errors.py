@@ -40,3 +40,7 @@ class DegenerateHessian(RuntimeError):
 class StepSizeUnderflow(RuntimeError):
     """Adaptive step control collapsed: a non-finite error estimate, or a
     rejected step shrank below 1e-14 * max(1, |t|)."""
+
+
+class StepLimitExceeded(RuntimeError):
+    """An integration needed more steps than `IntegratorConfig.max_steps`."""

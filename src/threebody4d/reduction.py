@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +33,16 @@ from .errors import (
     DegeneratePlane,
     KineticDomainError,
 )
-from .model import FullState, MassTriple, ScalarProducts, potential_derivatives, wedge
+from .model import (
+    FullState,
+    MassTriple,
+    ScalarProducts,
+    check_scalar_products,
+    potential_constants,
+    potential_derivatives,
+    potential_partials,
+    wedge,
+)
 
 # chart-validity floors
 AREA_TOL = 1e-12
@@ -117,6 +127,8 @@ class ReducedState:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
+            raise ValueError(f"momenta must be finite, got ({self.mu1}, {self.mu2})")
         check_momenta(self.mu1, self.mu2)
 
     @property
@@ -376,6 +388,48 @@ def kinetic_tilde(qi: float, qj: float, b: float, c: float, pp1: float,
     return t1 * t1 + t2 * t2
 
 
+def partial_values_kernel(masses: Optional[MassTriple], mu1: float, mu2: float,
+                          potential=None):
+    """Kernel from the 16 chart values to (H, c1, c2, c3, c4) on plain floats.
+
+    The values come as Python floats in the order of `partial_to_array`.  H
+    is the partial Hamiltonian of `hamiltonian_partial`, with the Newtonian
+    potential or with `potential` (a callable on ScalarProducts), and
+    (c1, c2, c3, c4) the invariant-set residual of `invariant_set_residual`
+    for p_theta = (mu1, mu2).  Without `masses` the kernel returns H = None
+    and checks no chart condition.  The partial monitors call it once per
+    sample.
+    """
+    if masses is not None:
+        two_nu1, two_nu2 = 2.0 * masses.nu1, 2.0 * masses.nu2
+        kv = potential_constants(masses)
+    sum_mu, diff_mu = mu1 + mu2, mu1 - mu2
+
+    def values(z):
+        (q1, q2, q3, q4, psi1, psi2, _, _,
+         p1, p2, p3, p4, pp1, pp2, pt1, pt2) = z
+        l3 = q1 * p2 - q2 * p1 + q3 * p4 - q4 * p3
+        c3 = sum_mu * math.cos(psi1 - psi2) + l3
+        c4 = diff_mu * math.cos(psi1 + psi2) + l3
+        if masses is None:
+            return None, pp1, pp2, c3, c4
+        b, c, area = _bc_coefficients((q1, q2, q3, q4), l3, (pt1, pt2), psi1, psi2)
+        f34 = kinetic_tilde(q3, q4, b, c, pp1, pp2, area)
+        f12 = kinetic_tilde(q1, q2, b, c, pp1, pp2, area)
+        s11 = q1 ** 2 + q2 ** 2
+        s22 = q3 ** 2 + q4 ** 2
+        s12 = q1 * q3 + q2 * q4
+        if potential is None:
+            check_scalar_products(s11, s22, s12)
+            v = potential_partials(kv, s11, s22, s12)[0]
+        else:
+            v = potential(ScalarProducts(s11, s22, s12))
+        h = ((p1 ** 2 + p2 ** 2 + f34) / two_nu1
+             + (p3 ** 2 + p4 ** 2 + f12) / two_nu2 + v)
+        return h, pp1, pp2, c3, c4
+    return values
+
+
 def hamiltonian_partial(masses: MassTriple, partial: PartialState,
                         potential=None) -> float:
     """Partially reduced Hamiltonian (6 degrees of freedom, theta cyclic).
@@ -386,17 +440,9 @@ def hamiltonian_partial(masses: MassTriple, partial: PartialState,
     The reduction holds for any potential through the scalar products;
     `potential` (a callable on ScalarProducts) replaces the Newtonian one.
     """
-    q, p = partial.q, partial.p
-    ang = partial.angles
-    b, c, area = _bc_coefficients(q, partial.l3, partial.p_theta, ang.psi1, ang.psi2)
-    pp1, pp2 = partial.p_psi
-    f34 = kinetic_tilde(q[2], q[3], b, c, pp1, pp2, area)
-    f12 = kinetic_tilde(q[0], q[1], b, c, pp1, pp2, area)
-    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
-                       q[0] * q[2] + q[1] * q[3])
-    v = potential(s) if potential is not None else potential_derivatives(masses, s)[0]
-    return ((p[0] ** 2 + p[1] ** 2 + f34) / (2.0 * masses.nu1)
-            + (p[2] ** 2 + p[3] ** 2 + f12) / (2.0 * masses.nu2) + v)
+    # the momenta of the residual do not enter H
+    values = partial_values_kernel(masses, 0.0, 0.0, potential)
+    return values(partial_to_array(partial).tolist())[0]
 
 
 def angular_momentum_partial(partial: PartialState) -> np.ndarray:
@@ -434,14 +480,8 @@ def invariant_set_residual(partial: PartialState, mu1: float, mu2: float) -> np.
     c1 = p_psi1, c2 = p_psi2,
     c3 = (mu1 + mu2) cos(delta) + L3, c4 = (mu1 - mu2) cos(sigma) + L3.
     """
-    ang = partial.angles
-    l3 = partial.l3
-    return np.array([
-        partial.p_psi[0],
-        partial.p_psi[1],
-        (mu1 + mu2) * math.cos(ang.delta) + l3,
-        (mu1 - mu2) * math.cos(ang.sigma) + l3,
-    ])
+    values = partial_values_kernel(None, mu1, mu2)
+    return np.array(values(partial_to_array(partial).tolist())[1:])
 
 
 def restriction_matrix_A(partial: PartialState) -> tuple[np.ndarray, float]:

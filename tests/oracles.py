@@ -1,10 +1,12 @@
 """Reference implementations the library's float kernels are compared against.
 
 These are the straightforward numpy forms of the potential partials, the
-analytic gradients, the three vector fields and the partial/full monitors:
-one small array per term and a fresh decoding of the phase point for every
-monitor.  They are slower than the library versions and exist only so the
-tests can check that the fast forms compute the same numbers.
+analytic gradients, the three vector fields, the partial Hamiltonian and
+the invariant-set residual, the partial/full monitors, the CSV rows of a
+trajectory and the step-control error norm: one small array per term and a
+fresh decoding of the phase point for every monitor.  They are slower than
+the library versions and exist only so the tests can check that the fast
+forms compute the same numbers.
 """
 
 import math
@@ -205,15 +207,67 @@ def full_rhs(masses: MassTriple, z: np.ndarray) -> np.ndarray:
     ])
 
 
+def _bc_coefficients(q, l3, p_theta, psi1, psi2):
+    """The linear-in-momenta coefficients B and C of the cotangent lift."""
+    area = 0.5 * (q[0] * q[3] - q[1] * q[2])
+    if abs(area) < reduction.AREA_TOL:
+        raise ChartSingular(f"oriented area A = {area} too small")
+    e = math.cos(2 * psi1) - math.cos(2 * psi2)
+    if abs(e) < reduction.PSI_TOL:
+        raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
+    den = 2.0 * area * e
+    s1, c1 = math.sin(psi1), math.cos(psi1)
+    s2, c2 = math.sin(psi2), math.cos(psi2)
+    b = (l3 * math.sin(2 * psi1) + 2.0 * (p_theta[0] * s1 * c2 + p_theta[1] * c1 * s2)) / den
+    c = (l3 * math.sin(2 * psi2) + 2.0 * (p_theta[0] * c1 * s2 + p_theta[1] * s1 * c2)) / den
+    return b, c, area
+
+
+def kinetic_tilde(qi, qj, b, c, pp1, pp2, area):
+    """f~(qi, qj) = (qi B - qj p_psi1/(2A))^2 + (-qj C + qi p_psi2/(2A))^2."""
+    inv2a = 0.5 / area
+    t1 = qi * b - qj * pp1 * inv2a
+    t2 = -qj * c + qi * pp2 * inv2a
+    return t1 * t1 + t2 * t2
+
+
+def hamiltonian_partial(masses: MassTriple, partial: reduction.PartialState,
+                        potential=None) -> float:
+    """The partial Hamiltonian on the numpy scalars of a PartialState."""
+    q, p = partial.q, partial.p
+    ang = partial.angles
+    b, c, area = _bc_coefficients(q, partial.l3, partial.p_theta, ang.psi1, ang.psi2)
+    pp1, pp2 = partial.p_psi
+    f34 = kinetic_tilde(q[2], q[3], b, c, pp1, pp2, area)
+    f12 = kinetic_tilde(q[0], q[1], b, c, pp1, pp2, area)
+    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
+                       q[0] * q[2] + q[1] * q[3])
+    v = potential(s) if potential is not None else model.potential_derivatives(masses, s)[0]
+    return ((p[0] ** 2 + p[1] ** 2 + f34) / (2.0 * masses.nu1)
+            + (p[2] ** 2 + p[3] ** 2 + f12) / (2.0 * masses.nu2) + v)
+
+
+def invariant_set_residual(partial: reduction.PartialState, mu1: float,
+                           mu2: float) -> np.ndarray:
+    """(c1, c2, c3, c4) on the numpy scalars of a PartialState."""
+    ang = partial.angles
+    l3 = partial.l3
+    return np.array([
+        partial.p_psi[0],
+        partial.p_psi[1],
+        (mu1 + mu2) * math.cos(ang.delta) + l3,
+        (mu1 - mu2) * math.cos(ang.sigma) + l3,
+    ])
+
+
 def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
     """One decoding of the phase point per callable."""
     def ham(t, z):
-        return reduction.hamiltonian_partial(masses, reduction.array_to_partial(z))
+        return hamiltonian_partial(masses, reduction.array_to_partial(z))
 
     def make_c(i):
         def c(t, z):
-            return reduction.invariant_set_residual(
-                reduction.array_to_partial(z), mu1, mu2)[i]
+            return invariant_set_residual(reduction.array_to_partial(z), mu1, mu2)[i]
         return c
 
     mons = {"H": ham}
@@ -255,3 +309,21 @@ def midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):
         if delta < tol * scale:
             break
     return ynext
+
+
+def to_csv(rec, fh, state_labels=None):
+    """TrajectoryRecord.to_csv formatting each value as a numpy scalar."""
+    dim = rec.states.shape[1]
+    labels = state_labels or [f"y{i}" for i in range(dim)]
+    cols = ["t"] + list(labels) + list(rec.monitors.keys())
+    fh.write(",".join(cols) + "\n")
+    mon = [np.asarray(v) for v in rec.monitors.values()]
+    for k in range(len(rec.times)):
+        row = [rec.times[k]] + list(rec.states[k]) + [m[k] for m in mon]
+        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def error_norm(err, y, ynew, abs_tol, rel_tol):
+    """The step-control norm with a fresh array per operation."""
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(ynew))
+    return math.sqrt(float(np.mean((err / scale) ** 2)))

@@ -267,6 +267,15 @@ def test_full_precision_roundtrip(tmp_path):
     (["integrate", "--mu1", "nan"], 2),
     (["integrate", "--method", "midpoint", "--dt", "nan", "--t-end", "0.01"], 2),
     (["integrate", "--method", "midpoint", "--dt", "0.05", "--t-end", "3"], 3),
+    (["verify", "--mu1", "nan", "--checks", "amatrix"], 2),
+    (["equilibrium", "--isosceles", "-n", "nan", "-t", "0.1"], 2),
+    (["equilibrium", "--isosceles", "-n", "-1", "-t", "0.1"], 2),
+    (["equilibrium", "--isosceles", "-n", "1", "-t", "nan"], 2),
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "nan"], 2),
+    (["scan", "--isosceles", "-n", "nan", "--t-grid", "0.1:0.5:3"], 2),
+    (["scan", "--isosceles", "-n", "-1", "--t-grid", "0.1:0.5:3"], 2),
+    # 1e9 steps of dt: refused before the first step
+    (["integrate", "--method", "midpoint", "--dt", "1e-9", "--t-end", "1"], 3),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 from threebody4d import dynamics, equilibria, model, reduction
-from threebody4d.errors import DegenerateMomenta, NoConvergence, StepSizeUnderflow
+from threebody4d.errors import (
+    DegenerateMomenta,
+    NoConvergence,
+    StepLimitExceeded,
+    StepSizeUnderflow,
+)
 
 import oracles
 from conftest import central_gradient, random_chart_point, random_reduced_state
@@ -234,6 +239,81 @@ def test_trajectory_record_csv_json():
     assert obj["domain_exit"] is None
     assert len(obj["t"]) == len(rec.times)
     assert obj["states"]["q1"][0] == rec.states[0][0]
+
+
+def _csv(write, rec, labels):
+    buf = io.StringIO()
+    write(rec, buf, state_labels=labels)
+    return buf.getvalue()
+
+
+def test_to_csv_bytes_equal_numpy_scalar_formatting():
+    red = reduction.ReducedState([1.1, 0.1, -0.2, 0.9], [0.02, -0.01, 0.03, 0.01], MU1, MU2)
+    zr = np.concatenate([red.q, red.p])
+    zp = reduction.partial_to_array(reduction.embed_reduced(red))
+    zf = reduction.full_to_array(reduction.lift_to_full(reduction.embed_reduced(red)))
+    cfg = dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+    runs = [
+        (dynamics.reduced_field(MASSES, MU1, MU2), zr,
+         dynamics.reduced_monitors(MASSES, MU1, MU2), 0.5),
+        (dynamics.partial_field(MASSES), zp, dynamics.partial_monitors(MASSES, MU1, MU2), 0.5),
+        (dynamics.full_field(MASSES), zf, dynamics.full_monitors(MASSES), 0.5),
+        # collision course: the record ends at a domain exit
+        (dynamics.reduced_field(EQUAL, 1.0, 0.0),
+         np.array([0.5, 0.0, 0.0, 2.0, -0.6, 0.0, 0.0, 0.0]),
+         dynamics.reduced_monitors(EQUAL, 1.0, 0.0), 10.0),
+    ]
+    for field, z0, mons, t_end in runs:
+        rec = dynamics.integrate(field, z0, t_end, cfg, monitors=mons)
+        assert len(rec.times) > 10
+        for labels in (None, [f"s{i}" for i in range(field.dimension)]):
+            assert (_csv(dynamics.TrajectoryRecord.to_csv, rec, labels)
+                    == _csv(oracles.to_csv, rec, labels))
+    assert rec.domain_exit is not None
+
+
+def test_error_norm_equals_mean_form_bitwise():
+    rng = np.random.default_rng(5)
+    for dim in (1, 7, 8, 16, 200):
+        ratio, work = np.empty(dim), np.empty(dim)
+        for scale in (1e-12, 1.0, 1e150, 1e300):
+            y, ynew, err = scale * rng.normal(size=(3, dim))
+            y[::3] = 0.0
+            ynew[::3] = 0.0
+            err[::2] = 0.0
+            for abs_tol, rel_tol in ((1e-13, 1e-11), (1e-10, 1e-10)):
+                # at 1e300 an error over abs_tol alone overflows to inf, in both forms
+                with np.errstate(over="ignore"):
+                    fast = dynamics._error_norm(err, y, ynew, abs_tol, rel_tol, ratio, work)
+                    ref = oracles.error_norm(err, y, ynew, abs_tol, rel_tol)
+                assert fast == ref
+
+
+def test_step_limit_raises_before_stepping_or_once_reached():
+    assert issubclass(StepLimitExceeded, RuntimeError)
+    counted = itertools.count()
+
+    def evaluate(t, z):
+        next(counted)
+        return -z
+
+    field = dynamics.VectorField(2, evaluate)
+    z0 = np.array([1.0, 0.5])
+    midpoint = dict(method="midpoint", dt=1e-3, max_steps=10)
+    # 1000 steps of dt asked for: refused before any field evaluation
+    with pytest.raises(StepLimitExceeded):
+        dynamics.integrate(field, z0, 1.0, dynamics.IntegratorConfig(**midpoint))
+    assert next(counted) == 0
+    # exactly max_steps steps pass; landing on samples off the grid takes more
+    rec = dynamics.integrate(field, z0, 10 * 1e-3, dynamics.IntegratorConfig(**midpoint))
+    assert rec.n_steps == 10
+    with pytest.raises(StepLimitExceeded, match="reached"):
+        dynamics.integrate(field, z0, 10 * 1e-3, dynamics.IntegratorConfig(**midpoint),
+                           t_samples=np.array([2.5e-3, 5.5e-3]))
+    with pytest.raises(StepLimitExceeded, match="dopri"):
+        dynamics.integrate(field, z0, 100.0,
+                           dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14,
+                                                     max_steps=10))
 
 
 def test_integrator_config_validation():

@@ -470,6 +470,12 @@ def test_general_scan_table():
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("n", [-1.0, 0.0, math.nan])
+def test_isosceles_scan_refuses_a_bad_mass_ratio_before_the_scan(n):
+    with pytest.raises(ValueError, match="mass ratio"):
+        equilibria.isosceles_scan(n, [0.2, 0.3])
+
+
 def test_scan_records_per_point_errors():
     table = equilibria.isosceles_scan(1.0, [0.2, 1.5])  # t = 1.5 invalid
     assert table.rows[0].error is None

@@ -358,6 +358,9 @@ def test_reduced_state_validation():
         reduction.ReducedState([1, 0, 0, 1], np.zeros(4), 0.5, 0.5)
     with pytest.raises(ValueError):
         reduction.ReducedState([1, 0, 0, 1], np.zeros(4), 0.5, -0.1)
+    for mu1, mu2 in ((math.nan, 0.3), (1.0, math.nan), (math.inf, 0.3)):
+        with pytest.raises(ValueError, match="finite"):
+            reduction.ReducedState([1, 0, 0, 1], np.zeros(4), mu1, mu2)
 
 
 def test_embed_requires_kinetic_domain():
