@@ -145,49 +145,13 @@ def _open_out(path):
 
 # --- verify ------------------------------------------------------------------
 
-def _random_chart_point(rng, p_theta=None) -> reduction.PartialState:
-    """A generic, chart-valid partial state."""
-    while True:
-        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
-        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25:
-            break
-    while True:
-        psi1 = rng.uniform(0.25, 1.3)
-        psi2 = rng.uniform(0.25, 1.3)
-        if abs(math.cos(2 * psi1) - math.cos(2 * psi2)) > 0.15 \
-                and abs(math.sin(psi1 + psi2)) > 0.1 \
-                and abs(math.sin(psi1 - psi2)) > 0.1:
-            break
-    ang = reduction.RotationAngles(psi1, psi2,
-                                   rng.uniform(-math.pi, math.pi),
-                                   rng.uniform(-math.pi, math.pi))
-    if p_theta is None:
-        p_theta = np.array([rng.uniform(0.8, 1.6), rng.uniform(0.1, 0.5)])
-    return reduction.PartialState(
-        q=q, p=rng.normal(0.0, 0.3, size=4), angles=ang,
-        p_psi=rng.normal(0.0, 0.2, size=2), p_theta=np.asarray(p_theta))
-
-
-def _random_reduced_state(rng, mu1, mu2) -> reduction.ReducedState:
-    """Reduced state with |L3| safely inside the kinetic domain."""
-    dlt = mu1 - mu2
-    while True:
-        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
-        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) <= 0.25:
-            continue
-        p = rng.normal(0.0, 0.25, size=4)
-        l3 = q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
-        if abs(l3) < 0.8 * dlt:
-            return reduction.ReducedState(q, p, mu1, mu2)
-
-
 def check_symplectic(rng, n_points=100):
     jmat = np.zeros((16, 16))
     jmat[0:8, 8:16] = np.eye(8)
     jmat[8:16, 0:8] = -np.eye(8)
     worst = 0.0
     for _ in range(n_points):
-        part = _random_chart_point(rng)
+        part = reduction.random_chart_point(rng)
         dmat = reduction.lift_jacobian(part)
         worst = max(worst, float(np.max(np.abs(dmat.T @ jmat @ dmat - jmat))))
     return worst
@@ -196,11 +160,11 @@ def check_symplectic(rng, n_points=100):
 def check_composition(rng, masses, mu1, mu2, n_points=100):
     worst = 0.0
     for _ in range(n_points):
-        part = _random_chart_point(rng)
+        part = reduction.random_chart_point(rng)
         h_part = reduction.hamiltonian_partial(masses, part)
         h_full = model.hamiltonian_full(masses, reduction.lift_to_full(part))
         worst = max(worst, abs(h_part - h_full) / max(abs(h_full), 1e-300))
-        red = _random_reduced_state(rng, mu1, mu2)
+        red = reduction.random_reduced_state(rng, mu1, mu2)
         emb = reduction.embed_reduced(red)
         h_red = reduction.hamiltonian_reduced(masses, red)
         h_emb = reduction.hamiltonian_partial(masses, emb)
@@ -212,7 +176,7 @@ def check_invariant_set(rng, masses, mu1, mu2, n_points=5, n_steps=1000):
     worst = 0.0
     field = dynamics.partial_field(masses)
     for _ in range(n_points):
-        red = _random_reduced_state(rng, mu1, mu2)
+        red = reduction.random_reduced_state(rng, mu1, mu2)
         z0 = reduction.partial_to_array(reduction.embed_reduced(red))
         cfg = dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
         t_end = 2.0
@@ -230,7 +194,7 @@ def check_invariant_set(rng, masses, mu1, mu2, n_points=5, n_steps=1000):
 def check_amatrix(rng, mu1, mu2, n_points=20):
     worst = 0.0
     for _ in range(n_points):
-        red = _random_reduced_state(rng, mu1, mu2)
+        red = reduction.random_reduced_state(rng, mu1, mu2)
         part = reduction.embed_reduced(red)
         amat, det = reduction.restriction_matrix_A(part)
         target = (mu1 ** 2 - mu2 ** 2) ** 2

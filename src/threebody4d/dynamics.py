@@ -131,12 +131,6 @@ def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
             2.0 * q4 * v2 + q2 * v3)
 
 
-def potential_gradient_q(masses: MassTriple, q: np.ndarray) -> np.ndarray:
-    """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4)."""
-    return np.array(_potential_gradient_q(potential_constants(masses),
-                                          *np.asarray(q, dtype=float).tolist()))
-
-
 def _reduced_gradient(masses: MassTriple, mu1: float, mu2: float):
     """Kernel (q1..q4, p1..p4) -> (dH/dq, dH/dp) of the reduced Hamiltonian.
 
@@ -676,13 +670,9 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
     z_red0 = np.concatenate([reduced_start.q, reduced_start.p])
     samples = np.linspace(0.0, t_end, n_samples + 1)[1:]
 
-    rec_full = integrate(full_field(masses), z_full0, t_end, config,
-                         monitors=full_monitors(masses), t_samples=samples)
+    rec_full = integrate(full_field(masses), z_full0, t_end, config, t_samples=samples)
     rec_red = integrate(reduced_field(masses, reduced_start.mu1, reduced_start.mu2),
-                        z_red0, t_end, config,
-                        monitors=reduced_monitors(masses, reduced_start.mu1,
-                                                  reduced_start.mu2),
-                        t_samples=samples)
+                        z_red0, t_end, config, t_samples=samples)
     if rec_full.domain_exit or rec_red.domain_exit:
         return ComparisonReport(times=np.array([]), max_qp_deviation=math.inf,
                                 max_invariant_residual=math.inf, max_mu_drift=math.inf,

@@ -33,10 +33,12 @@ from .errors import (
 from .model import (
     MassTriple,
     ScalarProducts,
+    check_scalar_products,
+    potential_constants,
     potential_derivatives,
-    potential_hessian_s,
+    potential_partials,
+    potential_second_partials,
 )
-from .dynamics import potential_gradient_q
 from . import reduction
 
 EQUILATERAL_T = 2.0 - math.sqrt(3.0)
@@ -44,94 +46,100 @@ EQUILATERAL_T = 2.0 - math.sqrt(3.0)
 
 # --- effective potential: value, gradient, Hessian --------------------------
 
-def _area(q) -> float:
-    return 0.5 * (q[0] * q[3] - q[1] * q[2])
+def _area(q):
+    """Oriented area A of q; ChartSingular when it is below AREA_TOL."""
+    a = 0.5 * (q[0] * q[3] - q[1] * q[2])
+    if abs(a) < reduction.AREA_TOL:
+        raise ChartSingular(f"oriented area A = {a} too small")
+    return a
+
+
+def _inertia_terms(masses: MassTriple, q):
+    """(T1, T2) = (q1^2/nu2 + q3^2/nu1, q2^2/nu2 + q4^2/nu1), so I_i^-1 = T_i/(4 A^2)."""
+    return (q[0] ** 2 / masses.nu2 + q[2] ** 2 / masses.nu1,
+            q[1] ** 2 / masses.nu2 + q[3] ** 2 / masses.nu1)
 
 
 def moments_of_inertia_inv(masses: MassTriple, q) -> tuple[float, float]:
     """(I1^-1, I2^-1) from the 4 A^2 form (no solvability assumption)."""
     a = _area(q)
-    if abs(a) < reduction.AREA_TOL:
-        raise ChartSingular(f"oriented area A = {a} too small")
-    t1 = q[0] ** 2 / masses.nu2 + q[2] ** 2 / masses.nu1
-    t2 = q[1] ** 2 / masses.nu2 + q[3] ** 2 / masses.nu1
+    t1, t2 = _inertia_terms(masses, q)
     return t1 / (4 * a * a), t2 / (4 * a * a)
 
 
+def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
+    """(V_eff, gradient, Hessian) at q = (q1, q2, q3, q4) in plain scalars.
+
+    The gradient is a 4-tuple and the Hessian a symmetric 4x4 nested list.
+    The arithmetic runs unchanged on Python floats and on mpmath numbers
+    (with a MassTriple of mpmath masses, so that the mass constants carry
+    the working precision too).  V_eff is the centrifugal term
+    num/(8 A^2), num = mu1^2 T1 + mu2^2 T2 (see `_inertia_terms`), plus V
+    of the scalar products of q.
+    """
+    q1, q2, q3, q4 = q
+    a = _area(q)
+    nu1, nu2 = masses.nu1, masses.nu2
+    m1s, m2s = mu1 * mu1, mu2 * mu2
+    t1, t2 = _inertia_terms(masses, q)
+    num = m1s * t1 + m2s * t2
+    dnum = (m1s * (2 * q1 / nu2), m2s * (2 * q2 / nu2),
+            m1s * (2 * q3 / nu1), m2s * (2 * q4 / nu1))
+    da = (0.5 * q4, -0.5 * q3, -0.5 * q2, 0.5 * q1)
+    den2 = 8 * a * a
+    den3 = 4 * a ** 3
+    e1 = num / den3
+    e2 = 3 * num / (4 * a ** 4)
+
+    s11 = q1 * q1 + q2 * q2
+    s22 = q3 * q3 + q4 * q4
+    s12 = q1 * q3 + q2 * q4
+    check_scalar_products(s11, s22, s12)
+    k = potential_constants(masses)
+    v, v1, v2, v3 = potential_partials(k, s11, s22, s12)
+    v11, v22, v33, v12, v13, v23 = potential_second_partials(k, s11, s22, s12)
+    vss = ((v11, v12, v13), (v12, v22, v23), (v13, v23, v33))
+    # js[i] = d(s11, s22, s12)/dq_i, and w[i] = Vss js[i]
+    js = ((2.0 * q1, 0.0, q3), (2.0 * q2, 0.0, q4), (0.0, 2.0 * q3, q1), (0.0, 2.0 * q4, q2))
+    w = [[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for r in vss] for c in js]
+
+    # the order of operations in `grad` is part of the output: reports print
+    # its norm to 17 digits, and the float Newton stops on it
+    grad = tuple(dnum[i] / den2 - e1 * da[i] + (js[i][0] * v1 + js[i][1] * v2 + js[i][2] * v3)
+                 for i in range(4))
+    # constant second derivatives: of num (diagonal), of s11, s22 (diagonal),
+    # of s12 (weight V3) and of A (d2A/dq1dq4 = -d2A/dq2dq3 = 1/2, weight -e1)
+    diag = (2 * m1s / nu2 / den2 + 2 * v1, 2 * m2s / nu2 / den2 + 2 * v1,
+            2 * m1s / nu1 / den2 + 2 * v2, 2 * m2s / nu1 / den2 + 2 * v2)
+    he = 0.5 * e1
+    const = ((diag[0], 0.0, v3, -he), (0.0, diag[1], he, v3),
+             (v3, he, diag[2], 0.0), (-he, v3, 0.0, diag[3]))
+    hess = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            hess[i][j] = hess[j][i] = (
+                const[i][j] - (dnum[i] * da[j] + da[i] * dnum[j]) / den3
+                + e2 * da[i] * da[j]
+                + js[j][0] * w[i][0] + js[j][1] * w[i][1] + js[j][2] * w[i][2])
+    return num / den2 + v, grad, hess
+
+
 def effective_potential(masses: MassTriple, q, mu1: float, mu2: float) -> float:
-    i1inv, i2inv = moments_of_inertia_inv(masses, q)
-    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
-                       q[0] * q[2] + q[1] * q[3])
-    v = potential_derivatives(masses, s)[0]
-    return 0.5 * (mu1 * mu1 * i1inv + mu2 * mu2 * i2inv) + v
+    return effective_potential_kernel(masses, np.asarray(q, dtype=float).tolist(),
+                                      mu1, mu2)[0]
 
 
 def effective_potential_gradient(masses: MassTriple, q, mu1: float,
                                  mu2: float) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    a = _area(q)
-    if abs(a) < reduction.AREA_TOL:
-        raise ChartSingular(f"oriented area A = {a} too small")
-    nu1, nu2 = masses.nu1, masses.nu2
-    t1 = q[0] ** 2 / nu2 + q[2] ** 2 / nu1
-    t2 = q[1] ** 2 / nu2 + q[3] ** 2 / nu1
-    num = mu1 * mu1 * t1 + mu2 * mu2 * t2
-    dt1 = np.array([2 * q[0] / nu2, 0.0, 2 * q[2] / nu1, 0.0])
-    dt2 = np.array([0.0, 2 * q[1] / nu2, 0.0, 2 * q[3] / nu1])
-    da = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
-    grad_cf = (mu1 * mu1 * dt1 + mu2 * mu2 * dt2) / (8 * a * a) \
-        - num / (4 * a ** 3) * da
-    return grad_cf + potential_gradient_q(masses, q)
-
-
-_D2A = 0.5 * np.array([
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0, 0.0],
-    [0.0, -1.0, 0.0, 0.0],
-    [1.0, 0.0, 0.0, 0.0],
-])
+    return np.array(effective_potential_kernel(
+        masses, np.asarray(q, dtype=float).tolist(), mu1, mu2)[1])
 
 
 def effective_potential_hessian(masses: MassTriple, q, mu1: float,
                                 mu2: float) -> np.ndarray:
     """Analytic 4x4 Hessian of V_eff with respect to q."""
-    q = np.asarray(q, dtype=float)
-    a = _area(q)
-    if abs(a) < reduction.AREA_TOL:
-        raise ChartSingular(f"oriented area A = {a} too small")
-    nu1, nu2 = masses.nu1, masses.nu2
-    t1 = q[0] ** 2 / nu2 + q[2] ** 2 / nu1
-    t2 = q[1] ** 2 / nu2 + q[3] ** 2 / nu1
-    num = mu1 * mu1 * t1 + mu2 * mu2 * t2
-    dt1 = np.array([2 * q[0] / nu2, 0.0, 2 * q[2] / nu1, 0.0])
-    dt2 = np.array([0.0, 2 * q[1] / nu2, 0.0, 2 * q[3] / nu1])
-    dnum = mu1 * mu1 * dt1 + mu2 * mu2 * dt2
-    d2num = np.diag([2 * mu1 * mu1 / nu2, 2 * mu2 * mu2 / nu2,
-                     2 * mu1 * mu1 / nu1, 2 * mu2 * mu2 / nu1])
-    da = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
-    hess = d2num / (8 * a * a) \
-        - (np.outer(dnum, da) + np.outer(da, dnum)) / (4 * a ** 3) \
-        + 3 * num / (4 * a ** 4) * np.outer(da, da) \
-        - num / (4 * a ** 3) * _D2A
-
-    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
-                       q[0] * q[2] + q[1] * q[3])
-    _, v1, v2, v3 = potential_derivatives(masses, s)
-    vss = potential_hessian_s(masses, s)
-    js = np.array([
-        [2 * q[0], 2 * q[1], 0.0, 0.0],
-        [0.0, 0.0, 2 * q[2], 2 * q[3]],
-        [q[2], q[3], q[0], q[1]],
-    ])
-    hess += js.T @ vss @ js
-    hess += v1 * np.diag([2.0, 2.0, 0.0, 0.0]) + v2 * np.diag([0.0, 0.0, 2.0, 2.0])
-    hess += v3 * np.array([
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-    ])
-    return hess
+    return np.array(effective_potential_kernel(
+        masses, np.asarray(q, dtype=float).tolist(), mu1, mu2)[2])
 
 
 def keff_correction(masses: MassTriple, q, mu1: float, mu2: float) -> float:
@@ -152,14 +160,6 @@ def momentum_block(masses: MassTriple, q, mu1: float, mu2: float) -> np.ndarray:
     gamma = keff_correction(masses, q, mu1, mu2)
     v = np.array([-q[1], q[0], -q[3], q[2]])
     return np.diag([1 / nu1, 1 / nu1, 1 / nu2, 1 / nu2]) + 2 * gamma * np.outer(v, v)
-
-
-def hamiltonian_hessian(masses: MassTriple, q, mu1: float, mu2: float) -> np.ndarray:
-    """8x8 Hessian of the reduced Hamiltonian at (q, p=0); block diagonal."""
-    out = np.zeros((8, 8))
-    out[0:4, 0:4] = effective_potential_hessian(masses, q, mu1, mu2)
-    out[4:8, 4:8] = momentum_block(masses, q, mu1, mu2)
-    return out
 
 
 # --- equilibrium reports -----------------------------------------------------
@@ -202,27 +202,33 @@ class EquilibriumReport:
         }
 
 
-def _classify(vq_eigs: np.ndarray, kin_eigs: np.ndarray) -> str:
-    if np.all(vq_eigs > 0) and np.all(kin_eigs > 0):
-        return "minimum"
-    if np.all(vq_eigs > 0):
-        return "indefinite-K"
-    return "saddle"
+def _inertia_positive(block: np.ndarray) -> bool:
+    """Whether a symmetric block is positive definite, by scaled inertia.
+
+    The signs come from the eigenvalues of D^-1/2 B D^-1/2, D = |diag B|.
+    By Sylvester's law of inertia they are the signs of B's own eigenvalues,
+    but the scaled matrix has a unit diagonal, so a small eigenvalue next to
+    entries some u^-6 larger keeps its sign in float64 (Demmel & Veselic,
+    SIAM J. Matrix Anal. Appl. 13, 1992).
+    """
+    d = np.abs(np.diag(block))
+    r = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    return bool(np.all(np.linalg.eigvalsh(block * np.outer(r, r)) > 0))
 
 
-def frequencies(masses: MassTriple, report_or_q, mu1: Optional[float] = None,
-                mu2: Optional[float] = None):
+def _classify(vq_block: np.ndarray, kin_block: np.ndarray) -> str:
+    if not _inertia_positive(vq_block):
+        return "saddle"
+    return "minimum" if _inertia_positive(kin_block) else "indefinite-K"
+
+
+def frequencies(masses: MassTriple, q, mu1: float, mu2: float):
     """(omega1, omega2) = mu_i / I_i with the solvability-simplified inertia.
 
     omega1 = mu1/(nu2 q4^2 + nu1 q2^2), omega2 = mu2/(nu1 q1^2 + nu2 q3^2);
     also returns the Kepler diagnostics omega1^2 q4^3 / M and
     omega2^2 q1^3 / (m2 + m3), both -> 1 in the small-mu2 limit.
     """
-    if isinstance(report_or_q, EquilibriumReport):
-        q = report_or_q.q
-        mu1, mu2 = report_or_q.mu1, report_or_q.mu2
-    else:
-        q = np.asarray(report_or_q, dtype=float)
     nu1, nu2 = masses.nu1, masses.nu2
     om1 = mu1 / (nu2 * q[3] ** 2 + nu1 * q[1] ** 2)
     om2 = mu2 / (nu1 * q[0] ** 2 + nu2 * q[2] ** 2)
@@ -233,20 +239,21 @@ def frequencies(masses: MassTriple, report_or_q, mu1: Optional[float] = None,
 
 def _build_report(masses: MassTriple, q, mu1: float, mu2: float) -> EquilibriumReport:
     q = np.asarray(q, dtype=float)
-    hess = hamiltonian_hessian(masses, q, mu1, mu2)
+    energy, grad, hess_v = effective_potential_kernel(masses, q.tolist(), mu1, mu2)
+    # the 8x8 Hessian of the reduced Hamiltonian at (q, p = 0) is block diagonal
+    hess = np.zeros((8, 8))
+    hess[0:4, 0:4] = hess_v
+    hess[4:8, 4:8] = momentum_block(masses, q, mu1, mu2)
     vq_eigs = np.linalg.eigvalsh(hess[0:4, 0:4])
     kin_eigs = np.linalg.eigvalsh(hess[4:8, 4:8])
-    energy = effective_potential(masses, q, mu1, mu2)
-    h = (mu1 + mu2) ** 2 * energy
-    b = mu1 * mu2 / (mu1 + mu2) ** 2
     om1, om2, _, _ = frequencies(masses, q, mu1, mu2)
-    gnorm = float(np.linalg.norm(effective_potential_gradient(masses, q, mu1, mu2)))
     return EquilibriumReport(
         q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
         eigenvalues=np.concatenate([vq_eigs, kin_eigs]),
-        classification=_classify(vq_eigs, kin_eigs),
-        omega1=om1, omega2=om2, h=h, b=b,
-        gradient_norm=gnorm,
+        classification=_classify(hess[0:4, 0:4], hess[4:8, 4:8]),
+        omega1=om1, omega2=om2, h=(mu1 + mu2) ** 2 * energy,
+        b=mu1 * mu2 / (mu1 + mu2) ** 2,
+        gradient_norm=float(np.linalg.norm(grad)),
         keff_coefficient=keff_correction(masses, q, mu1, mu2),
         energy=energy,
     )
@@ -447,8 +454,6 @@ def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
     q = np.asarray(q, dtype=float)
     nu1, nu2 = masses.nu1, masses.nu2
     a = _area(q)
-    if abs(a) < reduction.AREA_TOL:
-        raise ChartSingular(f"oriented area A = {a} too small")
     i1 = nu2 * q[3] ** 2 + nu1 * q[1] ** 2
     i2 = nu1 * q[0] ** 2 + nu2 * q[2] ** 2
     s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
@@ -532,11 +537,11 @@ def newton_equilibrium(masses: MassTriple, mu1: float, mu2: float, seed,
     The residual is the solvability-simplified system (finite-difference
     Jacobian); after convergence the raw V_eff gradient is cross-checked and
     polished if needed.  `tol` bounds the scaled gradient norm.  With `dps`
-    set, the solve runs in mpmath arbitrary precision, which is what resolves
-    the q2, q3 components (of order u^10, u^12) below double precision.
+    set, the solve runs in mpmath arbitrary precision on the raw gradient,
+    with the analytic Hessian as the Jacobian, which is what resolves the
+    q2, q3 components (of order u^10, u^12) below double precision.
     """
-    if mu1 <= mu2:
-        raise DegenerateMomenta(f"need mu1 > mu2, got ({mu1}, {mu2})")
+    reduction.check_momenta(mu1, mu2)
     if dps is not None:
         q = _newton_mp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter, dps)
     else:
@@ -548,15 +553,14 @@ def newton_equilibrium(masses: MassTriple, mu1: float, mu2: float, seed,
     return report
 
 
-def _scaled_norm(masses, q, mu1, mu2, grad):
+def _scaled_norm(q, grad, hess):
     """Gradient norm over the natural stiffness scale |Hessian| * |q|.
 
     The V_eff Hessian spans ~u^-6 decades near the collision limit, so the
     raw gradient norm is not a resolution measure; this ratio is roughly the
     relative position error of the critical point.
     """
-    hscale = float(np.max(np.abs(effective_potential_hessian(masses, q, mu1, mu2))))
-    scale = max(hscale * float(np.max(np.abs(q))), 1e-300)
+    scale = max(float(np.max(np.abs(hess))) * float(np.max(np.abs(q))), 1e-300)
     return float(np.linalg.norm(grad)) / scale
 
 
@@ -569,6 +573,10 @@ def _newton_fp(masses, mu1, mu2, q, tol, max_iter):
         e = simplified_equilibrium_residual(masses, qv, mu1, mu2)
         e[2] = solvability_residual(masses, qv)
         return e
+
+    def scaled_gradient(qv):
+        _, grad, hess = effective_potential_kernel(masses, qv.tolist(), mu1, mu2)
+        return _scaled_norm(qv, grad, hess)
 
     q = q.copy()
     for _ in range(max_iter):
@@ -601,15 +609,12 @@ def _newton_fp(masses, mu1, mu2, q, tol, max_iter):
         if qn is None:
             qn = q + 1e-9 * step
         q = qn
-        grad = effective_potential_gradient(masses, q, mu1, mu2)
-        if _scaled_norm(masses, q, mu1, mu2, grad) < tol:
+        if scaled_gradient(q) < tol:
             return q
-    grad = effective_potential_gradient(masses, q, mu1, mu2)
-    if _scaled_norm(masses, q, mu1, mu2, grad) < 100 * tol:
+    err = scaled_gradient(q)
+    if err < 100 * tol:
         return q
-    raise NoConvergence(
-        f"Newton did not reach tolerance {tol}; scaled gradient "
-        f"{_scaled_norm(masses, q, mu1, mu2, grad)}")
+    raise NoConvergence(f"Newton did not reach tolerance {tol}; scaled gradient {err}")
 
 
 def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
@@ -618,74 +623,23 @@ def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
     The simplified system has spurious roots that deviate from the critical
     point at the q2, q3 orders (they violate the solvability identity), so
     at extended precision the raw gradient is the only correct residual.
+    The Jacobian is the analytic V_eff Hessian of the same kernel.
     """
     import mpmath as mp
 
     with mp.workdps(dps):
-        m1, m2, m3 = mp.mpf(masses.m1), mp.mpf(masses.m2), mp.mpf(masses.m3)
-        nu1 = m2 * m3 / (m2 + m3)
-        nu2 = m1 * (m2 + m3) / (m1 + m2 + m3)
-        a2 = m2 / (m2 + m3)
-        a3 = m3 / (m2 + m3)
+        mm = MassTriple(mp.mpf(masses.m1), mp.mpf(masses.m2), mp.mpf(masses.m3))
         mu1_, mu2_ = mp.mpf(mu1), mp.mpf(mu2)
-        three_half = mp.mpf(3) / 2
-
-        def resid(q):
-            q1, q2, q3, q4 = q
-            a = (q1 * q4 - q2 * q3) / 2
-            s11 = q1 * q1 + q2 * q2
-            s22 = q3 * q3 + q4 * q4
-            s12 = q1 * q3 + q2 * q4
-            d1 = s11
-            d2 = a2 * a2 * s11 + 2 * a2 * s12 + s22
-            d3 = a3 * a3 * s11 - 2 * a3 * s12 + s22
-            v1 = (m2 * m3) / (2 * d1 ** three_half) \
-                + (m3 * m1 * a2 * a2) / (2 * d2 ** three_half) \
-                + (m1 * m2 * a3 * a3) / (2 * d3 ** three_half)
-            v2 = (m3 * m1) / (2 * d2 ** three_half) \
-                + (m1 * m2) / (2 * d3 ** three_half)
-            v3 = (m3 * m1 * a2) / (d2 ** three_half) \
-                - (m1 * m2 * a3) / (d3 ** three_half)
-            # centrifugal part of grad V_eff from (mu1^2 T1 + mu2^2 T2)/(8 A^2)
-            t1 = q1 * q1 / nu2 + q3 * q3 / nu1
-            t2 = q2 * q2 / nu2 + q4 * q4 / nu1
-            num = mu1_ ** 2 * t1 + mu2_ ** 2 * t2
-            dt1 = (2 * q1 / nu2, mp.mpf(0), 2 * q3 / nu1, mp.mpf(0))
-            dt2 = (mp.mpf(0), 2 * q2 / nu2, mp.mpf(0), 2 * q4 / nu1)
-            da = (q4 / 2, -q3 / 2, -q2 / 2, q1 / 2)
-            vq = (2 * q1 * v1 + q3 * v3, 2 * q2 * v1 + q4 * v3,
-                  2 * q3 * v2 + q1 * v3, 2 * q4 * v2 + q2 * v3)
-            return [
-                (mu1_ ** 2 * dt1[k] + mu2_ ** 2 * dt2[k]) / (8 * a * a)
-                - num / (4 * a ** 3) * da[k] + vq[k]
-                for k in range(4)
-            ]
-
-        q = [mp.mpf(float(v)) for v in seed]
-        # balance FD truncation against rounding at the working precision
-        steps = [mp.mpf(10) ** (-(dps // 3)) * (abs(v) if v != 0 else mp.mpf(float(seed[3])))
-                 for v in q]
         mp_tol = mp.mpf(10) ** (-(dps - 15))
-        converged = False
+        q = [mp.mpf(float(v)) for v in seed]
+        _, grad, hess = effective_potential_kernel(mm, q, mu1_, mu2_)
         for _ in range(max_iter):
-            r = resid(q)
-            jac = mp.matrix(4, 4)
-            for k in range(4):
-                qp = list(q)
-                qm = list(q)
-                qp[k] += steps[k]
-                qm[k] -= steps[k]
-                rp, rm = resid(qp), resid(qm)
-                for i in range(4):
-                    jac[i, k] = (rp[i] - rm[i]) / (2 * steps[k])
-            dq = mp.lu_solve(jac, mp.matrix([-ri for ri in r]))
+            dq = mp.lu_solve(mp.matrix(hess), mp.matrix([-g for g in grad]))
             q = [qi + dqi for qi, dqi in zip(q, dq)]
-            if max(abs(ri) for ri in resid(q)) < mp_tol:
-                converged = True
-                break
-        if not converged:
-            raise NoConvergence(f"mp Newton did not reach {mp_tol} in {max_iter} steps")
-        return np.array([float(v) for v in q])
+            _, grad, hess = effective_potential_kernel(mm, q, mu1_, mu2_)
+            if max(abs(g) for g in grad) < mp_tol:
+                return np.array([float(v) for v in q])
+        raise NoConvergence(f"mp Newton did not reach {mp_tol} in {max_iter} steps")
 
 
 # --- energy-momentum scans ----------------------------------------------------

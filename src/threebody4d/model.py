@@ -236,18 +236,27 @@ def potential_derivatives(masses: MassTriple, s: ScalarProducts):
     return potential_partials(potential_constants(masses), s.s11, s.s22, s.s12)
 
 
-def potential_hessian_s(masses: MassTriple, s: ScalarProducts) -> np.ndarray:
-    """3x3 Hessian of V with respect to (s11, s22, s12)."""
-    k = potential_constants(masses)
-    d = _distances_sq(k, s.s11, s.s22, s.s12)
-    if min(d) <= COLLISION_TOL:
-        raise CollisionError(f"squared distance below tolerance: {d}")
-    aa2, g2, aa3, g3 = k[0:4]
-    g = np.array([[1.0, 0.0, 0.0], [aa2, 1.0, g2], [aa3, 1.0, -g3]])
-    h = np.zeros((3, 3))
-    for ck, dk, gk in zip(k[4:7], d, g):
-        h += 0.75 * ck * dk ** -2.5 * np.outer(gk, gk)
-    return h
+def potential_second_partials(k: tuple, s11, s22, s12):
+    """Second partials (V11, V22, V33, V12, V13, V23) of V wrt (s11, s22, s12).
+
+    Plain scalar arithmetic like `potential_partials`: it runs unchanged on
+    Python floats and on mpmath numbers (with `k` built from mpmath masses).
+    """
+    aa2, g2, aa3, g3, c1, c2, c3 = k
+    d1, d2, d3 = _distances_sq(k, s11, s22, s12)
+    if d1 <= COLLISION_TOL or d2 <= COLLISION_TOL or d3 <= COLLISION_TOL:
+        raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
+    # h_k = d^2(c_k / sqrt(d_k))/d(d_k)^2, times the outer products of the
+    # gradients (1, 0, 0), (a2^2, 1, 2 a2) and (a3^2, 1, -2 a3) of d1, d2, d3
+    h1 = 0.75 * c1 * d1 ** -2.5
+    h2 = 0.75 * c2 * d2 ** -2.5
+    h3 = 0.75 * c3 * d3 ** -2.5
+    return (h1 + h2 * aa2 * aa2 + h3 * aa3 * aa3,
+            h2 + h3,
+            h2 * g2 * g2 + h3 * g3 * g3,
+            h2 * aa2 + h3 * aa3,
+            h2 * aa2 * g2 - h3 * aa3 * g3,
+            h2 * g2 - h3 * g3)
 
 
 def newtonian_potential(masses: MassTriple, s: ScalarProducts) -> float:

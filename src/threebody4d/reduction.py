@@ -109,6 +109,8 @@ class PartialState:
 
 def check_momenta(mu1: float, mu2: float) -> None:
     """Raise unless mu1 > mu2 >= 0, the domain of the reduced system."""
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise ValueError(f"momenta must be finite, got ({mu1}, {mu2})")
     if mu2 < 0:
         raise ValueError(f"mu2 must be >= 0, got {mu2}")
     if mu1 <= mu2:
@@ -127,8 +129,6 @@ class ReducedState:
     def __post_init__(self):
         object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
-            raise ValueError(f"momenta must be finite, got ({self.mu1}, {self.mu2})")
         check_momenta(self.mu1, self.mu2)
 
     @property
@@ -598,3 +598,42 @@ def embed_reduced(state: ReducedState, theta1: float = 0.0,
         p_psi=np.zeros(2),
         p_theta=np.array([state.mu1, state.mu2]),
     )
+
+
+# --- random sample points ------------------------------------------------------
+#
+# The verification suites and the tests draw their points from these two
+# generators; the draw order is part of what a seed means.
+
+def random_chart_point(rng) -> PartialState:
+    """A generic partial state away from the chart boundaries."""
+    while True:
+        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
+        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25:
+            break
+    while True:
+        psi1 = rng.uniform(0.25, 1.3)
+        psi2 = rng.uniform(0.25, 1.3)
+        if abs(math.cos(2 * psi1) - math.cos(2 * psi2)) > 0.15 \
+                and abs(math.sin(psi1 + psi2)) > 0.1 \
+                and abs(math.sin(psi1 - psi2)) > 0.1:
+            break
+    ang = RotationAngles(psi1, psi2, rng.uniform(-math.pi, math.pi),
+                         rng.uniform(-math.pi, math.pi))
+    p_theta = np.array([rng.uniform(0.8, 1.6), rng.uniform(0.1, 0.5)])
+    return PartialState(q=q, p=rng.normal(0.0, 0.3, size=4), angles=ang,
+                        p_psi=rng.normal(0.0, 0.2, size=2), p_theta=p_theta)
+
+
+def random_reduced_state(rng, mu1: float, mu2: float) -> ReducedState:
+    """A reduced state with |L3| safely inside the kinetic domain."""
+    check_momenta(mu1, mu2)
+    dlt = mu1 - mu2
+    while True:
+        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
+        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) <= 0.25:
+            continue
+        p = rng.normal(0.0, 0.25, size=4)
+        l3 = q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
+        if abs(l3) < 0.8 * dlt:
+            return ReducedState(q, p, mu1, mu2)

@@ -1,10 +1,9 @@
 """Shared generators and finite-difference helpers for the test suite."""
 
-import math
-
 import numpy as np
 
-from threebody4d import model, reduction
+from threebody4d import model
+from threebody4d.reduction import random_chart_point, random_reduced_state  # noqa: F401
 
 
 def random_so4(rng) -> np.ndarray:
@@ -15,42 +14,6 @@ def random_so4(rng) -> np.ndarray:
     if np.linalg.det(q) < 0:
         q[:, 0] *= -1.0
     return q
-
-
-def random_chart_point(rng, p_theta=None) -> reduction.PartialState:
-    """Generic partial state away from the chart boundaries."""
-    while True:
-        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
-        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25:
-            break
-    while True:
-        psi1 = rng.uniform(0.25, 1.3)
-        psi2 = rng.uniform(0.25, 1.3)
-        if abs(math.cos(2 * psi1) - math.cos(2 * psi2)) > 0.15 \
-                and abs(math.sin(psi1 + psi2)) > 0.1 \
-                and abs(math.sin(psi1 - psi2)) > 0.1:
-            break
-    ang = reduction.RotationAngles(psi1, psi2,
-                                   rng.uniform(-math.pi, math.pi),
-                                   rng.uniform(-math.pi, math.pi))
-    if p_theta is None:
-        p_theta = np.array([rng.uniform(0.8, 1.6), rng.uniform(0.1, 0.5)])
-    return reduction.PartialState(
-        q=q, p=rng.normal(0.0, 0.3, size=4), angles=ang,
-        p_psi=rng.normal(0.0, 0.2, size=2), p_theta=np.asarray(p_theta, dtype=float))
-
-
-def random_reduced_state(rng, mu1=1.3, mu2=0.4) -> reduction.ReducedState:
-    """Reduced state with |L3| far enough inside the kinetic domain."""
-    dlt = mu1 - mu2
-    while True:
-        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
-        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) <= 0.25:
-            continue
-        p = rng.normal(0.0, 0.25, size=4)
-        l3 = q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
-        if abs(l3) < 0.8 * dlt:
-            return reduction.ReducedState(q, p, mu1, mu2)
 
 
 def random_full_state(rng, scale=1.0) -> model.FullState:

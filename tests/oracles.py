@@ -1,6 +1,7 @@
 """Reference implementations the library's float kernels are compared against.
 
-These are the straightforward numpy forms of the potential partials, the
+These are the straightforward numpy forms of the potential partials and its
+s-Hessian, the effective potential with its gradient and Hessian, the
 analytic gradients, the three vector fields, the partial Hamiltonian and
 the invariant-set residual, the partial/full monitors, the CSV rows of a
 trajectory and the step-control error norm: one small array per term and a
@@ -327,3 +328,90 @@ def error_norm(err, y, ynew, abs_tol, rel_tol):
     """The step-control norm with a fresh array per operation."""
     scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(ynew))
     return math.sqrt(float(np.mean((err / scale) ** 2)))
+
+
+def potential_hessian_s(masses: MassTriple, s: ScalarProducts) -> np.ndarray:
+    """3x3 Hessian of V in (s11, s22, s12) as a sum of outer products."""
+    k = model.potential_constants(masses)
+    d = model.mutual_distances_sq(masses, s)
+    if min(d) <= model.COLLISION_TOL:
+        raise CollisionError(f"squared distance below tolerance: {d}")
+    aa2, g2, aa3, g3 = k[0:4]
+    g = np.array([[1.0, 0.0, 0.0], [aa2, 1.0, g2], [aa3, 1.0, -g3]])
+    h = np.zeros((3, 3))
+    for ck, dk, gk in zip(k[4:7], d, g):
+        h += 0.75 * ck * dk ** -2.5 * np.outer(gk, gk)
+    return h
+
+
+def _veff_setup(masses: MassTriple, q):
+    q = np.asarray(q, dtype=float)
+    a = 0.5 * (q[0] * q[3] - q[1] * q[2])
+    if abs(a) < reduction.AREA_TOL:
+        raise ChartSingular(f"oriented area A = {a} too small")
+    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
+                       q[0] * q[2] + q[1] * q[3])
+    t1 = q[0] ** 2 / masses.nu2 + q[2] ** 2 / masses.nu1
+    t2 = q[1] ** 2 / masses.nu2 + q[3] ** 2 / masses.nu1
+    return q, a, s, t1, t2
+
+
+def effective_potential(masses: MassTriple, q, mu1: float, mu2: float) -> float:
+    """(mu1^2 I1^-1 + mu2^2 I2^-1)/2 + V with I^-1 = T/(4 A^2)."""
+    q, a, s, t1, t2 = _veff_setup(masses, q)
+    i1inv, i2inv = t1 / (4 * a * a), t2 / (4 * a * a)
+    return 0.5 * (mu1 * mu1 * i1inv + mu2 * mu2 * i2inv) + potential_derivatives(masses, s)[0]
+
+
+def effective_potential_gradient(masses: MassTriple, q, mu1: float,
+                                 mu2: float) -> np.ndarray:
+    q, a, s, t1, t2 = _veff_setup(masses, q)
+    nu1, nu2 = masses.nu1, masses.nu2
+    num = mu1 * mu1 * t1 + mu2 * mu2 * t2
+    dt1 = np.array([2 * q[0] / nu2, 0.0, 2 * q[2] / nu1, 0.0])
+    dt2 = np.array([0.0, 2 * q[1] / nu2, 0.0, 2 * q[3] / nu1])
+    da = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
+    grad_cf = (mu1 * mu1 * dt1 + mu2 * mu2 * dt2) / (8 * a * a) \
+        - num / (4 * a ** 3) * da
+    return grad_cf + potential_gradient_q(masses, q)
+
+
+_D2A = 0.5 * np.array([
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, -1.0, 0.0],
+    [0.0, -1.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+])
+
+
+def effective_potential_hessian(masses: MassTriple, q, mu1: float,
+                                mu2: float) -> np.ndarray:
+    """Centrifugal part by outer products, V part as J^t Vss J plus V_s d2s."""
+    q, a, s, t1, t2 = _veff_setup(masses, q)
+    nu1, nu2 = masses.nu1, masses.nu2
+    num = mu1 * mu1 * t1 + mu2 * mu2 * t2
+    dt1 = np.array([2 * q[0] / nu2, 0.0, 2 * q[2] / nu1, 0.0])
+    dt2 = np.array([0.0, 2 * q[1] / nu2, 0.0, 2 * q[3] / nu1])
+    dnum = mu1 * mu1 * dt1 + mu2 * mu2 * dt2
+    d2num = np.diag([2 * mu1 * mu1 / nu2, 2 * mu2 * mu2 / nu2,
+                     2 * mu1 * mu1 / nu1, 2 * mu2 * mu2 / nu1])
+    da = 0.5 * np.array([q[3], -q[2], -q[1], q[0]])
+    hess = d2num / (8 * a * a) \
+        - (np.outer(dnum, da) + np.outer(da, dnum)) / (4 * a ** 3) \
+        + 3 * num / (4 * a ** 4) * np.outer(da, da) \
+        - num / (4 * a ** 3) * _D2A
+    _, v1, v2, v3 = potential_derivatives(masses, s)
+    js = np.array([
+        [2 * q[0], 2 * q[1], 0.0, 0.0],
+        [0.0, 0.0, 2 * q[2], 2 * q[3]],
+        [q[2], q[3], q[0], q[1]],
+    ])
+    hess += js.T @ potential_hessian_s(masses, s) @ js
+    hess += v1 * np.diag([2.0, 2.0, 0.0, 0.0]) + v2 * np.diag([0.0, 0.0, 2.0, 2.0])
+    hess += v3 * np.array([
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+    ])
+    return hess

@@ -268,7 +268,7 @@ def test_criterion_10_kepler_and_hb():
     # Kepler diagnostics at u = 1e-2
     seed = equilibria.general_series_equilibrium(MASSES123, 1e-2)
     rep = equilibria.newton_equilibrium(MASSES123, seed.mu1, seed.mu2, seed.q)
-    _, _, kep1, kep2 = equilibria.frequencies(MASSES123, rep)
+    _, _, kep1, kep2 = equilibria.frequencies(MASSES123, rep.q, rep.mu1, rep.mu2)
     kep_ok = abs(kep1 - 1.0) < 1e-3 and abs(kep2 - 1.0) < 1e-3
     # h b^2 limit as b -> 0 (scan data, Figure-1-style table)
     table = equilibria.general_scan(MASSES123, [1e-2, 3e-3, 1e-3], pair=(2, 3))

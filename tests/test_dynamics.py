@@ -351,9 +351,15 @@ def test_integrate_rejects_non_finite_input():
 def test_dopri_nan_momentum_raises_step_size_underflow():
     # a NaN makes every error estimate NaN; the step must not shrink for ever
     z0 = np.array([1.1, 0.1, -0.2, 0.9, 0.02, -0.01, 0.03, 0.01])
-    field = dynamics.reduced_field(MASSES, math.nan, 0.4)
+    field = dynamics.VectorField(8, lambda t, z: np.full(8, math.nan))
     with pytest.raises(StepSizeUnderflow):
         dynamics.integrate(field, z0, 1.0, dynamics.IntegratorConfig(max_steps=10_000))
+
+
+@pytest.mark.parametrize("mu1, mu2", [(math.nan, 0.4), (1.3, math.nan), (math.inf, 0.4)])
+def test_reduced_field_refuses_non_finite_momenta(mu1, mu2):
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.reduced_field(MASSES, mu1, mu2)
 
 
 def test_dopri_collapsing_step_raises_step_size_underflow():

@@ -337,6 +337,79 @@ def test_newton_minimum_classification():
     assert np.all(np.linalg.eigvalsh(rep.hessian[4:8, 4:8]) > 0)
 
 
+def _small_u_points(n):
+    """Random masses in [0.5, 2.5] and log-uniform u in [3e-5, 3e-3]."""
+    rng = np.random.default_rng(9)
+    for _ in range(n):
+        mm = model.MassTriple(*rng.uniform(0.5, 2.5, size=3))
+        yield mm, float(np.exp(rng.uniform(math.log(3e-5), math.log(3e-3))))
+    # the README's general scan labelled this row a saddle by float rounding
+    yield MASSES, 0.0016761601701448395
+
+
+def _veff_hessian_signs_dps60(rep):
+    """Signs of the V_eff Hessian eigenvalues at rep.q, from mpmath.eigsy at dps=60."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        mm = model.MassTriple(*(mpmath.mpf(m) for m in (rep.masses.m1, rep.masses.m2,
+                                                          rep.masses.m3)))
+        _, _, hess = equilibria.effective_potential_kernel(
+            mm, [mpmath.mpf(float(v)) for v in rep.q], mpmath.mpf(rep.mu1),
+            mpmath.mpf(rep.mu2))
+        eigs, _ = mpmath.eigsy(mpmath.matrix(hess))
+        return [int(mpmath.sign(e)) for e in eigs]
+
+
+def test_small_u_equilibria_classified_minimum_by_scaled_inertia():
+    # The raw V_eff Hessian spans ~u^-6 decades, so float64 eigvalsh can flip
+    # the sign of its O(1) eigenvalue; the unit-diagonal scaling cannot.
+    for mm, u in _small_u_points(40):
+        seed = equilibria.general_series_equilibrium(mm, u)
+        rep = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q)
+        assert rep.classification == "minimum", (mm, u)
+
+
+def test_scaled_inertia_matches_dps60_eigenvalue_signs():
+    # the independent answer is the inertia of the dps=60 Hessian at the same
+    # q; sampled small-u minima (the README row included) and true isosceles
+    # saddles beyond the equilateral line
+    reps = []
+    for k, (mm, u) in enumerate(_small_u_points(40)):
+        if k % 8 == 0:
+            seed = equilibria.general_series_equilibrium(mm, u)
+            reps.append(equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q))
+    saddles = [equilibria.isosceles_equilibrium(n, t) for n, t in ((1.0, 0.5), (2.0, 0.4))]
+    for rep in reps + saddles:
+        signs = _veff_hessian_signs_dps60(rep)
+        assert equilibria._inertia_positive(rep.hessian[0:4, 0:4]) == (min(signs) > 0)
+    assert all(min(_veff_hessian_signs_dps60(r)) < 0 for r in saddles)
+    assert all(r.classification == "saddle" for r in saddles)
+
+
+def test_mp_newton_analytic_jacobian_reproduces_float_roots(monkeypatch):
+    # criterion 8 inputs; the roots are those of the finite-difference
+    # Jacobian solve, rounded to float
+    import mpmath
+
+    solves = []
+    lu_solve = mpmath.lu_solve
+    monkeypatch.setattr(mpmath, "lu_solve", lambda *a: solves.append(1) or lu_solve(*a))
+    expected = {
+        1e-2: (9.999999999998001e-05, -5.999999874603605e-22,
+               8.639999788323464e-26, 1.0000000036),
+        3e-3: (9.000000000000005e-06, -3.542939999400229e-27,
+               4.591650239088807e-32, 1.00000000002916),
+    }
+    for u, q_ref in expected.items():
+        solves.clear()
+        seed = equilibria.general_series_equilibrium(MASSES, u)
+        rep = equilibria.newton_equilibrium(MASSES, seed.mu1, seed.mu2, seed.q, dps=60)
+        assert 1 <= len(solves) <= 3
+        for got, ref in zip(rep.q, q_ref):
+            assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
 def test_permuted_families_limits():
     for pair in ((2, 3), (1, 3), (1, 2)):
         mm = MASSES.permuted(pair)
@@ -419,7 +492,7 @@ def test_q2_q3_flip_sign_under_mass_swap():
 def test_frequencies_kepler_limits():
     seed = equilibria.general_series_equilibrium(MASSES, 1e-2)
     rep = equilibria.newton_equilibrium(MASSES, seed.mu1, seed.mu2, seed.q)
-    om1, om2, kep1, kep2 = equilibria.frequencies(MASSES, rep)
+    om1, om2, kep1, kep2 = equilibria.frequencies(MASSES, rep.q, rep.mu1, rep.mu2)
     assert abs(kep1 - 1.0) < 1e-3
     assert abs(kep2 - 1.0) < 1e-3
     assert om1 == pytest.approx(rep.omega1) and om2 == pytest.approx(rep.omega2)

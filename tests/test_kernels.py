@@ -3,13 +3,14 @@ shared-decoding monitors against the reference forms in `oracles.py`."""
 
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from threebody4d import dynamics, model, reduction
+from threebody4d import dynamics, equilibria, model, reduction
 
 import oracles
-from conftest import random_chart_point, random_full_state
+from conftest import random_chart_point, random_full_state, random_reduced_state
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 RTOL = 1e-13
@@ -68,6 +69,76 @@ def test_potential_partials_match_summed_terms(x):
     s = model.ScalarProducts(s11, s22, s12)
     assume(min(model.mutual_distances_sq(MASSES, s)) > 1e-6)
     assert model.potential_derivatives(MASSES, s) == oracles.potential_derivatives(MASSES, s)
+    v11, v22, v33, v12, v13, v23 = model.potential_second_partials(
+        model.potential_constants(MASSES), s11, s22, s12)
+    assert _close(np.array([[v11, v12, v13], [v12, v22, v23], [v13, v23, v33]]),
+                  oracles.potential_hessian_s(MASSES, s))
+
+
+@PROPERTY
+@given(q=chart_q, m=st.tuples(*[st.floats(0.5, 2.5)] * 3), mu1=st.floats(0.8, 2.0),
+       ratio=st.floats(0.0, 0.85))
+def test_effective_potential_kernel_matches_oracle(q, m, mu1, ratio):
+    masses = model.MassTriple(*m)
+    args = (masses, np.array(q), mu1, ratio * mu1)
+    value, grad, hess = equilibria.effective_potential_kernel(masses, list(q), mu1, ratio * mu1)
+    ref = oracles.effective_potential(*args)
+    assert abs(value - ref) <= RTOL * abs(ref)
+    assert _close(np.array(grad), oracles.effective_potential_gradient(*args))
+    assert _close(np.array(hess), oracles.effective_potential_hessian(*args))
+    assert equilibria.effective_potential(*args) == value
+    assert tuple(equilibria.effective_potential_gradient(*args)) == grad
+    assert np.array_equal(equilibria.effective_potential_hessian(*args), hess)
+
+
+def _parts(kernel_out):
+    value, grad, hess = kernel_out
+    return [value], list(grad), [h for row in hess for h in row]
+
+
+def _veff_from_distances(m1, m2, m3, q, mu1, mu2):
+    """V_eff written out from the docstring forms and the three distances."""
+    q1, q2, q3, q4 = q
+    nu1, nu2 = m2 * m3 / (m2 + m3), m1 * (m2 + m3) / (m1 + m2 + m3)
+    a2, a3 = m2 / (m2 + m3), m3 / (m2 + m3)
+    area = (q1 * q4 - q2 * q3) / 2
+    i1inv = (q1 ** 2 / nu2 + q3 ** 2 / nu1) / (4 * area ** 2)
+    i2inv = (q2 ** 2 / nu2 + q4 ** 2 / nu1) / (4 * area ** 2)
+    return (mu1 ** 2 * i1inv + mu2 ** 2 * i2inv) / 2 \
+        - m2 * m3 / mpmath.hypot(q1, q2) \
+        - m3 * m1 / mpmath.hypot(a2 * q1 + q3, a2 * q2 + q4) \
+        - m1 * m2 / mpmath.hypot(a3 * q1 - q3, a3 * q2 - q4)
+
+
+def test_effective_potential_kernel_at_dps_60():
+    # the same kernel on mpmath numbers matches the float kernel; at dps = 60
+    # its value matches V_eff written out independently, its gradient the
+    # numerical derivative of the value and its Hessian that of the gradient,
+    # so a float constant anywhere in it would show as a 1e-17 error
+    rng = np.random.default_rng(31)
+    for _ in range(3):
+        m = rng.uniform(0.5, 2.5, size=3)
+        q = random_reduced_state(rng, 1.3, 0.4).q.tolist()
+        fp = _parts(equilibria.effective_potential_kernel(model.MassTriple(*m), q, 1.3, 0.4))
+        with mpmath.workdps(60):
+            mp_m = [mpmath.mpf(v) for v in m]
+            mp_q = [mpmath.mpf(v) for v in q]
+            mu1, mu2 = mpmath.mpf(1.3), mpmath.mpf(0.4)
+
+            def kernel(i, x):
+                qx = mp_q[:i] + [x] + mp_q[i + 1:]
+                return equilibria.effective_potential_kernel(
+                    model.MassTriple(*mp_m), qx, mu1, mu2)
+
+            hi = _parts(kernel(0, mp_q[0]))
+            ref = ([_veff_from_distances(*mp_m, mp_q, mu1, mu2)],
+                   [mpmath.diff(lambda x: kernel(i, x)[0], mp_q[i]) for i in range(4)],
+                   [mpmath.diff(lambda x: kernel(j, x)[1][i], mp_q[j])
+                    for i in range(4) for j in range(4)])
+            for f, h, r in zip(fp, hi, ref):  # value, gradient, Hessian
+                assert all(isinstance(x, mpmath.mpf) for x in h)
+                assert max(abs(x - float(y)) for x, y in zip(f, h)) <= RTOL * max(map(abs, f))
+                assert max(abs(x - y) for x, y in zip(h, r)) <= 1e-45 * max(map(abs, r))
 
 
 def _soft(s):
