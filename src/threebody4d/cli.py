@@ -267,6 +267,8 @@ def cmd_equilibrium(args) -> int:
         elif args.general:
             if args.masses is None or args.u is None:
                 raise ConfigError("--general needs -m and -u")
+            if args.dps < 0:
+                raise ConfigError(f"--dps must be >= 0 (0 = double precision), got {args.dps}")
             masses = _parse_masses(args.masses)
             mm = masses.permuted(_parse_pair(args.pair))
             seed = equilibria.general_series_equilibrium(mm, args.u)
@@ -458,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("-u", type=float, default=None, help="expansion parameter")
     pe.add_argument("--pair", default="2,3", help="which bodies form the binary")
     pe.add_argument("--dps", type=int, default=0,
-                    help="mpmath digits for the refinement (0 = double precision)")
+                    help=f"mpmath digits for the refinement, {equilibria.DPS_MIN} to "
+                         f"{equilibria.DPS_MAX} (0 = double precision)")
     pe.set_defaults(func=cmd_equilibrium)
 
     ps = sub.add_parser("scan", help="energy-momentum or region-map scans")

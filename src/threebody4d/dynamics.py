@@ -259,15 +259,6 @@ def _partial_gradient(masses: MassTriple):
     return grad
 
 
-def gradient_partial(masses: MassTriple, z: np.ndarray) -> np.ndarray:
-    """Gradient of the partial Hamiltonian in all 16 chart variables.
-
-    Variable order matches `reduction.partial_to_array`:
-    (q1..q4, psi1, psi2, th1, th2, p1..p4, p_psi1, p_psi2, p_th1, p_th2).
-    """
-    return np.array(_partial_gradient(masses)(np.asarray(z, dtype=float).tolist()))
-
-
 def reduced_field(masses: MassTriple, mu1: float, mu2: float) -> VectorField:
     """Canonical field of the reduced Hamiltonian on z = (q1..q4, p1..p4)."""
     reduction.check_momenta(mu1, mu2)
@@ -314,10 +305,6 @@ def full_field(masses: MassTriple) -> VectorField:
             -(w2 * b3 + v3 * a3), -(w2 * b4 + v3 * a4),
         ))
     return VectorField(16, rhs, name="full")
-
-
-def zero_field(dimension: int) -> VectorField:
-    return VectorField(dimension, lambda t, z: np.zeros(dimension), name="zero")
 
 
 # --- integrators ------------------------------------------------------------

@@ -32,10 +32,8 @@ from .errors import (
 )
 from .model import (
     MassTriple,
-    ScalarProducts,
     check_scalar_products,
     potential_constants,
-    potential_derivatives,
     potential_partials,
     potential_second_partials,
 )
@@ -77,6 +75,16 @@ def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
     num/(8 A^2), num = mu1^2 T1 + mu2^2 T2 (see `_inertia_terms`), plus V
     of the scalar products of q.
     """
+    value, grad, terms = _veff_value_gradient(masses, q, mu1, mu2)
+    return value, grad, _veff_hessian(terms)
+
+
+def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
+    """(V_eff, gradient, terms): the kernel's first stage.
+
+    `terms` holds what `_veff_hessian` shares with it, so callers that need
+    no Hessian pay nothing for it.
+    """
     q1, q2, q3, q4 = q
     a = _area(q)
     nu1, nu2 = masses.nu1, masses.nu2
@@ -89,7 +97,6 @@ def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
     den2 = 8 * a * a
     den3 = 4 * a ** 3
     e1 = num / den3
-    e2 = 3 * num / (4 * a ** 4)
 
     s11 = q1 * q1 + q2 * q2
     s22 = q3 * q3 + q4 * q4
@@ -97,16 +104,27 @@ def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
     check_scalar_products(s11, s22, s12)
     k = potential_constants(masses)
     v, v1, v2, v3 = potential_partials(k, s11, s22, s12)
-    v11, v22, v33, v12, v13, v23 = potential_second_partials(k, s11, s22, s12)
-    vss = ((v11, v12, v13), (v12, v22, v23), (v13, v23, v33))
-    # js[i] = d(s11, s22, s12)/dq_i, and w[i] = Vss js[i]
+    # js[i] = d(s11, s22, s12)/dq_i
     js = ((2.0 * q1, 0.0, q3), (2.0 * q2, 0.0, q4), (0.0, 2.0 * q3, q1), (0.0, 2.0 * q4, q2))
-    w = [[r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for r in vss] for c in js]
 
     # the order of operations in `grad` is part of the output: reports print
     # its norm to 17 digits, and the float Newton stops on it
     grad = tuple(dnum[i] / den2 - e1 * da[i] + (js[i][0] * v1 + js[i][1] * v2 + js[i][2] * v3)
                  for i in range(4))
+    terms = (nu1, nu2, a, m1s, m2s, num, dnum, da, den2, den3, e1, k, s11, s22, s12,
+             v1, v2, v3, js)
+    return num / den2 + v, grad, terms
+
+
+def _veff_hessian(terms):
+    """The 4x4 V_eff Hessian: the kernel's second stage."""
+    nu1, nu2, a, m1s, m2s, num, dnum, da, den2, den3, e1, k, s11, s22, s12, \
+        v1, v2, v3, js = terms
+    e2 = 3 * num / (4 * a ** 4)
+    v11, v22, v33, v12, v13, v23 = potential_second_partials(k, s11, s22, s12)
+    # w[i] = Vss js[i]
+    w = [(v11 * c0 + v12 * c1 + v13 * c2, v12 * c0 + v22 * c1 + v23 * c2,
+          v13 * c0 + v23 * c1 + v33 * c2) for c0, c1, c2 in js]
     # constant second derivatives: of num (diagonal), of s11, s22 (diagonal),
     # of s12 (weight V3) and of A (d2A/dq1dq4 = -d2A/dq2dq3 = 1/2, weight -e1)
     diag = (2 * m1s / nu2 / den2 + 2 * v1, 2 * m2s / nu2 / den2 + 2 * v1,
@@ -116,22 +134,22 @@ def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
              (v3, he, diag[2], 0.0), (-he, v3, 0.0, diag[3]))
     hess = [[0.0] * 4 for _ in range(4)]
     for i in range(4):
+        dnum_i, da_i, e2da_i, (w0, w1, w2) = dnum[i], da[i], e2 * da[i], w[i]
         for j in range(i, 4):
+            j0, j1, j2 = js[j]
             hess[i][j] = hess[j][i] = (
-                const[i][j] - (dnum[i] * da[j] + da[i] * dnum[j]) / den3
-                + e2 * da[i] * da[j]
-                + js[j][0] * w[i][0] + js[j][1] * w[i][1] + js[j][2] * w[i][2])
-    return num / den2 + v, grad, hess
+                const[i][j] - (dnum_i * da[j] + da_i * dnum[j]) / den3
+                + e2da_i * da[j] + j0 * w0 + j1 * w1 + j2 * w2)
+    return hess
 
 
 def effective_potential(masses: MassTriple, q, mu1: float, mu2: float) -> float:
-    return effective_potential_kernel(masses, np.asarray(q, dtype=float).tolist(),
-                                      mu1, mu2)[0]
+    return _veff_value_gradient(masses, np.asarray(q, dtype=float).tolist(), mu1, mu2)[0]
 
 
 def effective_potential_gradient(masses: MassTriple, q, mu1: float,
                                  mu2: float) -> np.ndarray:
-    return np.array(effective_potential_kernel(
+    return np.array(_veff_value_gradient(
         masses, np.asarray(q, dtype=float).tolist(), mu1, mu2)[1])
 
 
@@ -202,24 +220,23 @@ class EquilibriumReport:
         }
 
 
-def _inertia_positive(block: np.ndarray) -> bool:
-    """Whether a symmetric block is positive definite, by scaled inertia.
+def _unit_diagonal(block: np.ndarray) -> np.ndarray:
+    """D^-1/2 B D^-1/2 with D = |diag B|: a symmetric block scaled to a unit diagonal.
 
-    The signs come from the eigenvalues of D^-1/2 B D^-1/2, D = |diag B|.
-    By Sylvester's law of inertia they are the signs of B's own eigenvalues,
-    but the scaled matrix has a unit diagonal, so a small eigenvalue next to
-    entries some u^-6 larger keeps its sign in float64 (Demmel & Veselic,
-    SIAM J. Matrix Anal. Appl. 13, 1992).
+    By Sylvester's law of inertia its eigenvalues have the signs of B's own,
+    but a small eigenvalue next to entries some u^-6 larger keeps its sign
+    in float64 (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
     """
     d = np.abs(np.diag(block))
     r = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-    return bool(np.all(np.linalg.eigvalsh(block * np.outer(r, r)) > 0))
+    return block * np.outer(r, r)
 
 
-def _classify(vq_block: np.ndarray, kin_block: np.ndarray) -> str:
-    if not _inertia_positive(vq_block):
+def _classify(vq_scaled_eigs: np.ndarray, kin_scaled_eigs: np.ndarray) -> str:
+    """Class by the signs of the eigenvalues of the two `_unit_diagonal` blocks."""
+    if not np.all(vq_scaled_eigs > 0):
         return "saddle"
-    return "minimum" if _inertia_positive(kin_block) else "indefinite-K"
+    return "minimum" if np.all(kin_scaled_eigs > 0) else "indefinite-K"
 
 
 def frequencies(masses: MassTriple, q, mu1: float, mu2: float):
@@ -237,20 +254,25 @@ def frequencies(masses: MassTriple, q, mu1: float, mu2: float):
     return om1, om2, kep1, kep2
 
 
-def _build_report(masses: MassTriple, q, mu1: float, mu2: float) -> EquilibriumReport:
+def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
+                  kernel=None) -> EquilibriumReport:
+    """The report at q; `kernel` is effective_potential_kernel at q, if known."""
     q = np.asarray(q, dtype=float)
-    energy, grad, hess_v = effective_potential_kernel(masses, q.tolist(), mu1, mu2)
+    if kernel is None:
+        kernel = effective_potential_kernel(masses, q.tolist(), mu1, mu2)
+    energy, grad, hess_v = kernel
     # the 8x8 Hessian of the reduced Hamiltonian at (q, p = 0) is block diagonal
     hess = np.zeros((8, 8))
-    hess[0:4, 0:4] = hess_v
-    hess[4:8, 4:8] = momentum_block(masses, q, mu1, mu2)
-    vq_eigs = np.linalg.eigvalsh(hess[0:4, 0:4])
-    kin_eigs = np.linalg.eigvalsh(hess[4:8, 4:8])
+    vq, kin = hess[0:4, 0:4], hess[4:8, 4:8]
+    vq[:] = hess_v
+    kin[:] = momentum_block(masses, q, mu1, mu2)
+    # raw and scaled eigenvalues of both blocks in one batched call
+    eigs = np.linalg.eigvalsh(np.stack([vq, kin, _unit_diagonal(vq), _unit_diagonal(kin)]))
     om1, om2, _, _ = frequencies(masses, q, mu1, mu2)
     return EquilibriumReport(
         q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
-        eigenvalues=np.concatenate([vq_eigs, kin_eigs]),
-        classification=_classify(hess[0:4, 0:4], hess[4:8, 4:8]),
+        eigenvalues=np.concatenate([eigs[0], eigs[1]]),
+        classification=_classify(eigs[2], eigs[3]),
         omega1=om1, omega2=om2, h=(mu1 + mu2) ** 2 * energy,
         b=mu1 * mu2 / (mu1 + mu2) ** 2,
         gradient_norm=float(np.linalg.norm(grad)),
@@ -437,35 +459,47 @@ def predicted_negative_count(n: float, t: float) -> int:
 
 # --- general masses -----------------------------------------------------------
 
+def _solvability(nu1, nu2, q1, q2, q3, q4):
+    return q1 * q2 * nu1 + q3 * q4 * nu2
+
+
 def solvability_residual(masses: MassTriple, q) -> float:
     """q1 q2 nu1 + q3 q4 nu2; vanishes at every critical point of V_eff."""
-    q = np.asarray(q, dtype=float)
-    return float(q[0] * q[1] * masses.nu1 + q[2] * q[3] * masses.nu2)
+    return _solvability(masses.nu1, masses.nu2, *np.asarray(q, dtype=float).tolist())
+
+
+def _simplified_equations(masses: MassTriple, mu1: float, mu2: float):
+    """Kernel (q1, q2, q3, q4) -> the four simplified equilibrium equations.
+
+    Uses the simplified moments of inertia I1 = nu2 q4^2 + nu1 q2^2,
+    I2 = nu1 q1^2 + nu2 q3^2; the zero set contains the critical points of
+    V_eff.  Better conditioned than the raw gradient as mu2 -> 0.  Runs on
+    Python floats; the squares stay `** 2`, which rounds differently from
+    `x * x` for about one float in a thousand.
+    """
+    nu1, nu2 = masses.nu1, masses.nu2
+    k = potential_constants(masses)
+
+    def equations(q1, q2, q3, q4):
+        a = _area((q1, q2, q3, q4))
+        i1 = nu2 * q4 ** 2 + nu1 * q2 ** 2
+        i2 = nu1 * q1 ** 2 + nu2 * q3 ** 2
+        s11, s22, s12 = q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4
+        check_scalar_products(s11, s22, s12)
+        _, v1, v2, v3 = potential_partials(k, s11, s22, s12)
+        pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
+        return (2 * q1 * v1 + q3 * v3 - i1 * mu2 * mu2 * q4 * pref,
+                2 * q2 * v1 + q4 * v3 + i2 * mu1 * mu1 * q3 * pref,
+                2 * q3 * v2 + q1 * v3 + i1 * mu2 * mu2 * q2 * pref,
+                2 * q4 * v2 + q2 * v3 - i2 * mu1 * mu1 * q1 * pref)
+    return equations
 
 
 def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
                                     mu2: float) -> np.ndarray:
-    """The four solvability-simplified equilibrium equations as residuals.
-
-    Uses the simplified moments of inertia I1 = nu2 q4^2 + nu1 q2^2,
-    I2 = nu1 q1^2 + nu2 q3^2; the zero set contains the critical points of
-    V_eff.  Better conditioned than the raw gradient as mu2 -> 0.
-    """
-    q = np.asarray(q, dtype=float)
-    nu1, nu2 = masses.nu1, masses.nu2
-    a = _area(q)
-    i1 = nu2 * q[3] ** 2 + nu1 * q[1] ** 2
-    i2 = nu1 * q[0] ** 2 + nu2 * q[2] ** 2
-    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
-                       q[0] * q[2] + q[1] * q[3])
-    _, v1, v2, v3 = potential_derivatives(masses, s)
-    pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
-    return np.array([
-        2 * q[0] * v1 + q[2] * v3 - i1 * mu2 * mu2 * q[3] * pref,
-        2 * q[1] * v1 + q[3] * v3 + i2 * mu1 * mu1 * q[2] * pref,
-        2 * q[2] * v2 + q[0] * v3 + i1 * mu2 * mu2 * q[1] * pref,
-        2 * q[3] * v2 + q[1] * v3 - i2 * mu1 * mu1 * q[0] * pref,
-    ])
+    """The four solvability-simplified equilibrium equations as residuals."""
+    return np.array(_simplified_equations(masses, mu1, mu2)(
+        *np.asarray(q, dtype=float).tolist()))
 
 
 @dataclass(frozen=True)
@@ -529,24 +563,38 @@ def general_hessian_eigen_asymptotics(masses: MassTriple, u: float) -> np.ndarra
     return np.array([lam1, lam2, lam3, lam4])
 
 
+# accepted mpmath precisions of the high-precision Newton.  Its stopping test
+# max|grad| < 10^-(dps - 15) is finer than double precision only above 30
+# digits.  One solve took at most 0.15 s at 2000 digits, 1.3 s at 5000 and
+# 14 s at 20000 (masses in [0.5, 2.5], u down to 3e-5, one core).
+DPS_MIN, DPS_MAX = 31, 2000
+
+
+def _check_dps(dps) -> None:
+    if not DPS_MIN <= dps <= DPS_MAX:
+        raise ValueError(f"dps must be in [{DPS_MIN}, {DPS_MAX}], got {dps}")
+
+
 def newton_equilibrium(masses: MassTriple, mu1: float, mu2: float, seed,
                        tol: float = 1e-12, max_iter: int = 60,
                        dps: Optional[int] = None) -> EquilibriumReport:
     """Damped Newton refinement of a relative equilibrium from a seed.
 
     The residual is the solvability-simplified system (finite-difference
-    Jacobian); after convergence the raw V_eff gradient is cross-checked and
-    polished if needed.  `tol` bounds the scaled gradient norm.  With `dps`
-    set, the solve runs in mpmath arbitrary precision on the raw gradient,
-    with the analytic Hessian as the Jacobian, which is what resolves the
-    q2, q3 components (of order u^10, u^12) below double precision.
+    Jacobian); `tol` bounds the scaled gradient norm.  With `dps` set (in
+    [DPS_MIN, DPS_MAX], else ValueError), the solve runs in mpmath
+    arbitrary precision on the raw gradient, with the analytic Hessian as
+    the Jacobian, which is what resolves the q2, q3 components (of order
+    u^10, u^12) below double precision.
     """
     reduction.check_momenta(mu1, mu2)
+    kernel = None
     if dps is not None:
+        _check_dps(dps)
         q = _newton_mp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter, dps)
     else:
-        q = _newton_fp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter)
-    report = _build_report(masses, np.asarray(q, dtype=float), mu1, mu2)
+        q, kernel = _newton_fp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter)
+    report = _build_report(masses, q, mu1, mu2, kernel)
     hdet = abs(np.linalg.det(report.hessian[0:4, 0:4]))
     if hdet < 1e-300:
         raise DegenerateHessian("V_eff Hessian determinant below tolerance")
@@ -565,41 +613,44 @@ def _scaled_norm(q, grad, hess):
 
 
 def _newton_fp(masses, mu1, mu2, q, tol, max_iter):
+    """Float Newton on Python floats; returns q and the kernel's (V, grad, Hessian) at q."""
     # The four simplified equations obey -q2 e1 + q1 e2 - q4 e3 + q3 e4 == 0
     # identically, so their zero set is a curve; closing the system with the
     # solvability condition (in place of the q4-weighted third equation)
     # makes the root isolated again.
+    equations = _simplified_equations(masses, mu1, mu2)
+    nu1, nu2 = masses.nu1, masses.nu2
+
     def resid(qv):
-        e = simplified_equilibrium_residual(masses, qv, mu1, mu2)
-        e[2] = solvability_residual(masses, qv)
-        return e
+        e1, e2, _, e4 = equations(*qv)
+        return e1, e2, _solvability(nu1, nu2, *qv), e4
 
     def scaled_gradient(qv):
-        _, grad, hess = effective_potential_kernel(masses, qv.tolist(), mu1, mu2)
-        return _scaled_norm(qv, grad, hess)
+        kernel = effective_potential_kernel(masses, qv, mu1, mu2)
+        return _scaled_norm(qv, kernel[1], kernel[2]), kernel
 
-    q = q.copy()
+    q = q.tolist()
     for _ in range(max_iter):
         r = resid(q)
-        jac = np.zeros((4, 4))
+        jac = np.empty((4, 4))
         for k in range(4):
             hk = 1e-7 * max(abs(q[k]), 1e-3 * abs(q[3]))
             qp, qm = q.copy(), q.copy()
             qp[k] += hk
             qm[k] -= hk
-            jac[:, k] = (resid(qp) - resid(qm)) / (2 * hk)
+            jac[:, k] = [(rp - rm) / (2 * hk) for rp, rm in zip(resid(qp), resid(qm))]
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(jac, [-v for v in r]).tolist()
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Newton Jacobian: {exc}") from exc
         base = float(np.linalg.norm(r))
         lam = 1.0
         qn = None
         while lam > 1e-9:
-            cand = q + lam * step
+            cand = [qi + lam * si for qi, si in zip(q, step)]
             try:
                 rn = float(np.linalg.norm(resid(cand)))
-            except ValueError:
+            except (ValueError, OverflowError):  # `**` on a far-out float point overflows
                 lam *= 0.5
                 continue
             if rn < base or lam <= 2e-9:
@@ -607,14 +658,45 @@ def _newton_fp(masses, mu1, mu2, q, tol, max_iter):
                 break
             lam *= 0.5
         if qn is None:
-            qn = q + 1e-9 * step
+            qn = [qi + 1e-9 * si for qi, si in zip(q, step)]
         q = qn
-        if scaled_gradient(q) < tol:
-            return q
-    err = scaled_gradient(q)
+        err, kernel = scaled_gradient(q)
+        if err < tol:
+            return q, kernel
+    err, kernel = scaled_gradient(q)
     if err < 100 * tol:
-        return q
+        return q, kernel
     raise NoConvergence(f"Newton did not reach tolerance {tol}; scaled gradient {err}")
+
+
+def _gauss_solve(a, b, eps):
+    """x with a x = b, by Gaussian elimination with partial pivoting.
+
+    `a` is a square nested list and `b` a list of plain scalars (floats or
+    mpmath numbers); neither is changed.  A pivot no larger than eps times
+    the largest |a_ij| leaves the system singular at this precision, which
+    is a failed Newton step: NoConvergence.
+    """
+    n = len(b)
+    m = [list(row) + [bi] for row, bi in zip(a, b)]
+    tiny = eps * max(abs(v) for row in a for v in row)
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(m[i][j]))
+        if not abs(m[p][j]) > tiny:
+            raise NoConvergence("singular Newton system")
+        m[j], m[p] = m[p], m[j]
+        pivot = m[j]
+        for row in m[j + 1:]:
+            f = row[j] / pivot[j]
+            for k in range(j + 1, n + 1):
+                row[k] -= f * pivot[k]
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        s = m[i][n]
+        for k in range(i + 1, n):
+            s -= m[i][k] * x[k]
+        x[i] = s / m[i][i]
+    return x
 
 
 def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
@@ -623,7 +705,8 @@ def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
     The simplified system has spurious roots that deviate from the critical
     point at the q2, q3 orders (they violate the solvability identity), so
     at extended precision the raw gradient is the only correct residual.
-    The Jacobian is the analytic V_eff Hessian of the same kernel.
+    The Jacobian is the analytic V_eff Hessian of the same kernel, computed
+    only where a step is taken.
     """
     import mpmath as mp
 
@@ -632,11 +715,11 @@ def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
         mu1_, mu2_ = mp.mpf(mu1), mp.mpf(mu2)
         mp_tol = mp.mpf(10) ** (-(dps - 15))
         q = [mp.mpf(float(v)) for v in seed]
-        _, grad, hess = effective_potential_kernel(mm, q, mu1_, mu2_)
+        _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
         for _ in range(max_iter):
-            dq = mp.lu_solve(mp.matrix(hess), mp.matrix([-g for g in grad]))
+            dq = _gauss_solve(_veff_hessian(terms), [-g for g in grad], mp.eps)
             q = [qi + dqi for qi, dqi in zip(q, dq)]
-            _, grad, hess = effective_potential_kernel(mm, q, mu1_, mu2_)
+            _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
             if max(abs(g) for g in grad) < mp_tol:
                 return np.array([float(v) for v in q])
         raise NoConvergence(f"mp Newton did not reach {mp_tol} in {max_iter} steps")
@@ -735,8 +818,11 @@ def general_scan(masses: MassTriple, u_grid, pair: tuple[int, int] = (2, 3),
     """Energy-momentum data of a general-mass family over a u grid.
 
     `pair` names the binary (which bodies collide as u -> 0); the masses are
-    permuted accordingly before solving.
+    permuted accordingly before solving.  A `dps` outside [DPS_MIN, DPS_MAX]
+    is shared by every point, so it raises ValueError at once.
     """
+    if dps is not None:
+        _check_dps(dps)
     mm = masses.permuted(pair)
     jobs = [(mm.m1, mm.m2, mm.m3, float(u), dps) for u in u_grid]
     return ScanTable(_run_scan(_general_scan_point, jobs, workers))

@@ -201,14 +201,6 @@ def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
     return s11, k[0] * s11 + k[1] * s12 + s22, k[2] * s11 - k[3] * s12 + s22
 
 
-def mutual_distances_sq(masses: MassTriple, s: ScalarProducts) -> tuple[float, float, float]:
-    """Squared mutual distances (d1, d2, d3) = (|r2-r3|, |r3-r1|, |r1-r2|).
-
-    In Jacobi coordinates d1 = |x1|, d2 = |a2 x1 + x2|, d3 = |a3 x1 - x2|.
-    """
-    return _distances_sq(potential_constants(masses), s.s11, s.s22, s.s12)
-
-
 def potential_partials(k: tuple, s11: float, s22: float, s12: float):
     """V and its partials (V1, V2, V3) wrt (s11, s22, s12) on plain floats.
 

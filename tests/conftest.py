@@ -2,8 +2,21 @@
 
 import numpy as np
 
-from threebody4d import model
+from threebody4d import dynamics, equilibria, model
 from threebody4d.reduction import random_chart_point, random_reduced_state  # noqa: F401
+
+
+def zero_field(dimension: int) -> dynamics.VectorField:
+    return dynamics.VectorField(dimension, lambda t, z: np.zeros(dimension), name="zero")
+
+
+def gradient_partial(masses: model.MassTriple, z) -> np.ndarray:
+    """Gradient of the partial Hamiltonian in all 16 chart variables.
+
+    Variable order matches `reduction.partial_to_array`:
+    (q1..q4, psi1, psi2, th1, th2, p1..p4, p_psi1, p_psi2, p_th1, p_th2).
+    """
+    return np.array(dynamics._partial_gradient(masses)(np.asarray(z, dtype=float).tolist()))
 
 
 def random_so4(rng) -> np.ndarray:
@@ -80,3 +93,14 @@ def bisect(f, lo, hi, tol=1e-12, max_iter=200):
         else:
             lo, flo = mid, fm
     return 0.5 * (lo + hi)
+
+
+def singular_newton_system(monkeypatch):
+    """Patch the V_eff Hessian stage so that its first two rows are equal."""
+    hessian = equilibria._veff_hessian
+
+    def singular(terms):
+        hess = hessian(terms)
+        hess[1] = list(hess[0])
+        return hess
+    monkeypatch.setattr(equilibria, "_veff_hessian", singular)

@@ -1,27 +1,29 @@
 """Reference implementations the library's float kernels are compared against.
 
-These are the straightforward numpy forms of the potential partials and its
-s-Hessian, the effective potential with its gradient and Hessian, the
-analytic gradients, the three vector fields, the partial Hamiltonian and
-the invariant-set residual, the partial/full monitors, the CSV rows of a
-trajectory and the step-control error norm: one small array per term and a
-fresh decoding of the phase point for every monitor.  They are slower than
-the library versions and exist only so the tests can check that the fast
-forms compute the same numbers.
+These are the straightforward numpy forms of the mutual distances, the
+potential partials and its s-Hessian, the effective potential with its
+gradient and Hessian, the analytic gradients, the three vector fields, the
+partial Hamiltonian and the invariant-set residual, the partial/full
+monitors, the CSV rows of a trajectory, the step-control error norm, and
+the float equilibrium Newton with its report: one small array per term, a
+fresh decoding of the phase point for every monitor, and one eigvalsh call
+per Hessian block.  They are slower than the library versions and exist
+only so the tests can check that the fast forms compute the same numbers.
 """
 
 import math
 
 import numpy as np
 
-from threebody4d import model, reduction
-from threebody4d.errors import ChartSingular, CollisionError, KineticDomainError
+from threebody4d import equilibria, model, reduction
+from threebody4d.errors import (ChartSingular, CollisionError, KineticDomainError,
+                               NoConvergence)
 from threebody4d.model import MassTriple, ScalarProducts
 
 
 def potential_derivatives(masses: MassTriple, s: ScalarProducts):
     """V and (V1, V2, V3), summed term by term over the three pairs."""
-    d1, d2, d3 = model.mutual_distances_sq(masses, s)
+    d1, d2, d3 = mutual_distances_sq(masses, s)
     if min(d1, d2, d3) <= model.COLLISION_TOL:
         raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
@@ -333,7 +335,7 @@ def error_norm(err, y, ynew, abs_tol, rel_tol):
 def potential_hessian_s(masses: MassTriple, s: ScalarProducts) -> np.ndarray:
     """3x3 Hessian of V in (s11, s22, s12) as a sum of outer products."""
     k = model.potential_constants(masses)
-    d = model.mutual_distances_sq(masses, s)
+    d = mutual_distances_sq(masses, s)
     if min(d) <= model.COLLISION_TOL:
         raise CollisionError(f"squared distance below tolerance: {d}")
     aa2, g2, aa3, g3 = k[0:4]
@@ -415,3 +417,122 @@ def effective_potential_hessian(masses: MassTriple, q, mu1: float,
         [0.0, 1.0, 0.0, 0.0],
     ])
     return hess
+
+
+def mutual_distances_sq(masses: MassTriple, s: ScalarProducts):
+    """Squared mutual distances (d1, d2, d3) = (|r2-r3|, |r3-r1|, |r1-r2|).
+
+    In Jacobi coordinates d1 = |x1|, d2 = |a2 x1 + x2|, d3 = |a3 x1 - x2|.
+    """
+    a2, a3 = masses.a2, masses.a3
+    return (s.s11, a2 * a2 * s.s11 + 2.0 * a2 * s.s12 + s.s22,
+            a3 * a3 * s.s11 - 2.0 * a3 * s.s12 + s.s22)
+
+
+# --- equilibrium solver: the numpy-scalar float Newton and its report ----------
+
+def solvability_residual(masses: MassTriple, q) -> float:
+    q = np.asarray(q, dtype=float)
+    return float(q[0] * q[1] * masses.nu1 + q[2] * q[3] * masses.nu2)
+
+
+def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
+                                    mu2: float) -> np.ndarray:
+    """The four simplified equations on numpy scalars."""
+    q = np.asarray(q, dtype=float)
+    nu1, nu2 = masses.nu1, masses.nu2
+    a = equilibria._area(q)
+    i1 = nu2 * q[3] ** 2 + nu1 * q[1] ** 2
+    i2 = nu1 * q[0] ** 2 + nu2 * q[2] ** 2
+    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
+                       q[0] * q[2] + q[1] * q[3])
+    _, v1, v2, v3 = model.potential_derivatives(masses, s)
+    pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
+    return np.array([
+        2 * q[0] * v1 + q[2] * v3 - i1 * mu2 * mu2 * q[3] * pref,
+        2 * q[1] * v1 + q[3] * v3 + i2 * mu1 * mu1 * q[2] * pref,
+        2 * q[2] * v2 + q[0] * v3 + i1 * mu2 * mu2 * q[1] * pref,
+        2 * q[3] * v2 + q[1] * v3 - i2 * mu1 * mu1 * q[0] * pref,
+    ])
+
+
+def newton_fp(masses, mu1, mu2, q, tol=1e-12, max_iter=60):
+    """Damped Newton on numpy arrays: one residual array per evaluation."""
+    def resid(qv):
+        e = simplified_equilibrium_residual(masses, qv, mu1, mu2)
+        e[2] = solvability_residual(masses, qv)
+        return e
+
+    def scaled_gradient(qv):
+        _, grad, hess = equilibria.effective_potential_kernel(masses, qv.tolist(), mu1, mu2)
+        return equilibria._scaled_norm(qv, grad, hess)
+
+    q = np.asarray(q, dtype=float).copy()
+    for _ in range(max_iter):
+        r = resid(q)
+        jac = np.zeros((4, 4))
+        for k in range(4):
+            hk = 1e-7 * max(abs(q[k]), 1e-3 * abs(q[3]))
+            qp, qm = q.copy(), q.copy()
+            qp[k] += hk
+            qm[k] -= hk
+            jac[:, k] = (resid(qp) - resid(qm)) / (2 * hk)
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"singular Newton Jacobian: {exc}") from exc
+        base = float(np.linalg.norm(r))
+        lam = 1.0
+        qn = None
+        while lam > 1e-9:
+            cand = q + lam * step
+            try:
+                rn = float(np.linalg.norm(resid(cand)))
+            except ValueError:
+                lam *= 0.5
+                continue
+            if rn < base or lam <= 2e-9:
+                qn = cand
+                break
+            lam *= 0.5
+        if qn is None:
+            qn = q + 1e-9 * step
+        q = qn
+        if scaled_gradient(q) < tol:
+            return q
+    err = scaled_gradient(q)
+    if err < 100 * tol:
+        return q
+    raise NoConvergence(f"Newton did not reach tolerance {tol}; scaled gradient {err}")
+
+
+def inertia_positive(block: np.ndarray) -> bool:
+    d = np.abs(np.diag(block))
+    r = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
+    return bool(np.all(np.linalg.eigvalsh(block * np.outer(r, r)) > 0))
+
+
+def build_report(masses: MassTriple, q, mu1: float, mu2: float):
+    """The report from a fresh kernel call and one eigvalsh call per block."""
+    q = np.asarray(q, dtype=float)
+    energy, grad, hess_v = equilibria.effective_potential_kernel(masses, q.tolist(), mu1, mu2)
+    hess = np.zeros((8, 8))
+    hess[0:4, 0:4] = hess_v
+    hess[4:8, 4:8] = equilibria.momentum_block(masses, q, mu1, mu2)
+    vq_eigs = np.linalg.eigvalsh(hess[0:4, 0:4])
+    kin_eigs = np.linalg.eigvalsh(hess[4:8, 4:8])
+    if not inertia_positive(hess[0:4, 0:4]):
+        cls = "saddle"
+    else:
+        cls = "minimum" if inertia_positive(hess[4:8, 4:8]) else "indefinite-K"
+    om1, om2, _, _ = equilibria.frequencies(masses, q, mu1, mu2)
+    return equilibria.EquilibriumReport(
+        q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
+        eigenvalues=np.concatenate([vq_eigs, kin_eigs]),
+        classification=cls,
+        omega1=om1, omega2=om2, h=(mu1 + mu2) ** 2 * energy,
+        b=mu1 * mu2 / (mu1 + mu2) ** 2,
+        gradient_norm=float(np.linalg.norm(grad)),
+        keff_coefficient=equilibria.keff_correction(masses, q, mu1, mu2),
+        energy=energy,
+    )

@@ -1,11 +1,17 @@
 """End-to-end command-line surface tests (in-process main())."""
 
+import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from threebody4d import cli
+from threebody4d.errors import ChartSingular
+
+from conftest import singular_newton_system
 
 
 def run(tmp_path, *argv):
@@ -276,6 +282,11 @@ def test_full_precision_roundtrip(tmp_path):
     (["scan", "--isosceles", "-n", "-1", "--t-grid", "0.1:0.5:3"], 2),
     # 1e9 steps of dt: refused before the first step
     (["integrate", "--method", "midpoint", "--dt", "1e-9", "--t-end", "1"], 3),
+    # --dps below double precision, negative, or too costly to finish
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "3"], 2),
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "20"], 2),
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "-5"], 2),
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "100000000"], 2),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):
@@ -285,3 +296,48 @@ def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("invalid config: " if code == 2 else "solver failure: ")
     assert not out.exists()
+
+
+def test_singular_newton_system_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    singular_newton_system(monkeypatch)
+    out = tmp_path / "out.txt"
+    argv = ["equilibrium", "--general", "-m", "1,2,3", "-u", "0.01", "--dps", "60"]
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    assert capsys.readouterr().err == "solver failure: NoConvergence: singular Newton system\n"
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The `threebody4d` command lines of the README's sh block, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text[text.index("## Command line"):]
+    block = block[block.index("```sh\n") + 6:]
+    block = block[:block.index("```")].replace("\\\n", " ")
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [line[1:] for line in lines if line[:1] == ["threebody4d"]]
+
+
+README_RUNS = [
+    argv if argv[0] != "integrate" else pytest.param(argv, marks=pytest.mark.xfail(
+        strict=True, raises=ChartSingular,
+        reason="the inverse chart is singular at psi1 = pi/2, where embed_reduced "
+               "puts every L3 = 0 state (ROADMAP item 2)"))
+    for argv in _readme_commands() if argv[0] in ("equilibrium", "scan", "integrate")]
+
+
+@pytest.mark.parametrize("argv", README_RUNS, ids=" ".join)
+def test_readme_command(tmp_path, argv):
+    argv = list(argv)
+    if "--out" in argv:
+        del argv[argv.index("--out"):argv.index("--out") + 2]
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    if argv[0] == "equilibrium":
+        assert json.loads(text)["classification"] in ("minimum", "saddle", "indefinite-K")
+        return
+    lines = text.splitlines()
+    rows = list(csv.reader(line for line in lines if not line.startswith("#")))
+    assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
+    assert all(math.isfinite(float(r[0])) for r in rows[1:])
+    if argv[0] == "integrate":
+        assert any(line.startswith("# compare:") for line in lines)

@@ -17,7 +17,8 @@ from threebody4d.errors import (
 )
 
 import oracles
-from conftest import central_gradient, random_chart_point, random_reduced_state
+from conftest import (central_gradient, gradient_partial, random_chart_point,
+                      random_reduced_state, zero_field)
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 MU1, MU2 = 1.3, 0.4
@@ -63,7 +64,7 @@ def test_gradient_partial_finite_differences():
     for _ in range(50):
         part = random_chart_point(rng)
         z0 = reduction.partial_to_array(part)
-        g = dynamics.gradient_partial(MASSES, z0)
+        g = gradient_partial(MASSES, z0)
 
         def ham(z):
             return reduction.hamiltonian_partial(MASSES, reduction.array_to_partial(z))
@@ -90,7 +91,7 @@ def test_restricted_field_matches_reduced():
 def test_zero_field_constant_trajectory():
     cfg = dynamics.IntegratorConfig()
     z0 = np.array([1.0, -2.0, 0.5])
-    rec = dynamics.integrate(dynamics.zero_field(3), z0, 5.0, cfg)
+    rec = dynamics.integrate(zero_field(3), z0, 5.0, cfg)
     assert np.max(np.abs(rec.states - z0)) == 0.0
     assert rec.times[-1] == pytest.approx(5.0)
 
@@ -326,7 +327,7 @@ def test_integrator_config_validation():
         with pytest.raises(ValueError):
             dynamics.IntegratorConfig(**bad)
     with pytest.raises(ValueError):
-        dynamics.integrate(dynamics.zero_field(2), np.zeros(2), 1.0,
+        dynamics.integrate(zero_field(2), np.zeros(2), 1.0,
                            dynamics.IntegratorConfig(method="rk4"))
 
 

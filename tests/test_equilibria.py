@@ -9,7 +9,8 @@ import pytest
 from threebody4d import equilibria, model, reduction
 from threebody4d.errors import DegenerateMomenta
 
-from conftest import bisect, central_gradient, hessian_fd, random_reduced_state
+from conftest import (bisect, central_gradient, hessian_fd, random_reduced_state,
+                      singular_newton_system)
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 EQUAL = model.MassTriple(1.0, 1.0, 1.0)
@@ -382,19 +383,18 @@ def test_scaled_inertia_matches_dps60_eigenvalue_signs():
     saddles = [equilibria.isosceles_equilibrium(n, t) for n, t in ((1.0, 0.5), (2.0, 0.4))]
     for rep in reps + saddles:
         signs = _veff_hessian_signs_dps60(rep)
-        assert equilibria._inertia_positive(rep.hessian[0:4, 0:4]) == (min(signs) > 0)
+        assert (rep.classification != "saddle") == (min(signs) > 0)
     assert all(min(_veff_hessian_signs_dps60(r)) < 0 for r in saddles)
     assert all(r.classification == "saddle" for r in saddles)
 
 
 def test_mp_newton_analytic_jacobian_reproduces_float_roots(monkeypatch):
     # criterion 8 inputs; the roots are those of the finite-difference
-    # Jacobian solve, rounded to float
-    import mpmath
-
+    # Jacobian solve, rounded to float; one elimination per Newton step
     solves = []
-    lu_solve = mpmath.lu_solve
-    monkeypatch.setattr(mpmath, "lu_solve", lambda *a: solves.append(1) or lu_solve(*a))
+    gauss_solve = equilibria._gauss_solve
+    monkeypatch.setattr(equilibria, "_gauss_solve",
+                        lambda *a: solves.append(1) or gauss_solve(*a))
     expected = {
         1e-2: (9.999999999998001e-05, -5.999999874603605e-22,
                8.639999788323464e-26, 1.0000000036),
@@ -554,3 +554,19 @@ def test_scan_records_per_point_errors():
     assert table.rows[0].error is None
     assert table.rows[1].error is not None
     assert table.rows[1].classification == "error"
+
+
+@pytest.mark.parametrize("dps", [-5, 0, 3, 20, 30, equilibria.DPS_MAX + 1, 100000000])
+def test_dps_outside_the_accepted_range_refused(dps):
+    seed = equilibria.general_series_equilibrium(MASSES, 1e-2)
+    with pytest.raises(ValueError, match="dps must be in"):
+        equilibria.newton_equilibrium(MASSES, seed.mu1, seed.mu2, seed.q, dps=dps)
+    with pytest.raises(ValueError, match="dps must be in"):
+        equilibria.general_scan(MASSES, [1e-2, 3e-3], dps=dps)
+
+
+def test_singular_newton_system_is_an_error_row_of_the_scan(monkeypatch):
+    singular_newton_system(monkeypatch)
+    table = equilibria.general_scan(MASSES, [1e-2, 3e-3], dps=60)
+    assert [r.classification for r in table.rows] == ["error", "error"]
+    assert all(r.error == "singular Newton system" for r in table.rows)

@@ -1,16 +1,20 @@
-"""The float gradient kernels, the partial Hamiltonian/residual kernel and the
-shared-decoding monitors against the reference forms in `oracles.py`."""
+"""The float gradient kernels, the partial Hamiltonian/residual kernel, the
+shared-decoding monitors and the equilibrium solver's kernels against the
+reference forms in `oracles.py`."""
 
 import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from threebody4d import dynamics, equilibria, model, reduction
+from threebody4d.errors import NoConvergence
 
 import oracles
-from conftest import random_chart_point, random_full_state, random_reduced_state
+from conftest import (gradient_partial, random_chart_point, random_full_state,
+                      random_reduced_state)
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 RTOL = 1e-13
@@ -53,7 +57,7 @@ def test_partial_and_full_kernels_match_oracles(q, p, psi, theta, pp, pt):
                                   angles=reduction.RotationAngles(*psi, *theta),
                                   p_psi=pp, p_theta=pt)
     z = reduction.partial_to_array(part)
-    assert _close(dynamics.gradient_partial(MASSES, z), oracles.gradient_partial(MASSES, z))
+    assert _close(gradient_partial(MASSES, z), oracles.gradient_partial(MASSES, z))
     assert _close(dynamics.partial_field(MASSES).evaluate(0.0, z),
                   oracles.partial_rhs(MASSES, z))
     zf = reduction.full_to_array(reduction.lift_to_full(part))
@@ -67,7 +71,7 @@ def test_potential_partials_match_summed_terms(x):
     s22 = x[4] ** 2 + x[5] ** 2 + x[6] ** 2 + x[7] ** 2
     s12 = x[0] * x[4] + x[1] * x[5] + x[2] * x[6] + x[3] * x[7]
     s = model.ScalarProducts(s11, s22, s12)
-    assume(min(model.mutual_distances_sq(MASSES, s)) > 1e-6)
+    assume(min(oracles.mutual_distances_sq(MASSES, s)) > 1e-6)
     assert model.potential_derivatives(MASSES, s) == oracles.potential_derivatives(MASSES, s)
     v11, v22, v33, v12, v13, v23 = model.potential_second_partials(
         model.potential_constants(MASSES), s11, s22, s12)
@@ -223,3 +227,126 @@ def test_full_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
         values = {name: fn(0.1 * k, z) for name, fn in fast.items()}
         assert len(calls) == 1
         assert values == {name: fn(0.1 * k, z) for name, fn in ref.items()}
+
+
+# --- the equilibrium solver's float kernel, report and elimination ------------
+
+def _equations_agree(masses, q, mu1, mu2):
+    ref = oracles.simplified_equilibrium_residual(masses, q, mu1, mu2)
+    fast = equilibria._simplified_equations(masses, mu1, mu2)(*q)
+    assert fast == tuple(ref.tolist())
+    assert equilibria.simplified_equilibrium_residual(masses, q, mu1, mu2).tobytes() \
+        == ref.tobytes()
+    assert equilibria.solvability_residual(masses, q) \
+        == oracles.solvability_residual(masses, q)
+
+
+@PROPERTY
+@given(q=chart_q, m=st.tuples(*[st.floats(0.5, 2.5)] * 3), mu1=st.floats(0.8, 2.0),
+       ratio=st.floats(0.0, 0.85))
+def test_simplified_equations_equal_oracle_bitwise(q, m, mu1, ratio):
+    _equations_agree(model.MassTriple(*m), q, mu1, ratio * mu1)
+
+
+def test_simplified_equations_square_like_the_oracle():
+    # on coordinates whose pow(x, 2) and x * x differ in the last bit, a
+    # kernel that squared by x * x would differ from the numpy-scalar oracle
+    rng = np.random.default_rng(14)
+    qs = _squares_round_apart(rng, 0.6, 1.6)
+    checked = 0
+    while checked < 400:
+        q = (rng.choice(qs, size=4) * rng.choice([-1.0, 1.0], size=4)).tolist()
+        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) <= 0.25:
+            continue
+        m = model.MassTriple(*rng.uniform(0.5, 2.5, size=3))
+        _equations_agree(m, q, rng.uniform(0.8, 2.0), rng.uniform(0.0, 0.85))
+        checked += 1
+
+
+def _assert_reports_equal(rep, ref):
+    for name in ("q", "hessian", "eigenvalues"):
+        assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes(), name
+    for name in ("mu1", "mu2", "masses", "classification", "omega1", "omega2", "h", "b",
+                 "gradient_norm", "keff_coefficient", "energy"):
+        assert getattr(rep, name) == getattr(ref, name), name
+
+
+def test_float_newton_and_report_equal_oracle_bitwise():
+    # em-diagram-like inputs: all three binaries, masses in [0.5, 2.5],
+    # u log-uniform in [3e-3, 1e-2]
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        pair = ((2, 3), (1, 3), (1, 2))[int(rng.integers(3))]
+        mm = model.MassTriple(*rng.uniform(0.5, 2.5, size=3)).permuted(pair)
+        u = math.exp(rng.uniform(math.log(3e-3), math.log(1e-2)))
+        seed = equilibria.general_series_equilibrium(mm, u)
+        rep = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q)
+        q = oracles.newton_fp(mm, seed.mu1, seed.mu2, seed.q)
+        _assert_reports_equal(rep, oracles.build_report(mm, q, seed.mu1, seed.mu2))
+
+
+def test_isosceles_report_equals_oracle_bitwise():
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        n, t = math.exp(rng.uniform(math.log(0.2), math.log(5.0))), rng.uniform(0.02, 0.98)
+        rep = equilibria.isosceles_equilibrium(n, t)
+        _assert_reports_equal(rep, oracles.build_report(rep.masses, rep.q, rep.mu1, rep.mu2))
+
+
+def _random_systems(rng):
+    """4x4 systems: random, with a tiny leading entry (which needs pivoting),
+    symmetric indefinite, and with u^-6 row/column scales."""
+    for _ in range(10):
+        a = rng.normal(size=(4, 4))
+        yield a, rng.normal(size=4)
+        a[0, 0] *= 1e-40
+        yield a, rng.normal(size=4)
+        o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        yield o @ np.diag([-2.0, -0.5, 0.7, 3.0]) @ o.T, rng.normal(size=4)
+        u = math.exp(rng.uniform(math.log(3e-5), math.log(1e-2)))
+        d = np.diag([u ** 2, u ** -1, u ** -3, 1.0])
+        a = rng.normal(size=(4, 4))
+        yield d @ (a + a.T + 8.0 * np.eye(4)) @ d, rng.normal(size=4)
+
+
+def test_gauss_solve_matches_mpmath_lu_solve():
+    rng = np.random.default_rng(23)
+    with mpmath.workdps(60):
+        for a, b in _random_systems(rng):
+            a_mp = [[mpmath.mpf(v) for v in row] for row in a.tolist()]
+            b_mp = [mpmath.mpf(v) for v in b.tolist()]
+            x = equilibria._gauss_solve(a_mp, b_mp, mpmath.eps)
+            ref = mpmath.lu_solve(mpmath.matrix(a_mp), mpmath.matrix(b_mp))
+            for xi, ri in zip(x, ref):
+                assert isinstance(xi, mpmath.mpf)
+                assert abs(xi - ri) <= 1e-50 * abs(ri)
+            assert [row[:] for row in a_mp] == [[mpmath.mpf(v) for v in row]
+                                                for row in a.tolist()]
+
+
+def test_gauss_solve_refuses_singular_systems():
+    with mpmath.workdps(60):
+        one = mpmath.mpf(1)
+        for a in ([[one, 2 * one], [2 * one, 4 * one]], [[0 * one] * 2] * 2):
+            with pytest.raises(NoConvergence):
+                equilibria._gauss_solve(a, [one, one], mpmath.eps)
+
+
+def test_gradient_stage_equals_kernel_gradient():
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        m = rng.uniform(0.5, 2.5, size=3)
+        q = random_reduced_state(rng, 1.3, 0.4).q.tolist()
+        masses = model.MassTriple(*m)
+        value, grad, terms = equilibria._veff_value_gradient(masses, q, 1.3, 0.4)
+        assert (value, grad, equilibria._veff_hessian(terms)) \
+            == equilibria.effective_potential_kernel(masses, q, 1.3, 0.4)
+        assert tuple(equilibria.effective_potential_gradient(masses, q, 1.3, 0.4)) == grad
+        assert equilibria.effective_potential(masses, q, 1.3, 0.4) == value
+    with mpmath.workdps(60):
+        mp_m = model.MassTriple(*(mpmath.mpf(v) for v in m))
+        mp_q = [mpmath.mpf(v) for v in q]
+        args = (mp_m, mp_q, mpmath.mpf(1.3), mpmath.mpf(0.4))
+        value, grad, terms = equilibria._veff_value_gradient(*args)
+        assert (value, grad, equilibria._veff_hessian(terms)) \
+            == equilibria.effective_potential_kernel(*args)
