@@ -1,9 +1,10 @@
 """Command-line surface: verify, equilibrium, scan, integrate.
 
 Exit codes: 0 success, 1 check failure, 2 invalid configuration,
-3 solver failure.  All numeric output is written with 17 significant
-digits so files round-trip losslessly; identical configuration and seed
-produce byte-identical output.
+3 solver failure; `main` is the one place that maps exceptions to them,
+with one stderr line each.  All numeric output is written with 17
+significant digits so files round-trip losslessly; identical configuration
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import dynamics, equilibria, model, reduction
 from .errors import (
     ChartSingular,
     CollisionError,
-    DegenerateMomenta,
     DegenerateHessian,
+    KineticDomainError,
     NoConvergence,
     NoRealMomenta,
     StepLimitExceeded,
@@ -33,9 +34,18 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_SOLVER = 3
 
+# the package's domain and solver failures (exit 3); every other ValueError,
+# and an OSError opening --out or --config, is invalid configuration (exit 2)
+SOLVER_FAILURES = (ChartSingular, CollisionError, KineticDomainError, NoRealMomenta,
+                   NoConvergence, DegenerateHessian, StepSizeUnderflow, StepLimitExceeded)
+
 
 class ConfigError(ValueError):
     pass
+
+
+class CheckFailed(Exception):
+    """A verification check exceeded its tolerance (exit 1)."""
 
 
 def _number(text: str) -> float:
@@ -60,10 +70,7 @@ def _parse_masses(text: str) -> model.MassTriple:
     parts = [_number(v) for v in text.split(",")]
     if len(parts) != 3:
         raise ConfigError(f"expected three masses, got {text!r}")
-    try:
-        return model.MassTriple(*parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return model.MassTriple(*parts)
 
 
 def _parse_pair(text: str) -> tuple:
@@ -119,19 +126,14 @@ def _load_config_file(path: str) -> dict:
 
 
 def _coerce(val: str):
+    """Switch values as booleans; any other value stays a string, which
+    argparse converts with the flag's own type, as it does a flag's text."""
     low = val.lower()
     if low in ("true", "yes"):
         return True
     if low in ("false", "no"):
         return False
-    try:
-        return int(val)
-    except ValueError:
-        pass
-    try:
-        return float(val)
-    except ValueError:
-        return val
+    return val
 
 
 @contextmanager
@@ -215,20 +217,15 @@ CHECKS = {
 }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     masses = _parse_masses(args.masses)
     _check_finite({"--mu1": args.mu1, "--mu2": args.mu2, "--tol": args.tol})
-    try:
-        reduction.check_momenta(args.mu1, args.mu2)
-    except ValueError as exc:
-        print(f"invalid config: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    reduction.check_momenta(args.mu1, args.mu2)
     names = [c.strip() for c in args.checks.split(",")] if args.checks != "all" \
         else list(CHECKS.keys())
     for name in names:
         if name not in CHECKS:
-            print(f"invalid config: unknown check {name!r}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
+            raise ConfigError(f"unknown check {name!r}")
     failed = None
     lines = []
     for name in names:
@@ -250,100 +247,82 @@ def cmd_verify(args) -> int:
         for line in lines:
             fh.write(line + "\n")
     if failed:
-        print(f"first failing check: {failed}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+        raise CheckFailed(f"first failing check: {failed}")
 
 
 # --- equilibrium ---------------------------------------------------------------
 
-def cmd_equilibrium(args) -> int:
-    try:
-        _check_finite({"-n": args.n, "-t": args.t, "-u": args.u})
-        if args.isosceles:
-            if args.n is None or args.t is None:
-                raise ConfigError("--isosceles needs -n and -t")
-            report = equilibria.isosceles_equilibrium(args.n, args.t)
-        elif args.general:
-            if args.masses is None or args.u is None:
-                raise ConfigError("--general needs -m and -u")
-            if args.dps < 0:
-                raise ConfigError(f"--dps must be >= 0 (0 = double precision), got {args.dps}")
-            masses = _parse_masses(args.masses)
-            mm = masses.permuted(_parse_pair(args.pair))
-            seed = equilibria.general_series_equilibrium(mm, args.u)
-            report = equilibria.newton_equilibrium(
-                mm, seed.mu1, seed.mu2, seed.q,
-                dps=args.dps if args.dps > 0 else None)
-        else:
-            raise ConfigError("choose --isosceles or --general")
-    except (NoRealMomenta, NoConvergence, DegenerateHessian, DegenerateMomenta,
-            ChartSingular, CollisionError) as exc:
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
-        # a ConfigError, or a parameter the library refused, such as n <= 0
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_equilibrium(args) -> None:
+    _check_finite({"-n": args.n, "-t": args.t, "-u": args.u})
+    if args.isosceles:
+        if args.n is None or args.t is None:
+            raise ConfigError("--isosceles needs -n and -t")
+        report = equilibria.isosceles_equilibrium(args.n, args.t)
+    elif args.general:
+        if args.masses is None or args.u is None:
+            raise ConfigError("--general needs -m and -u")
+        if args.dps < 0:
+            raise ConfigError(f"--dps must be >= 0 (0 = double precision), got {args.dps}")
+        masses = _parse_masses(args.masses)
+        mm = masses.permuted(_parse_pair(args.pair))
+        seed = equilibria.general_series_equilibrium(mm, args.u)
+        report = equilibria.newton_equilibrium(
+            mm, seed.mu1, seed.mu2, seed.q,
+            dps=args.dps if args.dps > 0 else None)
+    else:
+        raise ConfigError("choose --isosceles or --general")
     with _open_out(args.out) as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    return EXIT_OK
 
 
 # --- scan ----------------------------------------------------------------------
 
-def cmd_scan(args) -> int:
-    try:
-        _check_finite({"-n": args.n})
-        if args.region_map:
-            if args.n_grid is None or args.t_grid is None:
-                raise ConfigError("--region-map needs --n-grid and --t-grid")
-            n_grid = _parse_grid(args.n_grid)
-            t_grid = _parse_grid(args.t_grid)
-            rows = []
-            for n in n_grid:
-                for t in t_grid:
-                    p1, p2 = equilibria.stability_polynomials(n, t)
-                    lab = equilibria.region_classification(n, t)
-                    rows.append((n, t, p1, p2, lab.name, int(lab.minimum)))
-            with _open_out(args.out) as fh:
-                if args.format == "json":
-                    json.dump([{"n": r[0], "t": r[1], "P1": r[2], "P2": r[3],
-                                "region": r[4], "minimum": r[5]} for r in rows], fh)
-                    fh.write("\n")
-                else:
-                    fh.write("n,t,P1,P2,region,minimum\n")
-                    for r in rows:
-                        fh.write(f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g},"
-                                 f"{r[4]},{r[5]}\n")
-            return EXIT_OK
-        if args.workers < 1:
-            raise ConfigError("--workers must be >= 1")
-        if args.isosceles:
-            if args.n is None or args.t_grid is None:
-                raise ConfigError("isosceles scan needs -n and --t-grid")
-            table = equilibria.isosceles_scan(args.n, _parse_grid(args.t_grid),
-                                              workers=args.workers)
-        elif args.general:
-            if args.masses is None or args.u_grid is None:
-                raise ConfigError("general scan needs -m and --u-grid")
-            masses = _parse_masses(args.masses)
-            table = equilibria.general_scan(masses, _parse_grid(args.u_grid),
-                                            _parse_pair(args.pair), workers=args.workers)
-        else:
-            raise ConfigError("choose --isosceles, --general or --region-map")
-    except ValueError as exc:
-        # a ConfigError, or a parameter the library refused, such as n <= 0
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_scan(args) -> None:
+    _check_finite({"-n": args.n})
+    if args.region_map:
+        if args.n_grid is None or args.t_grid is None:
+            raise ConfigError("--region-map needs --n-grid and --t-grid")
+        n_grid = _parse_grid(args.n_grid)
+        t_grid = _parse_grid(args.t_grid)
+        rows = []
+        for n in n_grid:
+            for t in t_grid:
+                p1, p2 = equilibria.stability_polynomials(n, t)
+                lab = equilibria.region_classification(n, t)
+                rows.append((n, t, p1, p2, lab.name, int(lab.minimum)))
+        with _open_out(args.out) as fh:
+            if args.format == "json":
+                json.dump([{"n": r[0], "t": r[1], "P1": r[2], "P2": r[3],
+                            "region": r[4], "minimum": r[5]} for r in rows], fh)
+                fh.write("\n")
+            else:
+                fh.write("n,t,P1,P2,region,minimum\n")
+                for r in rows:
+                    fh.write(f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g},"
+                             f"{r[4]},{r[5]}\n")
+        return
+    if args.workers < 1:
+        raise ConfigError("--workers must be >= 1")
+    if args.isosceles:
+        if args.n is None or args.t_grid is None:
+            raise ConfigError("isosceles scan needs -n and --t-grid")
+        table = equilibria.isosceles_scan(args.n, _parse_grid(args.t_grid),
+                                          workers=args.workers)
+    elif args.general:
+        if args.masses is None or args.u_grid is None:
+            raise ConfigError("general scan needs -m and --u-grid")
+        masses = _parse_masses(args.masses)
+        table = equilibria.general_scan(masses, _parse_grid(args.u_grid),
+                                        _parse_pair(args.pair), workers=args.workers)
+    else:
+        raise ConfigError("choose --isosceles, --general or --region-map")
     with _open_out(args.out) as fh:
         if args.format == "json":
             table.to_json(fh)
             fh.write("\n")
         else:
             table.to_csv(fh)
-    return EXIT_OK
 
 
 # --- integrate -------------------------------------------------------------------
@@ -358,24 +337,18 @@ def _integrator_config(args) -> dynamics.IntegratorConfig:
     )
 
 
-def cmd_integrate(args) -> int:
-    try:
-        masses = _parse_masses(args.masses)
-        _check_finite({"--mu1": args.mu1, "--mu2": args.mu2, "--t-end": args.t_end,
-                       "--dt": args.dt, "--tol": args.tol})
-        if args.mu1 <= args.mu2 or args.mu2 < 0:
-            raise ConfigError(f"need mu1 > mu2 >= 0, got ({args.mu1}, {args.mu2})")
-        q = np.array([_number(v) for v in args.q.split(",")])
-        p = np.array([_number(v) for v in args.p.split(",")])
-        if q.shape != (4,) or p.shape != (4,):
-            raise ConfigError("-q and -p need four components each")
-        if args.t_end <= 0:
-            raise ConfigError("t-end must be positive")
-        red = reduction.ReducedState(q, p, args.mu1, args.mu2)
-        cfg = _integrator_config(args)
-    except (ConfigError, ValueError, DegenerateMomenta) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+def cmd_integrate(args) -> None:
+    masses = _parse_masses(args.masses)
+    _check_finite({"--mu1": args.mu1, "--mu2": args.mu2, "--t-end": args.t_end,
+                   "--dt": args.dt, "--tol": args.tol})
+    q = np.array([_number(v) for v in args.q.split(",")])
+    p = np.array([_number(v) for v in args.p.split(",")])
+    if q.shape != (4,) or p.shape != (4,):
+        raise ConfigError("-q and -p need four components each")
+    if args.t_end <= 0:
+        raise ConfigError("t-end must be positive")
+    red = reduction.ReducedState(q, p, args.mu1, args.mu2)
+    cfg = _integrator_config(args)
 
     if args.system == "reduced":
         field = dynamics.reduced_field(masses, args.mu1, args.mu2)
@@ -398,16 +371,11 @@ def cmd_integrate(args) -> int:
         labels = ([f"x1_{i}" for i in range(4)] + [f"x2_{i}" for i in range(4)]
                   + [f"y1_{i}" for i in range(4)] + [f"y2_{i}" for i in range(4)])
     else:
-        print(f"invalid config: unknown system {args.system!r}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ConfigError(f"unknown system {args.system!r}")
 
-    try:
-        rec = dynamics.integrate(field, z0, args.t_end, cfg, monitors=mons)
-        report = (dynamics.compare_full_vs_reduced(masses, red, args.t_end, cfg)
-                  if args.compare else None)
-    except (NoConvergence, StepSizeUnderflow, StepLimitExceeded) as exc:
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    rec = dynamics.integrate(field, z0, args.t_end, cfg, monitors=mons)
+    report = (dynamics.compare_full_vs_reduced(masses, red, args.t_end, cfg)
+              if args.compare else None)
     with _open_out(args.out) as fh:
         if args.format == "json":
             rec.to_json(fh, state_labels=labels)
@@ -420,7 +388,6 @@ def cmd_integrate(args) -> int:
             fh.write(f"# compare: max_qp_deviation = {report.max_qp_deviation:.17g}, "
                      f"max_invariant_residual = {report.max_invariant_residual:.17g}, "
                      f"max_mu_drift = {report.max_mu_drift:.17g}\n")
-    return EXIT_OK
 
 
 # --- parser ---------------------------------------------------------------------
@@ -432,17 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "equilibria, scans, integration.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the default tolerance")
-        p.add_argument("--config", default=None,
-                       help="key=value config file; flags win on conflict")
+    flags = {
+        "--out": dict(default=None, help="output path (default stdout)"),
+        "--config": dict(default=None, help="key=value config file; flags win on conflict"),
+        "--format": dict(choices=["csv", "json"], default="csv"),
+        "--seed": dict(type=int, default=0, help="RNG seed"),
+        "--tol": dict(type=float, default=None, help="override the default tolerance"),
+    }
+
+    def common(p, *extra):
+        """--out and --config, plus the named flags of `flags`."""
+        for name in ("--out", "--config") + extra:
+            p.add_argument(name, **flags[name])
 
     pv = sub.add_parser("verify", help="run the reduction verification suites")
-    common(pv)
+    common(pv, "--seed", "--tol")
     pv.add_argument("--checks", default="all",
                     help="comma list from: " + ",".join(CHECKS))
     pv.add_argument("-m", "--masses", default="1,1,1")
@@ -465,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_equilibrium)
 
     ps = sub.add_parser("scan", help="energy-momentum or region-map scans")
-    common(ps)
+    common(ps, "--format")
     ps.add_argument("--isosceles", action="store_true")
     ps.add_argument("--general", action="store_true")
     ps.add_argument("--region-map", action="store_true")
@@ -480,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_scan)
 
     pi = sub.add_parser("integrate", help="integrate a trajectory with monitors")
-    common(pi)
+    common(pi, "--format", "--tol")
     pi.add_argument("--system", choices=["reduced", "partial", "full"],
                     default="reduced")
     pi.add_argument("-m", "--masses", default="1,1,1")
@@ -503,29 +474,29 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        # config values become parse defaults of the subcommand, so explicit
-        # flags still win
-        try:
-            file_vals = {k: _coerce(v)
-                         for k, v in _load_config_file(args.config).items()}
-        except (ConfigError, OSError) as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return EXIT_BAD_CONFIG
-        parser = build_parser()
-        sub = parser.sub_map[args.command]
-        known = {a.dest for a in sub._actions} | {a.dest for a in parser._actions}
-        for key in file_vals:
-            if key not in known:
-                print(f"invalid config: unknown config key {key!r}", file=sys.stderr)
-                return EXIT_BAD_CONFIG
-        sub.set_defaults(**file_vals)
-        args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+        if args.config:
+            # config values become parse defaults of the subcommand, so
+            # explicit flags still win
+            file_vals = {k: _coerce(v) for k, v in _load_config_file(args.config).items()}
+            sub = parser.sub_map[args.command]
+            known = {a.dest for a in sub._actions}
+            for key in file_vals:
+                if key not in known:
+                    raise ConfigError(f"unknown config key {key!r}")
+            sub.set_defaults(**file_vals)
+            args = parser.parse_args(argv)
+        args.func(args)
+    except CheckFailed as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except SOLVER_FAILURES as exc:
+        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (ValueError, OSError) as exc:
+        print(f"invalid config: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -62,6 +62,8 @@ class IntegratorConfig:
         if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_step > 0
                 and self.dt > 0) or not math.isfinite(self.dt):
             raise ValueError("tolerances and steps must be positive, dt finite")
+        if not self.monitor_every >= 1:
+            raise ValueError(f"monitor_every must be >= 1, got {self.monitor_every}")
 
 
 @dataclass
@@ -402,7 +404,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     sample_queue.sort()
 
     def record(t, y, force=False):
-        if force or n_steps % max(config.monitor_every, 1) == 0:
+        if force or n_steps % config.monitor_every == 0:
             times.append(t)
             states.append(y.copy())
             for k, fn in monitors.items():

@@ -198,6 +198,8 @@ class EquilibriumReport:
     gradient_norm: float
     keff_coefficient: float
     energy: float
+    kepler1: float
+    kepler2: float
 
     def to_dict(self) -> dict:
         return {
@@ -214,9 +216,8 @@ class EquilibriumReport:
             "gradient_norm": self.gradient_norm,
             "keff_coefficient": self.keff_coefficient,
             "energy": self.energy,
-            "kepler1": self.omega1 ** 2 * self.q[3] ** 3 / self.masses.total,
-            "kepler2": self.omega2 ** 2 * self.q[0] ** 3
-                       / (self.masses.m2 + self.masses.m3),
+            "kepler1": self.kepler1,
+            "kepler2": self.kepler2,
         }
 
 
@@ -268,7 +269,7 @@ def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
     kin[:] = momentum_block(masses, q, mu1, mu2)
     # raw and scaled eigenvalues of both blocks in one batched call
     eigs = np.linalg.eigvalsh(np.stack([vq, kin, _unit_diagonal(vq), _unit_diagonal(kin)]))
-    om1, om2, _, _ = frequencies(masses, q, mu1, mu2)
+    om1, om2, kep1, kep2 = frequencies(masses, q, mu1, mu2)
     return EquilibriumReport(
         q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
         eigenvalues=np.concatenate([eigs[0], eigs[1]]),
@@ -277,7 +278,7 @@ def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
         b=mu1 * mu2 / (mu1 + mu2) ** 2,
         gradient_norm=float(np.linalg.norm(grad)),
         keff_coefficient=keff_correction(masses, q, mu1, mu2),
-        energy=energy,
+        energy=energy, kepler1=kep1, kepler2=kep2,
     )
 
 
@@ -564,9 +565,10 @@ def general_hessian_eigen_asymptotics(masses: MassTriple, u: float) -> np.ndarra
 
 
 # accepted mpmath precisions of the high-precision Newton.  Its stopping test
-# max|grad| < 10^-(dps - 15) is finer than double precision only above 30
-# digits.  One solve took at most 0.15 s at 2000 digits, 1.3 s at 5000 and
-# 14 s at 20000 (masses in [0.5, 2.5], u down to 3e-5, one core).
+# max|grad| < 10^-(dps - 15) x `_gradient_scale` is finer than double
+# precision only above 30 digits.  One solve took at most 0.15 s at 2000
+# digits, 1.3 s at 5000 and 14 s at 20000 (masses in [0.5, 2.5], u down to
+# 3e-5, one core).
 DPS_MIN, DPS_MAX = 31, 2000
 
 
@@ -706,7 +708,9 @@ def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
     point at the q2, q3 orders (they violate the solvability identity), so
     at extended precision the raw gradient is the only correct residual.
     The Jacobian is the analytic V_eff Hessian of the same kernel, computed
-    only where a step is taken.
+    only where a step is taken.  It stops when max|grad| falls below
+    10^-(dps - 15) times `_gradient_scale` at the seed, a bound the working
+    precision can meet even where the gradient's summands are of order u^-6.
     """
     import mpmath as mp
 
@@ -716,13 +720,30 @@ def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
         mp_tol = mp.mpf(10) ** (-(dps - 15))
         q = [mp.mpf(float(v)) for v in seed]
         _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
+        # the summands' size barely moves between seed and root
+        bound = mp_tol * _gradient_scale(terms)
         for _ in range(max_iter):
             dq = _gauss_solve(_veff_hessian(terms), [-g for g in grad], mp.eps)
             q = [qi + dqi for qi, dqi in zip(q, dq)]
             _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
-            if max(abs(g) for g in grad) < mp_tol:
+            if max(abs(g) for g in grad) < bound:
                 return np.array([float(v) for v in q])
-        raise NoConvergence(f"mp Newton did not reach {mp_tol} in {max_iter} steps")
+        raise NoConvergence(f"mp Newton did not reach {mp_tol} relative to the gradient's "
+                            f"terms in {max_iter} steps")
+
+
+def _gradient_scale(terms):
+    """The size of the summands that cancel in the V_eff gradient.
+
+    For each component, |dnum_i / den2| + |e1 dA/dq_i| + |ds/dq_i . (V1, V2, V3)|,
+    and the largest of the four.  Near the collision limit these are of
+    order u^-6 while the gradient is a difference of them, so its rounding
+    floor scales with this, not with 1.
+    """
+    dnum, da, den2, e1 = terms[6], terms[7], terms[8], terms[10]
+    v1, v2, v3, js = terms[15:]
+    return max(abs(dnum[i] / den2) + abs(e1 * da[i]) + abs(j0 * v1 + j1 * v2 + j2 * v3)
+               for i, (j0, j1, j2) in enumerate(js))
 
 
 # --- energy-momentum scans ----------------------------------------------------

@@ -525,7 +525,7 @@ def build_report(masses: MassTriple, q, mu1: float, mu2: float):
         cls = "saddle"
     else:
         cls = "minimum" if inertia_positive(hess[4:8, 4:8]) else "indefinite-K"
-    om1, om2, _, _ = equilibria.frequencies(masses, q, mu1, mu2)
+    om1, om2, kep1, kep2 = equilibria.frequencies(masses, q, mu1, mu2)
     return equilibria.EquilibriumReport(
         q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
         eigenvalues=np.concatenate([vq_eigs, kin_eigs]),
@@ -534,5 +534,5 @@ def build_report(masses: MassTriple, q, mu1: float, mu2: float):
         b=mu1 * mu2 / (mu1 + mu2) ** 2,
         gradient_norm=float(np.linalg.norm(grad)),
         keff_coefficient=equilibria.keff_correction(masses, q, mu1, mu2),
-        energy=energy,
+        energy=energy, kepler1=kep1, kepler2=kep2,
     )

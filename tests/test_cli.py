@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from threebody4d import cli
-from threebody4d.errors import ChartSingular
 
 from conftest import singular_newton_system
 
@@ -40,6 +39,13 @@ def test_verify_degenerate_momenta_refused(tmp_path, capsys):
     code = cli.main(["verify", "--mu1", "0.7", "--mu2", "0.7"])
     assert code == 2
     assert "DegenerateMomenta" in capsys.readouterr().err
+
+
+def test_verify_failing_check_exits_1(tmp_path, capsys):
+    code, text = run(tmp_path, "verify", "--checks", "amatrix", "--tol", "1e-30")
+    assert code == 1
+    assert text.startswith("amatrix:") and text.rstrip().endswith("FAIL")
+    assert capsys.readouterr().err == "first failing check: amatrix\n"
 
 
 def test_verify_amatrix_only(tmp_path):
@@ -249,6 +255,18 @@ def test_config_file_flags_win(tmp_path):
     assert len(out2.read_text().splitlines()) == 4
 
 
+def test_config_values_converted_like_flags(tmp_path):
+    # a one-point grid is the text "0.1", not the float 0.1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("isosceles = true\nn = 1\nt_grid = 0.1\n")
+    code, text = run(tmp_path, "scan", "--config", str(cfg))
+    assert code == 0 and len(text.splitlines()) == 2
+    cfg.write_text("isosceles = true\nn = abc\nt_grid = 0.1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--config", str(cfg)])
+    assert exc.value.code == 2
+
+
 def test_json_format(tmp_path):
     code, text = run(tmp_path, "scan", "--isosceles", "-n", "1",
                      "--t-grid", "0.1,0.2", "--format", "json")
@@ -287,6 +305,17 @@ def test_full_precision_roundtrip(tmp_path):
     (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "20"], 2),
     (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "-5"], 2),
     (["equilibrium", "--general", "-m", "1,2,3", "-u", "0.005", "--dps", "100000000"], 2),
+    # starts outside the chart (A = 5e-14) or the kinetic domain (|L3| = 1.1 > 0.7)
+    *((["integrate", "--system", system, *start, "--t-end", "0.1"], 3)
+      for system in ("reduced", "partial", "full")
+      for start in (["-q", "1e-13,0,0,1"], ["-q", "1.1,0.1,-0.2,0.9", "-p", "0,1,0,0"])),
+    # the README --compare example (ROADMAP item 2)
+    (["integrate", "--system", "reduced", "-m", "1,1,1", "--mu1", "1", "--mu2", "0.3",
+      "-q", "1,0,0,1", "-p", "0,0,0,0", "--t-end", "10", "--method", "dopri",
+      "--tol", "1e-11", "--compare"], 3),
+    # the derived momenta have mu2 > mu1
+    (["equilibrium", "--general", "-m", "1,2,3", "-u", "5"], 2),
+    (["integrate", "--monitor-every", "0", "--t-end", "0.1"], 2),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):
@@ -307,6 +336,47 @@ def test_singular_newton_system_is_a_solver_failure(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+def test_unopenable_path_is_invalid_config(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "file.txt"
+    argv = ["equilibrium", "--isosceles", "-n", "1", "-t", "0.01", flag, str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("invalid config: FileNotFoundError: ")
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", "amatrix", "--format", "json"],
+    ["equilibrium", "--isosceles", "-n", "1", "-t", "0.01", "--format", "csv"],
+    ["equilibrium", "--isosceles", "-n", "1", "-t", "0.01", "--seed", "3"],
+    ["equilibrium", "--isosceles", "-n", "1", "-t", "0.01", "--tol", "1e-3"],
+    ["scan", "--isosceles", "-n", "1", "--t-grid", "0.1,0.2", "--seed", "3"],
+    ["scan", "--isosceles", "-n", "1", "--t-grid", "0.1,0.2", "--tol", "1e-3"],
+    ["integrate", "--t-end", "0.1", "--seed", "3"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        f"error: unrecognized arguments: {argv[-2]} {argv[-1]}")
+    assert not out.exists()
+
+
+def test_config_keys_a_command_does_not_read_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("isosceles = true\nn = 1\nt = 0.01\ntol = 1e-3\n")
+    out = tmp_path / "out.txt"
+    assert cli.main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "invalid config: ConfigError: unknown config key 'tol'\n"
+    assert not out.exists()
+
+
 def _readme_commands():
     """The `threebody4d` command lines of the README's sh block, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -319,9 +389,9 @@ def _readme_commands():
 
 README_RUNS = [
     argv if argv[0] != "integrate" else pytest.param(argv, marks=pytest.mark.xfail(
-        strict=True, raises=ChartSingular,
-        reason="the inverse chart is singular at psi1 = pi/2, where embed_reduced "
-               "puts every L3 = 0 state (ROADMAP item 2)"))
+        strict=True, raises=AssertionError,
+        reason="exits 3 with ChartSingular: the inverse chart is singular at "
+               "psi1 = pi/2, where embed_reduced puts every L3 = 0 state (ROADMAP item 2)"))
     for argv in _readme_commands() if argv[0] in ("equilibrium", "scan", "integrate")]
 
 

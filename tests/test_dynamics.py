@@ -326,6 +326,9 @@ def test_integrator_config_validation():
                 {"abs_tol": math.nan}, {"max_step": math.nan}):
         with pytest.raises(ValueError):
             dynamics.IntegratorConfig(**bad)
+    for every in (0, -3):
+        with pytest.raises(ValueError, match="monitor_every"):
+            dynamics.IntegratorConfig(monitor_every=every)
     with pytest.raises(ValueError):
         dynamics.integrate(zero_field(2), np.zeros(2), 1.0,
                            dynamics.IntegratorConfig(method="rk4"))

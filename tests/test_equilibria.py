@@ -410,6 +410,22 @@ def test_mp_newton_analytic_jacobian_reproduces_float_roots(monkeypatch):
             assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
+@pytest.mark.parametrize("k, u_ref", [(2, 4.05e-5), (13, 8.25e-5)])
+def test_mp_newton_stops_at_small_u(monkeypatch, k, u_ref):
+    # there the gradient is a difference of terms of order u^-6; an absolute
+    # bound of 1e-45 lies below its dps=60 rounding floor, and these two
+    # solves took 9 and 19 eliminations under it
+    solves = []
+    gauss_solve = equilibria._gauss_solve
+    monkeypatch.setattr(equilibria, "_gauss_solve",
+                        lambda *a: solves.append(1) or gauss_solve(*a))
+    mm, u = list(_small_u_points(k + 1))[k]
+    assert u == pytest.approx(u_ref, rel=1e-3)
+    seed = equilibria.general_series_equilibrium(mm, u)
+    equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=60)
+    assert len(solves) <= 3
+
+
 def test_permuted_families_limits():
     for pair in ((2, 3), (1, 3), (1, 2)):
         mm = MASSES.permuted(pair)

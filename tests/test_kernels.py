@@ -267,7 +267,7 @@ def _assert_reports_equal(rep, ref):
     for name in ("q", "hessian", "eigenvalues"):
         assert getattr(rep, name).tobytes() == getattr(ref, name).tobytes(), name
     for name in ("mu1", "mu2", "masses", "classification", "omega1", "omega2", "h", "b",
-                 "gradient_norm", "keff_coefficient", "energy"):
+                 "gradient_norm", "keff_coefficient", "energy", "kepler1", "kepler2"):
         assert getattr(rep, name) == getattr(ref, name), name
 
 
