@@ -363,15 +363,13 @@ def cmd_integrate(args) -> None:
                   + ["psi1", "psi2", "theta1", "theta2"]
                   + [f"p{i}" for i in range(1, 5)]
                   + ["p_psi1", "p_psi2", "p_theta1", "p_theta2"])
-    elif args.system == "full":
+    else:  # "full"
         field = dynamics.full_field(masses)
         z0 = reduction.full_to_array(
             reduction.lift_to_full(reduction.embed_reduced(red)))
         mons = dynamics.full_monitors(masses)
         labels = ([f"x1_{i}" for i in range(4)] + [f"x2_{i}" for i in range(4)]
                   + [f"y1_{i}" for i in range(4)] + [f"y2_{i}" for i in range(4)])
-    else:
-        raise ConfigError(f"unknown system {args.system!r}")
 
     rec = dynamics.integrate(field, z0, args.t_end, cfg, monitors=mons)
     report = (dynamics.compare_full_vs_reduced(masses, red, args.t_end, cfg)
@@ -486,6 +484,14 @@ def main(argv=None) -> int:
                     raise ConfigError(f"unknown config key {key!r}")
             sub.set_defaults(**file_vals)
             args = parser.parse_args(argv)
+            # argparse checks `choices` only for command-line text, not for
+            # the defaults a config file sets
+            for action in sub._actions:
+                if action.choices is not None and action.dest in file_vals:
+                    val = getattr(args, action.dest)
+                    if val not in action.choices:
+                        raise ConfigError(f"config {action.dest} = {val!r} is not one of "
+                                          f"{', '.join(action.choices)}")
         args.func(args)
     except CheckFailed as exc:
         print(exc, file=sys.stderr)

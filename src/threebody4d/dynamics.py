@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -64,6 +65,9 @@ class IntegratorConfig:
             raise ValueError("tolerances and steps must be positive, dt finite")
         if not self.monitor_every >= 1:
             raise ValueError(f"monitor_every must be >= 1, got {self.monitor_every}")
+        # a NaN or fractional limit would silently switch the step limit off
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 @dataclass
@@ -381,12 +385,17 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     and the record is returned with `domain_exit` set.  If `t_samples` is
     given, steps land exactly on those times (on top of adaptive control).
 
-    The midpoint rule starts each implicit solve from a cubic extrapolation
-    of the slopes of the last four steps of length dt, and raises
-    `NoConvergence` when a solve fails; `dopri` raises `StepSizeUnderflow`
-    when its step control collapses.  Both raise `StepLimitExceeded` when a
-    run needs more than `config.max_steps` steps; the midpoint rule does so
-    before its first step when t_end / dt alone exceeds the limit.
+    The midpoint rule starts each implicit solve from the polynomial
+    extrapolation of the slopes of up to six preceding steps of length dt
+    (the last slope after a landing step of another length, f(t, y) at the
+    first step).  A solve from a predicted slope that leaves the domain at
+    an iterate or does not converge is solved again from f(t, y); only a
+    domain error in that solve ends the run as a domain exit, and only its
+    failure to converge raises `NoConvergence` (see `_midpoint_step`).
+    `dopri` raises `StepSizeUnderflow` when its step control collapses.
+    Both raise `StepLimitExceeded` when a run needs more than
+    `config.max_steps` steps; the midpoint rule does so before its first
+    step when t_end / dt alone exceeds the limit.
     """
     y = np.asarray(start, dtype=float).copy()
     if not (np.all(np.isfinite(y)) and math.isfinite(t_end)):
@@ -425,8 +434,9 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                                     f"max_steps = {config.max_steps}")
         # converged midpoint slopes of the last steps, oldest first; `equal`
         # counts how many trailing ones come from consecutive steps of length
-        # h, the only ones the extrapolation may span
-        slopes = np.empty((4, y.size))
+        # h, the only ones the extrapolation may span; with none (a step of
+        # another length on either side), the solve starts from the last slope
+        slopes = np.empty((_PREDICTOR_SLOPES, y.size))
         equal = 0
         while t < t_end - 1e-15 * max(1.0, t_end):
             if n_steps == config.max_steps:
@@ -442,19 +452,18 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                 equal = 0
             if n_steps == 0:
                 k0 = None
-            elif equal == 4:
-                k0 = _EXTRAPOLATE @ slopes
             else:
-                k0 = slopes[3]
+                m = max(equal, 1)
+                k0 = _EXTRAPOLATE[m] @ slopes[-m:]
             try:
                 y, k = _midpoint_step(field, t, y, hs, k0)
             except _DomainHit as hit:
                 exit_reason, exit_time = hit.reason, t
                 break
-            slopes[:3] = slopes[1:]
-            slopes[3] = k
+            slopes[:-1] = slopes[1:]
+            slopes[-1] = k
             if hs == h:
-                equal = min(equal + 1, 4)
+                equal = min(equal + 1, _PREDICTOR_SLOPES)
             t = stop if land else t + hs
             n_steps += 1
             record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
@@ -535,33 +544,65 @@ def _bisect_exit(field, t, y, h, reason):
     return lo, reason
 
 
-# cubic extrapolation of four equally spaced slopes, oldest first, to the next
-_EXTRAPOLATE = np.array([-1.0, 4.0, -6.0, 4.0])
+# The midpoint predictor extrapolates the polynomial through the last m
+# equally spaced slopes, oldest first, to the next: weights (-1)^(m-1-j) C(m, j),
+# so that the m-th difference vanishes.  m = 1 is the last slope.  Past six
+# slopes (degree 5) fewer iterations no longer pay for the wider stencil,
+# which also amplifies the slopes' rounding by up to 2^m - 1 (the sum of the
+# absolute weights).
+_PREDICTOR_SLOPES = 6
+_EXTRAPOLATE = [None] + [np.array([(-1) ** (m - 1 - j) * math.comb(m, j) for j in range(m)],
+                                  dtype=float)
+                         for m in range(1, _PREDICTOR_SLOPES + 1)]
 
 
-def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
-    """One implicit midpoint step: (y + h k, k) with k = f(t + h/2, y + (h/2) k).
+def _midpoint_iterate(field, t, y, h, k, bound, max_iter):
+    """Fixed-point iteration k <- f(t + h/2, y + (h/2) k) from the slope `k`.
 
-    The slope k is found by fixed-point iteration from the predictor `k`, or
-    from f(t, y) when `k` is None.  It stops when successive iterates of the
-    new state differ by less than tol * (max|y| + 1), and raises
-    `NoConvergence` when that takes more than `max_iter` iterations or the
+    Returns the last slope and the last difference of successive iterates of
+    the new state, which is below `bound` when the iteration converged within
+    `max_iter` iterations; raises `NoConvergence` at once when the
     difference is not finite.
     """
-    if k is None:
-        k = _try_rhs(field, t, y)
     tm = t + 0.5 * h
     half = 0.5 * h
-    bound = tol * (float(abs(y).max()) + 1.0)
     for _ in range(max_iter):
         knew = _try_rhs(field, tm, y + half * k)
         delta = h * float(abs(knew - k).max())
         k = knew
         if delta < bound:
-            return y + h * k, k
+            break
         if not math.isfinite(delta):
             raise NoConvergence(f"implicit midpoint diverged at t = {t!r}: "
                                 f"iterate difference {delta!r}")
+    return k, delta
+
+
+def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
+    """One implicit midpoint step: (y + h k, k) with k = f(t + h/2, y + (h/2) k).
+
+    The slope k is found by fixed-point iteration from the predicted slope
+    `k`, or from f(t, y) when `k` is None.  It stops when successive iterates
+    of the new state differ by less than tol * (max|y| + 1).  When the
+    iteration from a predicted slope leaves the field's domain at an iterate,
+    or does not converge within `max_iter` iterations, the step is solved
+    again from f(t, y): a poor prediction can stray where the solution does
+    not.  Only a domain error in that solve is the trajectory's domain exit
+    (`_DomainHit`), and only its failure to converge raises `NoConvergence`;
+    a non-finite iterate difference raises `NoConvergence` at once.
+    """
+    # y holds no NaN, so Python's max sees every entry
+    bound = tol * (max(map(abs, y.tolist())) + 1.0)
+    if k is not None:
+        try:
+            k, delta = _midpoint_iterate(field, t, y, h, k, bound, max_iter)
+            if delta < bound:
+                return y + h * k, k
+        except _DomainHit:
+            pass
+    k, delta = _midpoint_iterate(field, t, y, h, _try_rhs(field, t, y), bound, max_iter)
+    if delta < bound:
+        return y + h * k, k
     raise NoConvergence(f"implicit midpoint did not converge at t = {t!r} in "
                         f"{max_iter} iterations: last iterate difference {delta!r}")
 

@@ -377,6 +377,28 @@ def test_config_keys_a_command_does_not_read_are_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, lines", [
+    ("scan", "isosceles = true\nn = 1\nt_grid = 0.1,0.2\nformat = xml\n"),
+    ("integrate", "t_end = 0.01\nformat = xml\n"),
+    ("integrate", "t_end = 0.01\nsystem = planar\n"),
+    ("integrate", "t_end = 0.01\nmethod = rk4\n"),
+])
+def test_config_values_outside_choices_are_refused(tmp_path, capsys, command, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "out.txt"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ConfigError: config ")
+    assert len(err.splitlines()) == 1 and "is not one of" in err
+    assert not out.exists()
+    # a flag on the command line still wins over the file value
+    if "format" in lines:
+        assert cli.main([command, "--config", str(cfg), "--format", "json",
+                         "--out", str(out)]) == 0
+        json.loads(out.read_text())
+
+
 def _readme_commands():
     """The `threebody4d` command lines of the README's sh block, continuations joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

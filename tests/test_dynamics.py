@@ -11,6 +11,7 @@ import pytest
 from threebody4d import dynamics, equilibria, model, reduction
 from threebody4d.errors import (
     DegenerateMomenta,
+    KineticDomainError,
     NoConvergence,
     StepLimitExceeded,
     StepSizeUnderflow,
@@ -329,6 +330,11 @@ def test_integrator_config_validation():
     for every in (0, -3):
         with pytest.raises(ValueError, match="monitor_every"):
             dynamics.IntegratorConfig(monitor_every=every)
+    # a NaN limit compares false with every step count, switching it off
+    for limit in (math.nan, 0, -1, 2.5):
+        with pytest.raises(ValueError, match="max_steps"):
+            dynamics.IntegratorConfig(max_steps=limit)
+    assert dynamics.IntegratorConfig(max_steps=np.int64(7)).max_steps == 7
     with pytest.raises(ValueError):
         dynamics.integrate(zero_field(2), np.zeros(2), 1.0,
                            dynamics.IntegratorConfig(method="rk4"))
@@ -422,7 +428,7 @@ def _oracle_deviation(field, rec):
     return worst
 
 
-def test_midpoint_predictor_matches_oracle_at_three_evaluations_per_step():
+def test_midpoint_predictor_matches_oracle_at_about_two_evaluations_per_step():
     field, z0, dt = _criterion_11_start()
     counted = itertools.count()
 
@@ -433,8 +439,84 @@ def test_midpoint_predictor_matches_oracle_at_three_evaluations_per_step():
     rec = dynamics.integrate(dynamics.VectorField(8, evaluate), z0, 300 * dt,
                              dynamics.IntegratorConfig(method="midpoint", dt=dt))
     assert rec.n_steps == 300 and len(rec.times) == 301
-    assert next(counted) <= 3.2 * rec.n_steps
+    # 613 evaluations, 2.04 per step, with six extrapolated slopes
+    assert next(counted) <= 2.1 * rec.n_steps
     assert _oracle_deviation(field, rec) < 1e-12
+
+
+@pytest.mark.parametrize("mu1, mu2, q, p, dt", [
+    (1.2083326941244694, 0.28993850131066673,
+     [-0.667843284495583, 0.8439320205228151, 0.8890204472068732, 0.9441313115063237],
+     [-0.14523773091474054, -0.3087039208529332, -0.27154180180566134,
+      -0.1759908156542992],
+     0.003392120946057813),
+    (1.0155223789598726, 0.1885977718545966,
+     [-1.0655870589212517, 1.0772661659628662, -1.280317050186798, -1.5883630901229335],
+     [0.11856642414546414, 0.0681714584209864, -0.1487166528726193,
+      -0.044528207493100276],
+     0.0007096532880122635),
+])
+def test_midpoint_iterate_outside_the_domain_is_no_domain_exit(mu1, mu2, q, p, dt):
+    # a dopri run at rel 1e-12 keeps max|L3| at 0.887 < mu1 - mu2 = 0.918 and
+    # 0.799 < 0.827; an iteration from the extrapolated slope leaves the
+    # kinetic domain on the way (at t = 0.556 and t = 0.919), the solve from
+    # f(t, y) does not
+    field = dynamics.reduced_field(MASSES, mu1, mu2)
+    rec = dynamics.integrate(field, np.array(q + p), 1.0,
+                             dynamics.IntegratorConfig(method="midpoint", dt=dt))
+    assert rec.domain_exit is None and rec.times[-1] == 1.0
+
+
+def test_midpoint_retries_a_predicted_solve_from_the_field_at_the_step_start():
+    field, z0, dt = _criterion_11_start()
+    called, refused = [], []
+
+    def evaluate(t, z):
+        called.append(t)
+        if t > 10.2 * dt and not refused:
+            refused.append(len(called) - 1)
+            raise KineticDomainError("iterate outside the domain")
+        return field.evaluate(t, z)
+
+    rec = dynamics.integrate(dynamics.VectorField(8, evaluate), z0, 300 * dt,
+                             dynamics.IntegratorConfig(method="midpoint", dt=dt))
+    assert rec.domain_exit is None and rec.n_steps == 300
+    # the refused evaluation is the first iterate of the eleventh step, at its
+    # midpoint; the solve then starts again from f(t, y) at the step's start
+    i = refused[0]
+    assert called[i] == rec.times[10] + 0.5 * dt and called[i - 1] < rec.times[10]
+    assert called[i + 1] == rec.times[10]
+    assert _oracle_deviation(field, rec) < 1e-12
+
+
+def test_midpoint_retries_an_unconverged_predicted_solve():
+    # dz/dt = -z at h = 1e-3: each iteration shrinks the error by h/2, so five
+    # iterations converge from f(t, y) but not from a slope 1e6 off
+    field = dynamics.VectorField(2, lambda t, z: -z)
+    y = np.array([1.0, -0.5])
+    solved = dynamics._midpoint_step(field, 0.0, y, 1e-3, None, max_iter=5)
+    retried = dynamics._midpoint_step(field, 0.0, y, 1e-3, -y + 1e6, max_iter=5)
+    assert all(np.array_equal(a, b) for a, b in zip(solved, retried))
+    with pytest.raises(NoConvergence, match="did not converge"):
+        dynamics._midpoint_step(field, 0.0, y, 1e-3, -y + 1e6, max_iter=2)
+
+
+def test_midpoint_domain_exit_when_the_solve_from_the_step_start_fails():
+    # dz/dt = 1 on z <= 1: from t = 1 on, every iterate of a step lies past
+    # the boundary, from the predicted slope and from f(t, y) alike
+    called = []
+
+    def evaluate(t, z):
+        called.append(t)
+        if z[0] > 1.0:
+            raise KineticDomainError("z past 1")
+        return np.ones(1)
+
+    rec = dynamics.integrate(dynamics.VectorField(1, evaluate), np.zeros(1), 2.0,
+                             dynamics.IntegratorConfig(method="midpoint", dt=0.1))
+    assert rec.domain_exit == "KineticDomainError: z past 1"
+    assert rec.exit_time == rec.times[-1] and abs(rec.exit_time - 1.0) < 1e-12
+    assert called[-2:] == [rec.exit_time, rec.exit_time + 0.05]
 
 
 def test_midpoint_lands_on_samples_off_the_grid():
