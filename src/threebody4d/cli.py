@@ -184,8 +184,6 @@ def check_invariant_set(rng, masses, mu1, mu2, n_points=5, n_steps=1000):
         t_end = 2.0
         rec = dynamics.integrate(field, z0, t_end, cfg,
                                  monitors=dynamics.partial_monitors(masses, mu1, mu2))
-        if rec.domain_exit:
-            continue
         for i in range(4):
             worst = max(worst, float(np.max(np.abs(rec.monitors[f"c{i + 1}"]))))
         worst = max(worst, float(np.max(np.abs(rec.monitors["p_theta1"] - mu1))))

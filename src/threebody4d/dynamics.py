@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     ChartSingular,
     CollisionError,
-    DegeneratePlane,
     KineticDomainError,
     NoConvergence,
     StepLimitExceeded,
@@ -35,7 +34,7 @@ from .model import (
 from . import reduction
 from .reduction import ReducedState
 
-DOMAIN_ERRORS = (CollisionError, ChartSingular, DegeneratePlane, KineticDomainError)
+DOMAIN_ERRORS = (CollisionError, ChartSingular, KineticDomainError)
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,6 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
     max_step: float = math.inf
     dt: float = 1e-3               # fixed step for the midpoint rule
-    first_step: Optional[float] = None
     max_steps: int = 10_000_000
     monitor_every: int = 1
 
@@ -333,28 +331,16 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _DP_E = _DP_B5 - _DP_B4
 
 
-class _DomainHit(Exception):
-    def __init__(self, reason):
-        self.reason = reason
-
-
-def _try_rhs(field, t, y):
-    try:
-        return field.evaluate(t, y)
-    except DOMAIN_ERRORS as exc:
-        raise _DomainHit(f"{type(exc).__name__}: {exc}") from exc
-
-
 def _dopri_step(field, t, y, h, k):
     """One Dormand-Prince step: (fifth-order state, local error estimate).
 
     `k` is a (7, dimension) array that receives the stages; exactly seven
     field evaluations per call.
     """
-    k[0] = _try_rhs(field, t, y)
+    k[0] = field.evaluate(t, y)
     for i in range(1, 7):
         yi = y + h * (_DP_A[i] @ k[:i])
-        k[i] = _try_rhs(field, t + _DP_C[i] * h, yi)
+        k[i] = field.evaluate(t + _DP_C[i] * h, yi)
     return yi, h * (_DP_E @ k)
 
 
@@ -380,10 +366,13 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     """Integrate dz/dt = field(t, z) from t = 0 to t_end.
 
     `monitors` maps names to callables fn(t, z) sampled together with the
-    states.  If the field raises a domain error (collision, chart failure,
-    kinetic boundary) the step size is bisected down to locate the boundary
-    and the record is returned with `domain_exit` set.  If `t_samples` is
-    given, steps land exactly on those times (on top of adaptive control).
+    states.  A domain error of the field (collision, chart failure, kinetic
+    boundary) ends the run as a domain exit: the record is returned with
+    `domain_exit` set to the error and `exit_time` to the last time reached.
+    `dopri` rejects a step with a stage outside the domain and shrinks it by
+    0.2; it exits when a step shorter than 1e-14 * max(1, |t|) still leaves
+    the domain.  If `t_samples` is given, steps land exactly on those times
+    (on top of adaptive control).
 
     The midpoint rule starts each implicit solve from the polynomial
     extrapolation of the slopes of up to six preceding steps of length dt
@@ -457,8 +446,8 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                 k0 = _EXTRAPOLATE[m] @ slopes[-m:]
             try:
                 y, k = _midpoint_step(field, t, y, hs, k0)
-            except _DomainHit as hit:
-                exit_reason, exit_time = hit.reason, t
+            except DOMAIN_ERRORS as exc:
+                exit_reason, exit_time = f"{type(exc).__name__}: {exc}", t
                 break
             slopes[:-1] = slopes[1:]
             slopes[-1] = k
@@ -468,8 +457,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             n_steps += 1
             record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
     elif config.method == "dopri":
-        h = config.first_step if config.first_step else min(config.max_step, t_end / 50.0)
-        h = max(h, 1e-12)
+        h = max(min(config.max_step, t_end / 50.0), 1e-12)
         stages = np.empty((7, y.size))
         ratio, work = np.empty(y.size), np.empty(y.size)
         while t < t_end - 1e-15 * max(1.0, t_end):
@@ -477,31 +465,31 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             h = min(h, config.max_step, stop - t)
             try:
                 ynew, err = _dopri_step(field, t, y, h, stages)
-            except _DomainHit as hit:
-                h_hit, reason = _bisect_exit(field, t, y, h, hit.reason)
-                if h_hit > 0.0:
-                    try:
-                        y, _ = _dopri_step(field, t, y, h_hit, stages)
-                        t += h_hit
-                    except _DomainHit:
-                        pass
-                exit_reason, exit_time = reason, t
-                break
-            enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol, ratio, work)
-            if not math.isfinite(enorm):
-                raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
-            if enorm <= 1.0:
-                t += h
-                y = ynew
-                n_steps += 1
-                record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
-            else:
+            except DOMAIN_ERRORS as exc:
+                # a stage outside the domain rejects the step, as an infinite
+                # error estimate would; the run exits where even a step below
+                # the floor leaves the domain
+                if h < 1e-14 * max(1.0, abs(t)):
+                    exit_reason, exit_time = f"{type(exc).__name__}: {exc}", t
+                    break
                 n_rejected += 1
-            fac = 0.9 * (enorm + 1e-300) ** -0.2
-            h *= min(5.0, max(0.2, fac))
-            h = min(h, config.max_step)
-            if enorm > 1.0 and h < 1e-14 * max(1.0, abs(t)):
-                raise StepSizeUnderflow(f"step size {h!r} underflows at t = {t!r}")
+                h *= 0.2
+            else:
+                enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol, ratio, work)
+                if not math.isfinite(enorm):
+                    raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
+                if enorm <= 1.0:
+                    t += h
+                    y = ynew
+                    n_steps += 1
+                    record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
+                else:
+                    n_rejected += 1
+                fac = 0.9 * (enorm + 1e-300) ** -0.2
+                h *= min(5.0, max(0.2, fac))
+                h = min(h, config.max_step)
+                if enorm > 1.0 and h < 1e-14 * max(1.0, abs(t)):
+                    raise StepSizeUnderflow(f"step size {h!r} underflows at t = {t!r}")
             if n_steps + n_rejected > config.max_steps:
                 raise StepLimitExceeded(f"dopri exceeded max_steps = {config.max_steps} "
                                         f"at t = {t!r}")
@@ -520,28 +508,6 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
         n_rejected=n_rejected,
     )
     return rec
-
-
-def _bisect_exit(field, t, y, h, reason):
-    """Largest sub-step from t that still evaluates; locates a domain boundary."""
-    try:
-        f0 = field.evaluate(t, y)
-    except DOMAIN_ERRORS as exc:
-        return 0.0, f"{type(exc).__name__}: {exc}"
-    lo, hi = 0.0, h
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0:
-            break
-        try:
-            field.evaluate(t + mid, y + mid * f0)
-            lo = mid
-        except DOMAIN_ERRORS as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            hi = mid
-        if hi - lo < 1e-14 * max(h, 1.0):
-            break
-    return lo, reason
 
 
 # The midpoint predictor extrapolates the polynomial through the last m
@@ -567,7 +533,7 @@ def _midpoint_iterate(field, t, y, h, k, bound, max_iter):
     tm = t + 0.5 * h
     half = 0.5 * h
     for _ in range(max_iter):
-        knew = _try_rhs(field, tm, y + half * k)
+        knew = field.evaluate(tm, y + half * k)
         delta = h * float(abs(knew - k).max())
         k = knew
         if delta < bound:
@@ -587,8 +553,8 @@ def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
     iteration from a predicted slope leaves the field's domain at an iterate,
     or does not converge within `max_iter` iterations, the step is solved
     again from f(t, y): a poor prediction can stray where the solution does
-    not.  Only a domain error in that solve is the trajectory's domain exit
-    (`_DomainHit`), and only its failure to converge raises `NoConvergence`;
+    not.  Only a domain error in that solve propagates, as the trajectory's
+    domain exit, and only its failure to converge raises `NoConvergence`;
     a non-finite iterate difference raises `NoConvergence` at once.
     """
     # y holds no NaN, so Python's max sees every entry
@@ -598,9 +564,9 @@ def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
             k, delta = _midpoint_iterate(field, t, y, h, k, bound, max_iter)
             if delta < bound:
                 return y + h * k, k
-        except _DomainHit:
+        except DOMAIN_ERRORS:
             pass
-    k, delta = _midpoint_iterate(field, t, y, h, _try_rhs(field, t, y), bound, max_iter)
+    k, delta = _midpoint_iterate(field, t, y, h, field.evaluate(t, y), bound, max_iter)
     if delta < bound:
         return y + h * k, k
     raise NoConvergence(f"implicit midpoint did not converge at t = {t!r} in "

@@ -146,14 +146,6 @@ class AngularMomentum:
     mu1: float
     mu2: float
 
-    @property
-    def pfaffian(self) -> float:
-        return pfaffian4(self.matrix)
-
-    @property
-    def trace_square(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix))
-
 
 def jacobi_from_positions(masses: MassTriple, r1, r2, r3, v1, v2, v3) -> FullState:
     """Jacobi vectors and conjugate momenta from raw positions/velocities.

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threebody4d import cli
+from threebody4d import cli, dynamics, model
 
 from conftest import singular_newton_system
 
@@ -33,6 +33,23 @@ def test_verify_invariant_suite(tmp_path):
     code, text = run(tmp_path, "verify", "--checks", "invariant")
     assert code == 0
     assert "invariant" in text and "PASS" in text
+
+
+def test_verify_invariant_checks_runs_that_exit(monkeypatch):
+    # every run ends in a domain exit; the monitors up to the exit still count
+    def exiting(field, z0, t_end, cfg, monitors=None):
+        mons = {name: np.zeros(2) for name in monitors}
+        mons["c1"] = np.array([0.0, 1.0])
+        mons["p_theta1"] = np.full(2, 1.3)
+        mons["p_theta2"] = np.full(2, 0.4)
+        return dynamics.TrajectoryRecord(times=np.array([0.0, 0.1]),
+                                         states=np.zeros((2, z0.size)), monitors=mons,
+                                         domain_exit="CollisionError: test", exit_time=0.1)
+
+    monkeypatch.setattr(dynamics, "integrate", exiting)
+    worst = cli.check_invariant_set(np.random.default_rng(0), model.MassTriple(1.0, 2.0, 3.0),
+                                    1.3, 0.4)
+    assert worst == 1.0
 
 
 def test_verify_degenerate_momenta_refused(tmp_path, capsys):

@@ -10,6 +10,8 @@ import pytest
 
 from threebody4d import dynamics, equilibria, model, reduction
 from threebody4d.errors import (
+    ChartSingular,
+    CollisionError,
     DegenerateMomenta,
     KineticDomainError,
     NoConvergence,
@@ -169,6 +171,51 @@ def test_domain_exit_on_collision_course():
     assert rec.exit_time is not None and 0 < rec.exit_time < 10.0
     assert len(rec.times) > 10  # partial trajectory retained
     assert rec.states[-1][0] < 0.01  # binary separation collapsed
+
+
+def _parabola_field():
+    """x' = 1, y' = x on the domain y <= 1/2: from 0, y = t^2/2 leaves it at t = 1."""
+    def evaluate(t, z):
+        if z[1] > 0.5:
+            raise KineticDomainError("y past 1/2")
+        return np.array([1.0, z[0]])
+    return dynamics.VectorField(2, evaluate)
+
+
+@pytest.mark.parametrize("cfg", [dynamics.IntegratorConfig(),
+                                 dynamics.IntegratorConfig(rel_tol=1e-6),
+                                 dynamics.IntegratorConfig(max_step=0.3)],
+                         ids=["default", "rel_tol", "max_step"])
+def test_dopri_exits_where_the_flow_leaves_the_domain(cfg):
+    rec = dynamics.integrate(_parabola_field(), np.zeros(2), 2.0, cfg)
+    assert rec.domain_exit == "KineticDomainError: y past 1/2"
+    assert abs(rec.exit_time - 1.0) < 1e-12
+    assert rec.times[-1] == rec.exit_time and rec.states[-1][1] <= 0.5
+
+
+def test_dopri_step_too_long_for_the_domain_is_no_exit():
+    # a rotation on the disc |z|^2 <= 1.001: the orbit from (1, 0) stays
+    # inside, the stages of a long step do not
+    def evaluate(t, z):
+        if z[0] * z[0] + z[1] * z[1] > 1.001:
+            raise ChartSingular("outside the disc")
+        return np.array([-z[1], z[0]])
+
+    rec = dynamics.integrate(dynamics.VectorField(2, evaluate), np.array([1.0, 0.0]),
+                             2 * math.pi, dynamics.IntegratorConfig(rel_tol=1e-6))
+    assert rec.domain_exit is None and rec.n_rejected > 0
+    assert np.max(np.abs(rec.states[-1] - [1.0, 0.0])) < 1e-6
+
+
+def test_dopri_exit_at_the_start():
+    def evaluate(t, z):
+        raise CollisionError("at the start")
+
+    rec = dynamics.integrate(dynamics.VectorField(1, evaluate), np.zeros(1), 1.0,
+                             dynamics.IntegratorConfig())
+    assert rec.domain_exit == "CollisionError: at the start"
+    assert rec.exit_time == 0.0
+    assert rec.times.tolist() == [0.0] and rec.n_steps == 0
 
 
 def test_sample_times_are_hit():
@@ -391,8 +438,8 @@ def test_dopri_takes_seven_evaluations_per_attempted_step():
 
     red = random_reduced_state(np.random.default_rng(4), MU1, MU2)
     z0 = reduction.partial_to_array(reduction.embed_reduced(red))
-    cfg = dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13, first_step=0.05)
-    rec = dynamics.integrate(dynamics.VectorField(16, evaluate), z0, 0.12, cfg)
+    cfg = dynamics.IntegratorConfig(rel_tol=1e-11, abs_tol=1e-13)
+    rec = dynamics.integrate(dynamics.VectorField(16, evaluate), z0, 1.0, cfg)
     assert rec.domain_exit is None and rec.n_rejected > 0
     assert next(counted) == 7 * (rec.n_steps + rec.n_rejected)
 
