@@ -27,9 +27,11 @@ from .errors import (
 )
 from .model import (
     MassTriple,
+    angular_momentum_components,
     check_scalar_products,
     potential_constants,
     potential_partials,
+    spectral_pair_components,
 )
 from . import reduction
 from .reduction import ReducedState
@@ -655,12 +657,11 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
     """Integrate the 16-dim translation-reduced system and the 8-dim reduced
     system from the same embedded start and report the maximal deviation.
 
-    The full trajectory is projected back through the chart at sample times;
-    the projection is aligned to the reduced reference over the discrete
-    chart symmetries before measuring the (q, p) deviation.
+    The full trajectory is projected back through the chart at sample times
+    (`reduction.inverse_chart`, on plain floats); the projection is aligned
+    to the reduced reference over the discrete chart symmetries
+    (`reduction.aligned_deviation`) before measuring the (q, p) deviation.
     """
-    from .model import angular_momentum
-
     part0 = reduction.embed_reduced(reduced_start)
     z_full0 = reduction.full_to_array(reduction.lift_to_full(part0))
     z_red0 = np.concatenate([reduced_start.q, reduced_start.p])
@@ -675,31 +676,28 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
                                 qp_deviation=np.array([]),
                                 domain_exit=rec_full.domain_exit or rec_red.domain_exit)
 
-    am0 = angular_momentum(reduction.array_to_full(z_full0))
-    mu10, mu20 = am0.mu1, am0.mu2
+    def spectral_pair(z):
+        return spectral_pair_components(angular_momentum_components(z))
+
+    mu10, mu20 = spectral_pair(z_full0.tolist())
+    residual = reduction.partial_values_kernel(None, mu10, abs(mu20))
+    # the recorded step nearest to each sample time, for both runs at once
+    kfs = np.abs(np.subtract.outer(samples, rec_full.times)).argmin(axis=1).tolist()
+    krs = np.abs(np.subtract.outer(samples, rec_red.times)).argmin(axis=1).tolist()
 
     devs = []
     max_res = 0.0
     max_mu = 0.0
     times_out = []
-    for ts in samples:
-        kf = int(np.argmin(np.abs(rec_full.times - ts)))
-        kr = int(np.argmin(np.abs(rec_red.times - ts)))
+    for ts, kf, kr in zip(samples.tolist(), kfs, krs):
         if abs(rec_full.times[kf] - ts) > 1e-9 or abs(rec_red.times[kr] - ts) > 1e-9:
             continue
-        zf = rec_full.states[kf]
-        zr = rec_red.states[kr]
-        full = reduction.array_to_full(zf)
-        proj = reduction.project_to_partial(full)
-        best = math.inf
-        for img in reduction.chart_images(proj):
-            d = max(np.max(np.abs(img.q - zr[0:4])), np.max(np.abs(img.p - zr[4:8])))
-            best = min(best, d)
-        devs.append(best)
-        res = reduction.invariant_set_residual(proj, mu10, abs(mu20))
-        max_res = max(max_res, float(np.max(np.abs(res))))
-        am = angular_momentum(full)
-        max_mu = max(max_mu, abs(am.mu1 - mu10), abs(am.mu2 - mu20))
+        zf = rec_full.states[kf].tolist()
+        values = reduction.inverse_chart(zf)
+        devs.append(reduction.aligned_deviation(values, rec_red.states[kr].tolist()))
+        max_res = max(max_res, *map(abs, residual(values)[1:]))
+        mu1, mu2 = spectral_pair(zf)
+        max_mu = max(max_mu, abs(mu1 - mu10), abs(mu2 - mu20))
         times_out.append(ts)
     return ComparisonReport(
         times=np.array(times_out),

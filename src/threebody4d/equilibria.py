@@ -18,6 +18,7 @@ diag(1/nu) + 2*c2_comb * (dL3/dp)(dL3/dp)^t.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -814,6 +815,8 @@ def _general_scan_point(args) -> ScanRow:
 
 
 def _run_scan(point_fn, jobs, workers: int) -> list:
+    # a process beyond one per grid point or per CPU only costs its start-up
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
@@ -826,7 +829,8 @@ def isosceles_scan(n: float, t_grid, workers: int = 1) -> ScanTable:
 
     Per-point failures are recorded in the row and the scan continues; grid
     points are pure and independent, so `workers > 1` fans them out over a
-    process pool (ordering and output are identical either way).  A bad mass
+    process pool of at most one process per grid point and per CPU
+    (ordering and output are identical either way).  A bad mass
     ratio `n` is shared by every point, so it raises ValueError at once.
     """
     _check_mass_ratio(n)

@@ -265,24 +265,41 @@ def pfaffian4(l: np.ndarray) -> float:
     return float(l[0, 1] * l[2, 3] - l[0, 2] * l[1, 3] + l[0, 3] * l[1, 2])
 
 
-def spectral_pair(l: np.ndarray) -> tuple[float, float]:
-    """(mu1, mu2) from tr L^2 and Pf L, solving the quadratic in mu^2.
+def angular_momentum_components(z) -> tuple:
+    """(L12, L13, L14, L23, L24, L34) of L = x1 ^ y1 + x2 ^ y2 on plain floats.
 
-    mu1 >= |mu2| >= 0 and sign(mu2) = sign(Pf L), so that both invariants
-    Pf L = mu1 mu2 and tr L^2 = -2(mu1^2 + mu2^2) are reproduced exactly.
+    `z` holds the 16 floats (x1, x2, y1, y2) of `reduction.full_to_array`;
+    each component is rounded as in the entry of `angular_momentum`'s matrix.
     """
-    pf = pfaffian4(l)
-    ssum = -0.5 * float(np.trace(l @ l))  # mu1^2 + mu2^2
-    ssum = max(ssum, 0.0)
-    disc = max(ssum * ssum - 4.0 * pf * pf, 0.0)
-    root = math.sqrt(disc)
-    z1 = 0.5 * (ssum + root)
-    z2 = 0.5 * (ssum - root)
-    mu1 = math.sqrt(max(z1, 0.0))
-    mu2 = math.sqrt(max(z2, 0.0))
-    if pf < 0.0:
-        mu2 = -mu2
-    return mu1, mu2
+    (a0, a1, a2, a3, b0, b1, b2, b3,
+     u0, u1, u2, u3, v0, v1, v2, v3) = z
+    return ((a0 * u1 - u0 * a1) + (b0 * v1 - v0 * b1),
+            (a0 * u2 - u0 * a2) + (b0 * v2 - v0 * b2),
+            (a0 * u3 - u0 * a3) + (b0 * v3 - v0 * b3),
+            (a1 * u2 - u1 * a2) + (b1 * v2 - v1 * b2),
+            (a1 * u3 - u1 * a3) + (b1 * v3 - v1 * b3),
+            (a2 * u3 - u2 * a3) + (b2 * v3 - v2 * b3))
+
+
+def spectral_pair_components(l) -> tuple[float, float]:
+    """(mu1, mu2) from the six components (L12, L13, L14, L23, L24, L34).
+
+    Solves the quadratic in mu^2 given by tr L^2 = -2(mu1^2 + mu2^2) and
+    Pf L = mu1 mu2, with mu1 >= |mu2| >= 0 and sign(mu2) = sign(Pf L), so
+    that both invariants are reproduced exactly.
+    """
+    l12, l13, l14, l23, l24, l34 = l
+    pf = l12 * l34 - l13 * l24 + l14 * l23
+    ssum = l12 * l12 + l13 * l13 + l14 * l14 + l23 * l23 + l24 * l24 + l34 * l34
+    root = math.sqrt(max(ssum * ssum - 4.0 * pf * pf, 0.0))
+    mu1 = math.sqrt(0.5 * (ssum + root))
+    mu2 = math.sqrt(max(0.5 * (ssum - root), 0.0))
+    return mu1, (-mu2 if pf < 0.0 else mu2)
+
+
+def spectral_pair(l: np.ndarray) -> tuple[float, float]:
+    """(mu1, mu2) of a 4x4 antisymmetric matrix; see `spectral_pair_components`."""
+    return spectral_pair_components(l[[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]].tolist())
 
 
 def angular_momentum(state: FullState) -> AngularMomentum:

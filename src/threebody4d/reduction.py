@@ -37,11 +37,11 @@ from .model import (
     FullState,
     MassTriple,
     ScalarProducts,
+    angular_momentum_components,
     check_scalar_products,
     potential_constants,
     potential_derivatives,
     potential_partials,
-    wedge,
 )
 
 # chart-validity floors
@@ -159,10 +159,6 @@ def rotation_matrix(angles: RotationAngles) -> np.ndarray:
             @ plane_rotation(2, 3, angles.theta2)
             @ plane_rotation(0, 2, angles.psi1)
             @ plane_rotation(1, 3, angles.psi2))
-
-
-def theta_rotation(angles: RotationAngles) -> np.ndarray:
-    return plane_rotation(0, 1, angles.theta1) @ plane_rotation(2, 3, angles.theta2)
 
 
 def _bc_coefficients(q, l3, p_theta, psi1, psi2):
@@ -291,59 +287,77 @@ def array_to_full(z: np.ndarray) -> FullState:
     return FullState(z[0:4], z[4:8], z[8:12], z[12:16])
 
 
-def project_to_partial(state: FullState) -> PartialState:
-    """Inverse chart: recover (q, p, angles, conjugate momenta) from (x, y).
+def inverse_chart(z) -> list:
+    """Inverse chart on plain floats: (x1, x2, y1, y2) -> the 16 chart values.
 
-    The angles come from a rotation-only SVD of the 2x2 block ratio of the
-    configuration and the q from undoing the rotations.  The conjugate
-    momenta follow from exact identities: p = first components of M^t y,
+    `z` holds the 16 floats of `full_to_array`; the values come back in the
+    order of `partial_to_array`.  With R(t) = [[cos t, sin t], [-sin t, cos t]]
+    (the convention of the elementary rotations), the block ratio of the
+    configuration is G = -pbot ptop^-1 = R(theta2) diag(tan psi1, tan psi2)
+    R(-theta1), a rotation-only SVD taken in closed form (Blinn, IEEE CG&A
+    1996) with tan psi1 >= |tan psi2| and tan psi2 of the sign of det G.  The
+    q are the rows of R(-theta1) ptop divided by cos psi, and the momenta
+    follow from exact identities: p = first components of M^t y,
     p_theta = -(L_12, L_34) and p_psi = -(Lhat_13, Lhat_24) with
-    Lhat = M_theta^t L M_theta.  The returned point is one of the finitely
-    many chart preimages; `lift_to_full` maps it back onto `state`.
+    Lhat = M_theta^t L M_theta.  The result is one of the finitely many chart
+    preimages; `lift_to_full` maps it back onto the state.
     """
-    ptop = np.column_stack([state.x1[0:2], state.x2[0:2]])
-    pbot = np.column_stack([state.x1[2:4], state.x2[2:4]])
-    gram = wedge(state.x1, state.x2)
-    scale = float(np.linalg.norm(state.x1) * np.linalg.norm(state.x2))
-    if np.max(np.abs(gram)) < AREA_TOL * max(scale, 1e-30):
+    (a0, a1, a2, a3, b0, b1, b2, b3,
+     u0, u1, u2, u3, v0, v1, v2, v3) = z
+    # the plane x1 ^ x2 in its components w_ij = x1_i x2_j - x1_j x2_i
+    w01 = a0 * b1 - a1 * b0
+    w02 = a0 * b2 - a2 * b0
+    w03 = a0 * b3 - a3 * b0
+    w12 = a1 * b2 - a2 * b1
+    w13 = a1 * b3 - a3 * b1
+    w23 = a2 * b3 - a3 * b2
+    floor = AREA_TOL * max(math.sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3)
+                           * math.sqrt(b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3), 1e-30)
+    if max(abs(w01), abs(w02), abs(w03), abs(w12), abs(w13), abs(w23)) < floor:
         raise DegeneratePlane("x1 and x2 are collinear (A = 0)")
-    if abs(np.linalg.det(ptop)) < AREA_TOL * max(scale, 1e-30):
+    if abs(w01) < floor:
         raise ChartSingular("configuration orthogonal to the (1,2)-plane")
-    # with R(t) = [[cos t, sin t], [-sin t, cos t]] (the convention of the
-    # elementary rotations): -G = R(theta2) diag(tan psi1, tan psi2) R(-theta1)
-    g = -pbot @ np.linalg.inv(ptop)
-    uu, sv, vt = np.linalg.svd(g)
-    d = sv.copy()
-    if np.linalg.det(uu) < 0:
-        uu[:, 1] *= -1.0
-        d[1] *= -1.0
-    if np.linalg.det(vt) < 0:
-        vt[1, :] *= -1.0
-        d[1] *= -1.0
-    theta2 = math.atan2(uu[0, 1], uu[0, 0])
-    theta1 = math.atan2(vt[1, 0], vt[0, 0])  # vt = R(-theta1)
-    psi1 = math.atan(d[0])
-    psi2 = math.atan(d[1])
-    ang = RotationAngles(psi1, psi2, theta1, theta2)
-    cinv = np.diag([1.0 / math.cos(psi1), 1.0 / math.cos(psi2)])
-    rm1 = np.array([[math.cos(theta1), -math.sin(theta1)],
-                    [math.sin(theta1), math.cos(theta1)]])  # R(-theta1)
-    qmat = cinv @ rm1 @ ptop
-    q = np.array([qmat[0, 0], qmat[1, 0], qmat[0, 1], qmat[1, 1]])
-    area = 0.5 * (q[0] * q[3] - q[1] * q[2])
-    if abs(area) < AREA_TOL:
+    # G = [[w12, -w02], [w13, -w03]] / w01 split into a rotation part (e, h)
+    # and a reflection part (f, g) gives G = R(theta2) diag(tan1, tan2) R(-theta1)
+    e = 0.5 * (w12 - w03) / w01
+    f = 0.5 * (w12 + w03) / w01
+    g = 0.5 * (w13 - w02) / w01
+    h = 0.5 * (w13 + w02) / w01
+    qq, rr = math.hypot(e, h), math.hypot(f, g)
+    tan1, tan2 = qq + rr, qq - rr
+    ang1, ang2 = math.atan2(g, f), math.atan2(h, e)
+    theta1 = 0.5 * (ang2 - ang1)
+    theta2 = -0.5 * (ang2 + ang1)
+    ct1, st1 = math.cos(theta1), math.sin(theta1)
+    ct2, st2 = math.cos(theta2), math.sin(theta2)
+    sec1, sec2 = math.hypot(1.0, tan1), math.hypot(1.0, tan2)
+    cp1, sp1 = 1.0 / sec1, tan1 / sec1
+    cp2, sp2 = 1.0 / sec2, tan2 / sec2
+    q1 = (ct1 * a0 - st1 * a1) * sec1
+    q2 = (st1 * a0 + ct1 * a1) * sec2
+    q3 = (ct1 * b0 - st1 * b1) * sec1
+    q4 = (st1 * b0 + ct1 * b1) * sec2
+    if abs(0.5 * (q1 * q4 - q2 * q3)) < AREA_TOL:
         raise DegeneratePlane("recovered chart point has A = 0")
 
-    m = rotation_matrix(ang)
-    yh1 = m.T @ state.y1
-    yh2 = m.T @ state.y2
-    p = np.array([yh1[0], yh1[1], yh2[0], yh2[1]])
-    lmat = wedge(state.x1, state.y1) + wedge(state.x2, state.y2)
-    mth = theta_rotation(ang)
-    lhat = mth.T @ lmat @ mth
-    p_theta = np.array([-lmat[0, 1], -lmat[2, 3]])
-    p_psi = np.array([-lhat[0, 2], -lhat[1, 3]])
-    return PartialState(q=q, p=p, angles=ang, p_psi=p_psi, p_theta=p_theta)
+    def momenta(y0, y1, y2, y3):
+        # the first two components of M_psi^t M_theta^t y
+        r0, r1 = ct1 * y0 - st1 * y1, st1 * y0 + ct1 * y1
+        r2, r3 = ct2 * y2 - st2 * y3, st2 * y2 + ct2 * y3
+        return cp1 * r0 - sp1 * r2, cp2 * r1 - sp2 * r3
+
+    p1, p2 = momenta(u0, u1, u2, u3)
+    p3, p4 = momenta(v0, v1, v2, v3)
+    l12, l13, l14, l23, l24, l34 = angular_momentum_components(z)
+    pp1 = -(ct1 * ct2 * l13 - ct1 * st2 * l14 - st1 * ct2 * l23 + st1 * st2 * l24)
+    pp2 = -(st1 * st2 * l13 + st1 * ct2 * l14 + ct1 * st2 * l23 + ct1 * ct2 * l24)
+    return [q1, q2, q3, q4, math.atan(tan1), math.atan(tan2), theta1, theta2,
+            p1, p2, p3, p4, pp1, pp2, -l12, -l34]
+
+
+def project_to_partial(state: FullState) -> PartialState:
+    """Inverse chart: the chart point of `inverse_chart` as a PartialState."""
+    return array_to_partial(inverse_chart(full_to_array(state).tolist()))
 
 
 def chart_images(partial: PartialState) -> list[PartialState]:
@@ -377,6 +391,24 @@ def chart_images(partial: PartialState) -> list[PartialState]:
                                         p_psi=partial.p_psi.copy(),
                                         p_theta=partial.p_theta.copy()))
     return out
+
+
+def aligned_deviation(values, qp) -> float:
+    """min over the `chart_images` of `values` of max |(q, p) - qp|, on floats.
+
+    `values` are 16 chart values in the order of `partial_to_array` and `qp`
+    the 8 floats (q, p).  The eight images carry four sign patterns: one sign
+    on the columns (q1, q3, p1, p3), flipped by psi1 + pi, and one on
+    (q2, q4, p2, p4), flipped by psi2 + pi (theta + pi flips both).  So the
+    minimum is the larger of the two column groups' minima over their sign,
+    and it needs no image.
+    """
+    worst = 0.0
+    for pairs in (((0, 0), (2, 2), (8, 4), (10, 6)), ((1, 1), (3, 3), (9, 5), (11, 7))):
+        same = max(abs(values[i] - qp[j]) for i, j in pairs)
+        flipped = max(abs(values[i] + qp[j]) for i, j in pairs)
+        worst = max(worst, min(same, flipped))
+    return worst
 
 
 def kinetic_tilde(qi: float, qj: float, b: float, c: float, pp1: float,

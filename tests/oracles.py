@@ -4,11 +4,12 @@ These are the straightforward numpy forms of the mutual distances, the
 potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
 partial Hamiltonian and the invariant-set residual, the partial/full
-monitors, the CSV rows of a trajectory, the step-control error norm, and
-the float equilibrium Newton with its report: one small array per term, a
-fresh decoding of the phase point for every monitor, and one eigvalsh call
-per Hessian block.  They are slower than the library versions and exist
-only so the tests can check that the fast forms compute the same numbers.
+monitors, the inverse chart, the CSV rows of a trajectory, the step-control
+error norm, and the float equilibrium Newton with its report: one small
+array per term, a fresh decoding of the phase point for every monitor, one
+eigvalsh call per Hessian block, and one svd call per inverse chart.  They
+are slower than the library versions and exist only so the tests can check
+that the fast forms compute the same numbers.
 """
 
 import math
@@ -16,8 +17,8 @@ import math
 import numpy as np
 
 from threebody4d import equilibria, model, reduction
-from threebody4d.errors import (ChartSingular, CollisionError, KineticDomainError,
-                               NoConvergence)
+from threebody4d.errors import (ChartSingular, CollisionError, DegeneratePlane,
+                               KineticDomainError, NoConvergence)
 from threebody4d.model import MassTriple, ScalarProducts
 
 
@@ -293,6 +294,59 @@ def full_monitors(masses: MassTriple) -> dict:
         return model.angular_momentum(reduction.array_to_full(z)).mu2
 
     return {"H": ham, "mu1": mu1, "mu2": mu2}
+
+
+def theta_rotation(angles: reduction.RotationAngles) -> np.ndarray:
+    """M_theta = exp(B12 theta1) exp(B34 theta2)."""
+    return (reduction.plane_rotation(0, 1, angles.theta1)
+            @ reduction.plane_rotation(2, 3, angles.theta2))
+
+
+def project_to_partial(state: model.FullState) -> reduction.PartialState:
+    """The inverse chart on numpy 2x2 and 4x4 matrices, with `np.linalg.svd`."""
+    ptop = np.column_stack([state.x1[0:2], state.x2[0:2]])
+    pbot = np.column_stack([state.x1[2:4], state.x2[2:4]])
+    gram = model.wedge(state.x1, state.x2)
+    scale = float(np.linalg.norm(state.x1) * np.linalg.norm(state.x2))
+    if np.max(np.abs(gram)) < reduction.AREA_TOL * max(scale, 1e-30):
+        raise DegeneratePlane("x1 and x2 are collinear (A = 0)")
+    if abs(np.linalg.det(ptop)) < reduction.AREA_TOL * max(scale, 1e-30):
+        raise ChartSingular("configuration orthogonal to the (1,2)-plane")
+    # with R(t) = [[cos t, sin t], [-sin t, cos t]]:
+    # g = R(theta2) diag(tan psi1, tan psi2) R(-theta1)
+    g = -pbot @ np.linalg.inv(ptop)
+    uu, sv, vt = np.linalg.svd(g)
+    d = sv.copy()
+    if np.linalg.det(uu) < 0:
+        uu[:, 1] *= -1.0
+        d[1] *= -1.0
+    if np.linalg.det(vt) < 0:
+        vt[1, :] *= -1.0
+        d[1] *= -1.0
+    theta2 = math.atan2(uu[0, 1], uu[0, 0])
+    theta1 = math.atan2(vt[1, 0], vt[0, 0])  # vt = R(-theta1)
+    psi1 = math.atan(d[0])
+    psi2 = math.atan(d[1])
+    ang = reduction.RotationAngles(psi1, psi2, theta1, theta2)
+    cinv = np.diag([1.0 / math.cos(psi1), 1.0 / math.cos(psi2)])
+    rm1 = np.array([[math.cos(theta1), -math.sin(theta1)],
+                    [math.sin(theta1), math.cos(theta1)]])  # R(-theta1)
+    qmat = cinv @ rm1 @ ptop
+    q = np.array([qmat[0, 0], qmat[1, 0], qmat[0, 1], qmat[1, 1]])
+    area = 0.5 * (q[0] * q[3] - q[1] * q[2])
+    if abs(area) < reduction.AREA_TOL:
+        raise DegeneratePlane("recovered chart point has A = 0")
+
+    m = reduction.rotation_matrix(ang)
+    yh1 = m.T @ state.y1
+    yh2 = m.T @ state.y2
+    p = np.array([yh1[0], yh1[1], yh2[0], yh2[1]])
+    lmat = model.wedge(state.x1, state.y1) + model.wedge(state.x2, state.y2)
+    mth = theta_rotation(ang)
+    lhat = mth.T @ lmat @ mth
+    p_theta = np.array([-lmat[0, 1], -lmat[2, 3]])
+    p_psi = np.array([-lhat[0, 2], -lhat[1, 3]])
+    return reduction.PartialState(q=q, p=p, angles=ang, p_psi=p_psi, p_theta=p_theta)
 
 
 def midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):

@@ -1,6 +1,6 @@
 """The float gradient kernels, the partial Hamiltonian/residual kernel, the
-shared-decoding monitors and the equilibrium solver's kernels against the
-reference forms in `oracles.py`."""
+shared-decoding monitors, the inverse chart and the equilibrium solver's
+kernels against the reference forms in `oracles.py`."""
 
 import math
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from threebody4d import dynamics, equilibria, model, reduction
-from threebody4d.errors import NoConvergence
+from threebody4d.errors import ChartSingular, NoConvergence
 
 import oracles
 from conftest import (gradient_partial, random_chart_point, random_full_state,
@@ -227,6 +227,131 @@ def test_full_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
         values = {name: fn(0.1 * k, z) for name, fn in fast.items()}
         assert len(calls) == 1
         assert values == {name: fn(0.1 * k, z) for name, fn in ref.items()}
+
+
+# --- the inverse chart and the comparison's alignment ----------------------------
+
+signed_psi_pair = st.tuples(psi_pair, st.sampled_from((-1.0, 1.0)),
+                            st.sampled_from((-1.0, 1.0))).map(
+    lambda a: (a[1] * a[0][0], a[2] * a[0][1]))
+
+
+def _chart_distance(values, part):
+    """max |values - part| over the 16 chart values, the angles compared mod 2 pi."""
+    diff = np.array(values) - reduction.partial_to_array(part)
+    diff[4:8] = (diff[4:8] + math.pi) % (2.0 * math.pi) - math.pi
+    return float(np.max(np.abs(diff)))
+
+
+def test_inverse_chart_equals_oracle_up_to_chart_images():
+    rng = np.random.default_rng(30)
+    for k in range(200):
+        part = random_chart_point(rng)
+        if k % 2:  # negative and mixed-sign psi
+            sgn = rng.choice([-1.0, 1.0], size=2)
+            ang = part.angles
+            part = reduction.PartialState(
+                q=part.q, p=part.p, p_psi=part.p_psi, p_theta=part.p_theta,
+                angles=reduction.RotationAngles(sgn[0] * ang.psi1, sgn[1] * ang.psi2,
+                                                ang.theta1, ang.theta2))
+        full = reduction.lift_to_full(part)
+        values = reduction.inverse_chart(reduction.full_to_array(full).tolist())
+        ref = oracles.project_to_partial(full)
+        scale = max(1.0, float(np.max(np.abs(reduction.partial_to_array(ref)))))
+        assert min(_chart_distance(values, img)
+                   for img in reduction.chart_images(ref)) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(q=chart_q, p=momenta, psi=signed_psi_pair, theta=st.tuples(angle, angle),
+       pp=p_psi, pt=p_theta)
+def test_inverse_chart_round_trip(q, p, psi, theta, pp, pt):
+    part = reduction.PartialState(q=q, p=p,
+                                  angles=reduction.RotationAngles(*psi, *theta),
+                                  p_psi=pp, p_theta=pt)
+    full = reduction.full_to_array(reduction.lift_to_full(part))
+    values = reduction.inverse_chart(full.tolist())
+    back = reduction.full_to_array(reduction.lift_to_full(reduction.array_to_partial(values)))
+    assert float(np.max(np.abs(back - full))) <= 1e-12 * float(np.max(np.abs(full)))
+
+
+def test_aligned_deviation_equals_min_over_chart_images():
+    rng = np.random.default_rng(31)
+    for k in range(200):
+        full = reduction.lift_to_full(random_chart_point(rng))
+        values = reduction.inverse_chart(reduction.full_to_array(full).tolist())
+        part = reduction.array_to_partial(values)
+        if k % 2:
+            red = random_reduced_state(rng, 1.3, 0.4)
+            qp = np.concatenate([red.q, red.p])
+        else:  # near one of the four sign patterns
+            signs = np.tile(rng.choice([-1.0, 1.0], size=2), 4)
+            qp = (signs * np.concatenate([part.q, part.p])
+                  + rng.normal(0.0, 10.0 ** rng.uniform(-12, 0), size=8))
+        ref = min(max(np.max(np.abs(img.q - qp[0:4])), np.max(np.abs(img.p - qp[4:8])))
+                  for img in reduction.chart_images(part))
+        assert reduction.aligned_deviation(values, qp.tolist()) == ref
+
+
+@pytest.mark.parametrize("x", [
+    ([1.0, 0.5, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0]),     # collinear
+    ([0.0, 0.0, 0.0, 0.0], [0.3, 1.0, -0.2, 0.5]),    # x1 = 0
+    ([0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.2, 1.0]),     # orthogonal to the (1,2)-plane
+    ([6.123233995736766e-17, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0]),  # embedded L3 = 0
+])
+def test_inverse_chart_refuses_like_the_oracle(x):
+    z = x[0] + x[1] + [0.1, -0.2, 0.3, 0.0, 0.2, 0.1, 0.0, -0.3]
+    with pytest.raises(ChartSingular) as fast:
+        reduction.inverse_chart(z)
+    with pytest.raises(ChartSingular) as ref:
+        oracles.project_to_partial(reduction.array_to_full(z))
+    assert (type(fast.value), str(fast.value)) == (type(ref.value), str(ref.value))
+
+
+def test_comparison_equals_the_oracle_sample_loop(monkeypatch):
+    # the per-sample work of compare_full_vs_reduced redone on numpy arrays:
+    # the svd inverse chart, all eight chart images, the residual of the
+    # PartialState and the spectral pair from the eigenvalues of L
+    records = []
+    integrate = dynamics.integrate
+    monkeypatch.setattr(dynamics, "integrate",
+                        lambda *a, **k: records.append(integrate(*a, **k)) or records[-1])
+    start = random_reduced_state(np.random.default_rng(33), 1.3, 0.4)
+    cfg = dynamics.IntegratorConfig(rel_tol=1e-9, abs_tol=1e-11)
+    report = dynamics.compare_full_vs_reduced(MASSES, start, 0.6, cfg, n_samples=6)
+    rec_full, rec_red = records
+
+    def mu(z):
+        l = model.angular_momentum(reduction.array_to_full(z)).matrix
+        im = sorted(abs(np.linalg.eigvals(l).imag))
+        return im[-1], math.copysign(im[0], model.pfaffian4(l))
+
+    mu10, mu20 = mu(rec_full.states[0])
+    devs, res, drift = [], 0.0, 0.0
+    for ts in report.times:
+        zf = rec_full.states[np.argmin(np.abs(rec_full.times - ts))]
+        zr = rec_red.states[np.argmin(np.abs(rec_red.times - ts))]
+        proj = oracles.project_to_partial(reduction.array_to_full(zf))
+        devs.append(min(max(np.max(np.abs(img.q - zr[0:4])), np.max(np.abs(img.p - zr[4:8])))
+                        for img in reduction.chart_images(proj)))
+        res = max(res, np.max(np.abs(oracles.invariant_set_residual(proj, mu10, abs(mu20)))))
+        mu1, mu2 = mu(zf)
+        drift = max(drift, abs(mu1 - mu10), abs(mu2 - mu20))
+    assert len(report.times) == 6
+    assert np.max(np.abs(report.qp_deviation - devs)) < 1e-13
+    assert abs(report.max_qp_deviation - max(devs)) < 1e-13
+    assert abs(report.max_invariant_residual - res) < 1e-13
+    assert abs(report.max_mu_drift - drift) < 1e-13
+
+
+def test_angular_momentum_components_are_the_matrix_entries():
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        state = random_full_state(rng)
+        am = model.angular_momentum(state)
+        comps = model.angular_momentum_components(reduction.full_to_array(state).tolist())
+        assert comps == tuple(am.matrix[np.triu_indices(4, 1)].tolist())
+        assert model.spectral_pair_components(comps) == (am.mu1, am.mu2)
 
 
 # --- the equilibrium solver's float kernel, report and elimination ------------

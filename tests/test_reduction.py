@@ -13,6 +13,7 @@ from threebody4d.errors import (
     KineticDomainError,
 )
 
+import oracles
 from conftest import random_chart_point, random_reduced_state
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
@@ -193,7 +194,7 @@ def test_angular_momentum_partial_matches_conjugated():
         lhat = reduction.angular_momentum_partial(part)
         full = reduction.lift_to_full(part)
         l = model.angular_momentum(full).matrix
-        mth = reduction.theta_rotation(part.angles)
+        mth = oracles.theta_rotation(part.angles)
         assert np.max(np.abs(mth.T @ l @ mth - lhat)) < 1e-10
 
 
