@@ -427,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("-u", type=float, default=None, help="expansion parameter")
     pe.add_argument("--pair", default="2,3", help="which bodies form the binary")
     pe.add_argument("--dps", type=int, default=0,
-                    help=f"mpmath digits for the refinement, {equilibria.DPS_MIN} to "
+                    help=f"decimal digits of the refinement, {equilibria.DPS_MIN} to "
                          f"{equilibria.DPS_MAX} (0 = double precision)")
     pe.set_defaults(func=cmd_equilibrium)
 

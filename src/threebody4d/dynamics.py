@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +29,6 @@ from .model import (
     MassTriple,
     angular_momentum_components,
     check_scalar_products,
-    potential_constants,
     potential_partials,
     spectral_pair_components,
 )
@@ -125,7 +124,7 @@ class TrajectoryRecord:
 # wrap the same kernels.
 
 def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
-    """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4); `k` from `potential_constants`."""
+    """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4); `k` is `MassTriple.potential_constants`."""
     s11 = q1 * q1 + q2 * q2
     s22 = q3 * q3 + q4 * q4
     s12 = q1 * q3 + q2 * q4
@@ -148,7 +147,7 @@ def _reduced_gradient(masses: MassTriple, mu1: float, mu2: float):
     """
     nu1, nu2 = masses.nu1, masses.nu2
     two_nu1, two_nu2 = 2.0 * nu1, 2.0 * nu2
-    kv = potential_constants(masses)
+    kv = masses.potential_constants
     sig = mu1 + mu2
     dlt = mu1 - mu2
     sig2, dlt2 = sig * sig, dlt * dlt
@@ -201,7 +200,7 @@ def _partial_gradient(masses: MassTriple):
     (dB, dC, d(1/2A)) plus the explicit q-dependence of u_i.
     """
     nu1, nu2 = masses.nu1, masses.nu2
-    kv = potential_constants(masses)
+    kv = masses.potential_constants
     sin, cos = math.sin, math.cos
 
     def grad(z):
@@ -291,7 +290,7 @@ def partial_field(masses: MassTriple) -> VectorField:
 def full_field(masses: MassTriple) -> VectorField:
     """Canonical field on (x1, x2, y1, y2) in R^16."""
     nu1, nu2 = masses.nu1, masses.nu2
-    kv = potential_constants(masses)
+    kv = masses.potential_constants
 
     def rhs(t, z):
         (a1, a2, a3, a4, b1, b2, b3, b4,
@@ -661,15 +660,18 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
     (`reduction.inverse_chart`, on plain floats); the projection is aligned
     to the reduced reference over the discrete chart symmetries
     (`reduction.aligned_deviation`) before measuring the (q, p) deviation.
+    Both runs record only the start, the sample times and the end.
     """
     part0 = reduction.embed_reduced(reduced_start)
     z_full0 = reduction.full_to_array(reduction.lift_to_full(part0))
     z_red0 = np.concatenate([reduced_start.q, reduced_start.p])
     samples = np.linspace(0.0, t_end, n_samples + 1)[1:]
+    # no step count reaches monitor_every, so only the forced landings are kept
+    sparse = replace(config, monitor_every=config.max_steps + 1)
 
-    rec_full = integrate(full_field(masses), z_full0, t_end, config, t_samples=samples)
+    rec_full = integrate(full_field(masses), z_full0, t_end, sparse, t_samples=samples)
     rec_red = integrate(reduced_field(masses, reduced_start.mu1, reduced_start.mu2),
-                        z_red0, t_end, config, t_samples=samples)
+                        z_red0, t_end, sparse, t_samples=samples)
     if rec_full.domain_exit or rec_red.domain_exit:
         return ComparisonReport(times=np.array([]), max_qp_deviation=math.inf,
                                 max_invariant_residual=math.inf, max_mu_drift=math.inf,

@@ -18,8 +18,10 @@ diag(1/nu) + 2*c2_comb * (dL3/dp)(dL3/dp)^t.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
+from decimal import Context, Decimal, localcontext
 from typing import Optional
 
 import numpy as np
@@ -34,7 +36,6 @@ from .errors import (
 from .model import (
     MassTriple,
     check_scalar_products,
-    potential_constants,
     potential_partials,
     potential_second_partials,
 )
@@ -47,7 +48,7 @@ EQUILATERAL_T = 2.0 - math.sqrt(3.0)
 
 def _area(q):
     """Oriented area A of q; ChartSingular when it is below AREA_TOL."""
-    a = 0.5 * (q[0] * q[3] - q[1] * q[2])
+    a = (q[0] * q[3] - q[1] * q[2]) / 2
     if abs(a) < reduction.AREA_TOL:
         raise ChartSingular(f"oriented area A = {a} too small")
     return a
@@ -70,9 +71,10 @@ def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
     """(V_eff, gradient, Hessian) at q = (q1, q2, q3, q4) in plain scalars.
 
     The gradient is a 4-tuple and the Hessian a symmetric 4x4 nested list.
-    The arithmetic runs unchanged on Python floats and on mpmath numbers
-    (with a MassTriple of mpmath masses, so that the mass constants carry
-    the working precision too).  V_eff is the centrifugal term
+    The arithmetic holds no float constant, so it runs unchanged on Python
+    floats, on mpmath numbers and on Decimals (with a MassTriple of masses
+    of the same type, so that the mass constants carry the working
+    precision too).  V_eff is the centrifugal term
     num/(8 A^2), num = mu1^2 T1 + mu2^2 T2 (see `_inertia_terms`), plus V
     of the scalar products of q.
     """
@@ -94,7 +96,7 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
     num = m1s * t1 + m2s * t2
     dnum = (m1s * (2 * q1 / nu2), m2s * (2 * q2 / nu2),
             m1s * (2 * q3 / nu1), m2s * (2 * q4 / nu1))
-    da = (0.5 * q4, -0.5 * q3, -0.5 * q2, 0.5 * q1)
+    da = (q4 / 2, -q3 / 2, -q2 / 2, q1 / 2)
     den2 = 8 * a * a
     den3 = 4 * a ** 3
     e1 = num / den3
@@ -102,11 +104,17 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
     s11 = q1 * q1 + q2 * q2
     s22 = q3 * q3 + q4 * q4
     s12 = q1 * q3 + q2 * q4
-    check_scalar_products(s11, s22, s12)
-    k = potential_constants(masses)
+    k = masses.potential_constants
+    if k[-1] is None:  # no Decimal square-root hook: floats or mpmath numbers
+        check_scalar_products(s11, s22, s12)
+    else:  # the check's float slack does not mix with Decimals
+        check_scalar_products(float(s11), float(s22), float(s12))
     v, v1, v2, v3 = potential_partials(k, s11, s22, s12)
+    # 0 in the number type of q: on floats a mixed int-float product costs
+    # more than a float one
+    zero = a - a
     # js[i] = d(s11, s22, s12)/dq_i
-    js = ((2.0 * q1, 0.0, q3), (2.0 * q2, 0.0, q4), (0.0, 2.0 * q3, q1), (0.0, 2.0 * q4, q2))
+    js = ((2 * q1, zero, q3), (2 * q2, zero, q4), (zero, 2 * q3, q1), (zero, 2 * q4, q2))
 
     # the order of operations in `grad` is part of the output: reports print
     # its norm to 17 digits, and the float Newton stops on it
@@ -130,10 +138,11 @@ def _veff_hessian(terms):
     # of s12 (weight V3) and of A (d2A/dq1dq4 = -d2A/dq2dq3 = 1/2, weight -e1)
     diag = (2 * m1s / nu2 / den2 + 2 * v1, 2 * m2s / nu2 / den2 + 2 * v1,
             2 * m1s / nu1 / den2 + 2 * v2, 2 * m2s / nu1 / den2 + 2 * v2)
-    he = 0.5 * e1
-    const = ((diag[0], 0.0, v3, -he), (0.0, diag[1], he, v3),
-             (v3, he, diag[2], 0.0), (-he, v3, 0.0, diag[3]))
-    hess = [[0.0] * 4 for _ in range(4)]
+    he = e1 / 2
+    zero = a - a
+    const = ((diag[0], zero, v3, -he), (zero, diag[1], he, v3),
+             (v3, he, diag[2], zero), (-he, v3, zero, diag[3]))
+    hess = [[0] * 4 for _ in range(4)]
     for i in range(4):
         dnum_i, da_i, e2da_i, (w0, w1, w2) = dnum[i], da[i], e2 * da[i], w[i]
         for j in range(i, 4):
@@ -480,7 +489,7 @@ def _simplified_equations(masses: MassTriple, mu1: float, mu2: float):
     `x * x` for about one float in a thousand.
     """
     nu1, nu2 = masses.nu1, masses.nu2
-    k = potential_constants(masses)
+    k = masses.potential_constants
 
     def equations(q1, q2, q3, q4):
         a = _area((q1, q2, q3, q4))
@@ -565,17 +574,17 @@ def general_hessian_eigen_asymptotics(masses: MassTriple, u: float) -> np.ndarra
     return np.array([lam1, lam2, lam3, lam4])
 
 
-# accepted mpmath precisions of the high-precision Newton.  Its stopping test
+# accepted Decimal digits of the high-precision Newton.  Its stopping test
 # max|grad| < 10^-(dps - 15) x `_gradient_scale` is finer than double
-# precision only above 30 digits.  One solve took at most 0.15 s at 2000
-# digits, 1.3 s at 5000 and 14 s at 20000 (masses in [0.5, 2.5], u down to
-# 3e-5, one core).
+# precision only above 30 digits.  One solve took at most 0.45 s at 2000
+# digits, 1.3 s at 5000 and 23 s at 20000 (masses in [0.5, 2.5], u down to
+# 3e-5, one core of a 2-vCPU Xeon); at 60 digits it takes about 0.8 ms.
 DPS_MIN, DPS_MAX = 31, 2000
 
 
 def _check_dps(dps) -> None:
-    if not DPS_MIN <= dps <= DPS_MAX:
-        raise ValueError(f"dps must be in [{DPS_MIN}, {DPS_MAX}], got {dps}")
+    if not (isinstance(dps, numbers.Integral) and DPS_MIN <= dps <= DPS_MAX):
+        raise ValueError(f"dps must be in [{DPS_MIN}, {DPS_MAX}] and an integer, got {dps}")
 
 
 def newton_equilibrium(masses: MassTriple, mu1: float, mu2: float, seed,
@@ -584,17 +593,17 @@ def newton_equilibrium(masses: MassTriple, mu1: float, mu2: float, seed,
     """Damped Newton refinement of a relative equilibrium from a seed.
 
     The residual is the solvability-simplified system (finite-difference
-    Jacobian); `tol` bounds the scaled gradient norm.  With `dps` set (in
-    [DPS_MIN, DPS_MAX], else ValueError), the solve runs in mpmath
-    arbitrary precision on the raw gradient, with the analytic Hessian as
+    Jacobian); `tol` bounds the scaled gradient norm.  With `dps` set (an
+    integer in [DPS_MIN, DPS_MAX], else ValueError), the solve runs on
+    `dps`-digit Decimals on the raw gradient, with the analytic Hessian as
     the Jacobian, which is what resolves the q2, q3 components (of order
-    u^10, u^12) below double precision.
+    u^10, u^12) below double precision; `tol` is then unused.
     """
     reduction.check_momenta(mu1, mu2)
     kernel = None
     if dps is not None:
         _check_dps(dps)
-        q = _newton_mp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter, dps)
+        q = _newton_dps(masses, mu1, mu2, np.asarray(seed, dtype=float), max_iter, dps)
     else:
         q, kernel = _newton_fp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter)
     report = _build_report(masses, q, mu1, mu2, kernel)
@@ -675,10 +684,10 @@ def _newton_fp(masses, mu1, mu2, q, tol, max_iter):
 def _gauss_solve(a, b, eps):
     """x with a x = b, by Gaussian elimination with partial pivoting.
 
-    `a` is a square nested list and `b` a list of plain scalars (floats or
-    mpmath numbers); neither is changed.  A pivot no larger than eps times
-    the largest |a_ij| leaves the system singular at this precision, which
-    is a failed Newton step: NoConvergence.
+    `a` is a square nested list and `b` a list of plain scalars (floats,
+    mpmath numbers or Decimals); neither is changed.  A pivot no larger
+    than eps times the largest |a_ij| leaves the system singular at this
+    precision, which is a failed Newton step: NoConvergence.
     """
     n = len(b)
     m = [list(row) + [bi] for row, bi in zip(a, b)]
@@ -702,8 +711,8 @@ def _gauss_solve(a, b, eps):
     return x
 
 
-def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
-    """High-precision Newton on the exact V_eff gradient via mpmath.
+def _newton_dps(masses, mu1, mu2, seed, max_iter, dps):
+    """High-precision Newton on the exact V_eff gradient, on `dps`-digit Decimals.
 
     The simplified system has spurious roots that deviate from the critical
     point at the q2, q3 orders (they violate the solvability identity), so
@@ -712,25 +721,26 @@ def _newton_mp(masses, mu1, mu2, seed, tol, max_iter, dps):
     only where a step is taken.  It stops when max|grad| falls below
     10^-(dps - 15) times `_gradient_scale` at the seed, a bound the working
     precision can meet even where the gradient's summands are of order u^-6.
+    The float inputs convert to Decimal exactly; the root is rounded back to
+    floats.
     """
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        mm = MassTriple(mp.mpf(masses.m1), mp.mpf(masses.m2), mp.mpf(masses.m3))
-        mu1_, mu2_ = mp.mpf(mu1), mp.mpf(mu2)
-        mp_tol = mp.mpf(10) ** (-(dps - 15))
-        q = [mp.mpf(float(v)) for v in seed]
+    dps = int(dps)  # a numpy integer does not mix with Decimal
+    with localcontext(Context(prec=dps)):
+        mm = MassTriple(Decimal(masses.m1), Decimal(masses.m2), Decimal(masses.m3))
+        mu1_, mu2_ = Decimal(mu1), Decimal(mu2)
+        tol, eps = Decimal(10) ** (15 - dps), Decimal(10) ** -dps
+        q = [Decimal(float(v)) for v in seed]
         _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
         # the summands' size barely moves between seed and root
-        bound = mp_tol * _gradient_scale(terms)
+        bound = tol * _gradient_scale(terms)
         for _ in range(max_iter):
-            dq = _gauss_solve(_veff_hessian(terms), [-g for g in grad], mp.eps)
+            dq = _gauss_solve(_veff_hessian(terms), [-g for g in grad], eps)
             q = [qi + dqi for qi, dqi in zip(q, dq)]
             _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
             if max(abs(g) for g in grad) < bound:
                 return np.array([float(v) for v in q])
-        raise NoConvergence(f"mp Newton did not reach {mp_tol} relative to the gradient's "
-                            f"terms in {max_iter} steps")
+        raise NoConvergence(f"dps={dps} Newton did not reach {tol} relative to the "
+                            f"gradient's terms in {max_iter} steps")
 
 
 def _gradient_scale(terms):

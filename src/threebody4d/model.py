@@ -11,7 +11,8 @@ possible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -23,15 +24,22 @@ COLLISION_TOL = 1e-24
 
 @dataclass(frozen=True)
 class MassTriple:
-    """The three masses with the derived reduced masses and ratios."""
+    """The three masses with the derived reduced masses and ratios.
+
+    `potential_constants` holds the mass constants of the potential (see
+    `_potential_constants`), formed once, when the triple is made, in the
+    masses' own number type and at the precision then current.
+    """
 
     m1: float
     m2: float
     m3: float
+    potential_constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.m1 > 0 and self.m2 > 0 and self.m3 > 0):
             raise ValueError(f"masses must be positive, got {(self.m1, self.m2, self.m3)}")
+        object.__setattr__(self, "potential_constants", _potential_constants(self))
 
     @property
     def total(self) -> float:
@@ -178,15 +186,29 @@ def centre_of_mass(masses: MassTriple, r1, r2, r3, v1, v2, v3):
     return x3, y3
 
 
-def potential_constants(masses: MassTriple) -> tuple:
-    """Mass constants of V(s11, s22, s12): (a2^2, 2 a2, a3^2, 2 a3, -m2 m3, -m3 m1, -m1 m2).
+def _decimal_rsqrt(d: Decimal) -> Decimal:
+    # a Decimal power with a fractional exponent costs some 40 square roots
+    return 1 / d.sqrt()
 
-    The squared distances are d1 = s11, d2 = a2^2 s11 + 2 a2 s12 + s22 and
-    d3 = a3^2 s11 - 2 a3 s12 + s22, and V = sum_k c_k / sqrt(d_k).
+
+def _potential_constants(masses: MassTriple) -> tuple:
+    """Mass constants of V(s11, s22, s12) and the inverse-square-root hook.
+
+    (a2^2, 2 a2, a3^2, 2 a3, c1, c2, c3, -c1/2, -c2/2, -c3/2, 3 c1/4, 3 c2/4,
+    3 c3/4, rsqrt) with (c1, c2, c3) = (-m2 m3, -m3 m1, -m1 m2): the squared
+    distances are d1 = s11, d2 = a2^2 s11 + 2 a2 s12 + s22 and
+    d3 = a3^2 s11 - 2 a3 s12 + s22, V = sum_k c_k / sqrt(d_k), and -c_k/2
+    and 3 c_k/4 weigh its first and second derivatives in d_k, so the
+    partials hold no float constant.  `rsqrt` is None for float and mpmath
+    masses, whose partials take `d ** -0.5` inline, and 1/sqrt in the
+    current context for Decimal masses.
     """
-    a2, a3 = masses.a2, masses.a3
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    return a2 * a2, 2.0 * a2, a3 * a3, 2.0 * a3, -m2 * m3, -m3 * m1, -m1 * m2
+    a2, a3 = m2 / (m2 + m3), m3 / (m2 + m3)
+    c1, c2, c3 = -m2 * m3, -m3 * m1, -m1 * m2
+    rsqrt = _decimal_rsqrt if isinstance(m1, Decimal) else None
+    return (a2 * a2, 2 * a2, a3 * a3, 2 * a3, c1, c2, c3, -c1 / 2, -c2 / 2, -c3 / 2,
+            3 * c1 / 4, 3 * c2 / 4, 3 * c3 / 4, rsqrt)
 
 
 def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
@@ -194,21 +216,25 @@ def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
 
 
 def potential_partials(k: tuple, s11: float, s22: float, s12: float):
-    """V and its partials (V1, V2, V3) wrt (s11, s22, s12) on plain floats.
+    """V and its partials (V1, V2, V3) wrt (s11, s22, s12) in plain scalars.
 
-    `k` is `potential_constants(masses)`, computed once by callers that
-    evaluate V many times for the same masses.
+    `k` is `masses.potential_constants`.  It runs unchanged on
+    Python floats, mpmath numbers and Decimals (with `k` built from masses
+    of the same type).
     """
-    aa2, g2, aa3, g3, c1, c2, c3 = k
+    aa2, g2, aa3, g3, c1, c2, c3, b1, b2, b3, _, _, _, rsqrt = k
     d1, d2, d3 = _distances_sq(k, s11, s22, s12)
     if d1 <= COLLISION_TOL or d2 <= COLLISION_TOL or d3 <= COLLISION_TOL:
         raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
-    i1, i2, i3 = d1 ** -0.5, d2 ** -0.5, d3 ** -0.5
+    if rsqrt is None:
+        i1, i2, i3 = d1 ** -0.5, d2 ** -0.5, d3 ** -0.5
+    else:
+        i1, i2, i3 = rsqrt(d1), rsqrt(d2), rsqrt(d3)
     # w_k = d(c_k / sqrt(d_k))/d(d_k); the gradients of d1, d2, d3 in
     # (s11, s22, s12) are (1, 0, 0), (a2^2, 1, 2 a2) and (a3^2, 1, -2 a3)
-    w1 = -0.5 * c1 * i1 / d1
-    w2 = -0.5 * c2 * i2 / d2
-    w3 = -0.5 * c3 * i3 / d3
+    w1 = b1 * i1 / d1
+    w2 = b2 * i2 / d2
+    w3 = b3 * i3 / d3
     return (c1 * i1 + c2 * i2 + c3 * i3,
             w1 + w2 * aa2 + w3 * aa3,
             w2 + w3,
@@ -217,24 +243,28 @@ def potential_partials(k: tuple, s11: float, s22: float, s12: float):
 
 def potential_derivatives(masses: MassTriple, s: ScalarProducts):
     """Newtonian potential V and its partials (V1, V2, V3) wrt (s11, s22, s12)."""
-    return potential_partials(potential_constants(masses), s.s11, s.s22, s.s12)
+    return potential_partials(masses.potential_constants, s.s11, s.s22, s.s12)
 
 
 def potential_second_partials(k: tuple, s11, s22, s12):
     """Second partials (V11, V22, V33, V12, V13, V23) of V wrt (s11, s22, s12).
 
     Plain scalar arithmetic like `potential_partials`: it runs unchanged on
-    Python floats and on mpmath numbers (with `k` built from mpmath masses).
+    Python floats, mpmath numbers and Decimals.
     """
-    aa2, g2, aa3, g3, c1, c2, c3 = k
+    aa2, g2, aa3, g3, _, _, _, _, _, _, e1, e2, e3, rsqrt = k
     d1, d2, d3 = _distances_sq(k, s11, s22, s12)
     if d1 <= COLLISION_TOL or d2 <= COLLISION_TOL or d3 <= COLLISION_TOL:
         raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
+    if rsqrt is None:
+        r1, r2, r3 = d1 ** -2.5, d2 ** -2.5, d3 ** -2.5
+    else:
+        r1, r2, r3 = rsqrt(d1) / (d1 * d1), rsqrt(d2) / (d2 * d2), rsqrt(d3) / (d3 * d3)
     # h_k = d^2(c_k / sqrt(d_k))/d(d_k)^2, times the outer products of the
     # gradients (1, 0, 0), (a2^2, 1, 2 a2) and (a3^2, 1, -2 a3) of d1, d2, d3
-    h1 = 0.75 * c1 * d1 ** -2.5
-    h2 = 0.75 * c2 * d2 ** -2.5
-    h3 = 0.75 * c3 * d3 ** -2.5
+    h1 = e1 * r1
+    h2 = e2 * r2
+    h3 = e3 * r3
     return (h1 + h2 * aa2 * aa2 + h3 * aa3 * aa3,
             h2 + h3,
             h2 * g2 * g2 + h3 * g3 * g3,

@@ -39,7 +39,6 @@ from .model import (
     ScalarProducts,
     angular_momentum_components,
     check_scalar_products,
-    potential_constants,
     potential_derivatives,
     potential_partials,
 )
@@ -434,7 +433,7 @@ def partial_values_kernel(masses: Optional[MassTriple], mu1: float, mu2: float,
     """
     if masses is not None:
         two_nu1, two_nu2 = 2.0 * masses.nu1, 2.0 * masses.nu2
-        kv = potential_constants(masses)
+        kv = masses.potential_constants
     sum_mu, diff_mu = mu1 + mu2, mu1 - mu2
 
     def values(z):

@@ -5,7 +5,8 @@ potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
 partial Hamiltonian and the invariant-set residual, the partial/full
 monitors, the inverse chart, the CSV rows of a trajectory, the step-control
-error norm, and the float equilibrium Newton with its report: one small
+error norm, the float equilibrium Newton with its report, and the
+high-precision equilibrium Newton on mpmath numbers: one small
 array per term, a fresh decoding of the phase point for every monitor, one
 eigvalsh call per Hessian block, and one svd call per inverse chart.  They
 are slower than the library versions and exist only so the tests can check
@@ -388,7 +389,7 @@ def error_norm(err, y, ynew, abs_tol, rel_tol):
 
 def potential_hessian_s(masses: MassTriple, s: ScalarProducts) -> np.ndarray:
     """3x3 Hessian of V in (s11, s22, s12) as a sum of outer products."""
-    k = model.potential_constants(masses)
+    k = masses.potential_constants
     d = mutual_distances_sq(masses, s)
     if min(d) <= model.COLLISION_TOL:
         raise CollisionError(f"squared distance below tolerance: {d}")
@@ -558,6 +559,32 @@ def newton_fp(masses, mu1, mu2, q, tol=1e-12, max_iter=60):
     if err < 100 * tol:
         return q
     raise NoConvergence(f"Newton did not reach tolerance {tol}; scaled gradient {err}")
+
+
+def newton_mp(masses, mu1, mu2, seed, max_iter=60, dps=60):
+    """The high-precision Newton on mpmath numbers inside `mpmath.workdps`.
+
+    The same kernel, elimination and stopping bound as the library's
+    Decimal solve, so the two roots agree as floats.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        mm = MassTriple(mp.mpf(masses.m1), mp.mpf(masses.m2), mp.mpf(masses.m3))
+        mu1_, mu2_ = mp.mpf(mu1), mp.mpf(mu2)
+        mp_tol = mp.mpf(10) ** (-(dps - 15))
+        q = [mp.mpf(float(v)) for v in seed]
+        _, grad, terms = equilibria._veff_value_gradient(mm, q, mu1_, mu2_)
+        bound = mp_tol * equilibria._gradient_scale(terms)
+        for _ in range(max_iter):
+            dq = equilibria._gauss_solve(equilibria._veff_hessian(terms), [-g for g in grad],
+                                         mp.eps)
+            q = [qi + dqi for qi, dqi in zip(q, dq)]
+            _, grad, terms = equilibria._veff_value_gradient(mm, q, mu1_, mu2_)
+            if max(abs(g) for g in grad) < bound:
+                return np.array([float(v) for v in q])
+        raise NoConvergence(f"mp Newton did not reach {mp_tol} relative to the gradient's "
+                            f"terms in {max_iter} steps")
 
 
 def inertia_positive(block: np.ndarray) -> bool:

@@ -242,6 +242,23 @@ def test_compare_full_vs_reduced_near_equilibrium():
     assert report.max_invariant_residual < 1e-7
 
 
+def test_compare_records_only_the_start_and_the_sample_times(monkeypatch):
+    records = []
+    integrate = dynamics.integrate
+    monkeypatch.setattr(dynamics, "integrate",
+                        lambda *a, **k: records.append(integrate(*a, **k)) or records[-1])
+    rep = equilibria.isosceles_equilibrium(1.0, 0.25)
+    start = reduction.ReducedState(rep.q, np.array([1e-3, -5e-4, 8e-4, -2e-4]),
+                                   rep.mu1, rep.mu2)
+    cfg = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    report = dynamics.compare_full_vs_reduced(EQUAL, start, 0.5, cfg, n_samples=8)
+    assert report.times.tolist() == np.linspace(0.0, 0.5, 9)[1:].tolist()
+    for rec in records:
+        assert rec.n_steps > 9
+        assert rec.times.tolist() == [0.0] + report.times.tolist()
+        assert len(rec.states) == 9
+
+
 def test_compare_at_equilibrium_stays_on_group_orbit():
     rep = equilibria.isosceles_equilibrium(1.0, 0.2)
     start = reduction.ReducedState(rep.q, np.zeros(4), rep.mu1, rep.mu2)

@@ -3,13 +3,17 @@
 import io
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import threebody4d
 from threebody4d import equilibria, model, reduction
 from threebody4d.errors import DegenerateMomenta
 
+import oracles
 from conftest import (bisect, central_gradient, hessian_fd, random_reduced_state,
                       singular_newton_system)
 
@@ -427,6 +431,39 @@ def test_mp_newton_stops_at_small_u(monkeypatch, k, u_ref):
     assert len(solves) <= 3
 
 
+def _oracle_points():
+    """Masses in [0.5, 2.5], each binary pair in turn, u log-uniform in [3e-5, 0.1]."""
+    rng = np.random.default_rng(41)
+    for k in range(42):
+        mm = model.MassTriple(*rng.uniform(0.5, 2.5, size=3))
+        yield (mm.permuted(((2, 3), (1, 3), (1, 2))[k % 3]),
+               float(np.exp(rng.uniform(math.log(3e-5), math.log(0.1)))))
+
+
+@pytest.mark.parametrize("dps, every", [(60, 1), (200, 7)])
+def test_decimal_newton_roots_equal_the_mpmath_oracle(dps, every):
+    # the same algorithm on mpmath numbers; the roots agree to well below
+    # an ulp, so their floats are equal
+    for mm, u in list(_oracle_points())[::every]:
+        seed = equilibria.general_series_equilibrium(mm, u)
+        q = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps).q
+        ref = oracles.newton_mp(mm, seed.mu1, seed.mu2, seed.q, dps=dps)
+        assert q.tolist() == ref.tolist(), (mm, u)
+
+
+def test_dps_solve_does_not_import_mpmath():
+    code = ("import sys\n"
+            "from threebody4d import equilibria, model\n"
+            "mm = model.MassTriple(1.0, 2.0, 3.0)\n"
+            "seed = equilibria.general_series_equilibrium(mm, 1e-2)\n"
+            "equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=60)\n"
+            "sys.exit('mpmath' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(threebody4d.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=path))
+
+
 def test_permuted_families_limits():
     for pair in ((2, 3), (1, 3), (1, 2)):
         mm = MASSES.permuted(pair)
@@ -610,7 +647,7 @@ def test_scan_pool_is_capped_by_grid_and_cpus(monkeypatch, workers, points, cpus
     assert out.getvalue() == ref.getvalue()
 
 
-@pytest.mark.parametrize("dps", [-5, 0, 3, 20, 30, equilibria.DPS_MAX + 1, 100000000])
+@pytest.mark.parametrize("dps", [-5, 0, 3, 20, 30, 60.5, equilibria.DPS_MAX + 1, 100000000])
 def test_dps_outside_the_accepted_range_refused(dps):
     seed = equilibria.general_series_equilibrium(MASSES, 1e-2)
     with pytest.raises(ValueError, match="dps must be in"):

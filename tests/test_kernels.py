@@ -3,6 +3,7 @@ shared-decoding monitors, the inverse chart and the equilibrium solver's
 kernels against the reference forms in `oracles.py`."""
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import mpmath
 import numpy as np
@@ -74,7 +75,7 @@ def test_potential_partials_match_summed_terms(x):
     assume(min(oracles.mutual_distances_sq(MASSES, s)) > 1e-6)
     assert model.potential_derivatives(MASSES, s) == oracles.potential_derivatives(MASSES, s)
     v11, v22, v33, v12, v13, v23 = model.potential_second_partials(
-        model.potential_constants(MASSES), s11, s22, s12)
+        MASSES.potential_constants, s11, s22, s12)
     assert _close(np.array([[v11, v12, v13], [v12, v22, v23], [v13, v23, v33]]),
                   oracles.potential_hessian_s(MASSES, s))
 
@@ -143,6 +144,27 @@ def test_effective_potential_kernel_at_dps_60():
                 assert all(isinstance(x, mpmath.mpf) for x in h)
                 assert max(abs(x - float(y)) for x, y in zip(f, h)) <= RTOL * max(map(abs, f))
                 assert max(abs(x - y) for x, y in zip(h, r)) <= 1e-45 * max(map(abs, r))
+
+
+def test_effective_potential_kernel_on_decimals_at_60_digits():
+    # the kernel on 60-digit Decimals, whose square roots come from the
+    # Decimal hook, matches it on mpmath numbers at dps = 60
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        m = rng.uniform(0.5, 2.5, size=3)
+        q = random_reduced_state(rng, 1.3, 0.4).q.tolist()
+        with localcontext(Context(prec=60)):
+            dec = _parts(equilibria.effective_potential_kernel(
+                model.MassTriple(*map(Decimal, m)), list(map(Decimal, q)),
+                Decimal(1.3), Decimal(0.4)))
+        with mpmath.workdps(60):
+            ref = _parts(equilibria.effective_potential_kernel(
+                model.MassTriple(*map(mpmath.mpf, m)), list(map(mpmath.mpf, q)),
+                mpmath.mpf(1.3), mpmath.mpf(0.4)))
+            for d, r in zip(dec, ref):  # value, gradient, Hessian
+                assert all(isinstance(x, Decimal) for x in d)
+                assert max(abs(mpmath.mpf(str(x)) - y) for x, y in zip(d, r)) \
+                    <= 1e-45 * max(map(abs, r))
 
 
 def _soft(s):
@@ -447,6 +469,12 @@ def test_gauss_solve_matches_mpmath_lu_solve():
                 assert abs(xi - ri) <= 1e-50 * abs(ri)
             assert [row[:] for row in a_mp] == [[mpmath.mpf(v) for v in row]
                                                 for row in a.tolist()]
+            with localcontext(Context(prec=60)):
+                x = equilibria._gauss_solve([[Decimal(v) for v in row] for row in a.tolist()],
+                                            [Decimal(v) for v in b.tolist()], Decimal(10) ** -60)
+            for xi, ri in zip(x, ref):
+                assert isinstance(xi, Decimal)
+                assert abs(mpmath.mpf(str(xi)) - ri) <= 1e-50 * abs(ri)
 
 
 def test_gauss_solve_refuses_singular_systems():

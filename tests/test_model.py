@@ -129,7 +129,7 @@ def test_potential_hessian_finite_differences():
     st = random_full_state(rng)
     s = st.scalar_products()
     v11, v22, v33, v12, v13, v23 = model.potential_second_partials(
-        model.potential_constants(m), s.s11, s.s22, s.s12)
+        m.potential_constants, s.s11, s.s22, s.s12)
     hess = np.array([[v11, v12, v13], [v12, v22, v23], [v13, v23, v33]])
 
     def grad(x):
