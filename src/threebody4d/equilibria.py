@@ -9,7 +9,8 @@ Critical points of the effective potential
 are relative equilibria.  For two equal masses the isosceles family is
 solved in closed form (parametrised by the mass ratio n = m1/m and the
 shape parameter t with rho = q1/q4 = 4t/(1-t^2)); for general masses a
-power-series seed in the small momentum ratio feeds a damped Newton solver.
+power-series seed in the small momentum ratio feeds one Newton solver on
+the V_eff gradient, on floats or on D-digit Decimals.
 Stability is decided by the 8x8 Hessian of the reduced Hamiltonian, which
 at p = 0 splits into the Hessian of V_eff and the momentum block
 diag(1/nu) + 2*c2_comb * (dL3/dp)(dL3/dp)^t.
@@ -109,7 +110,7 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
         check_scalar_products(s11, s22, s12)
     else:  # the check's float slack does not mix with Decimals
         check_scalar_products(float(s11), float(s22), float(s12))
-    v, v1, v2, v3 = potential_partials(k, s11, s22, s12)
+    (v, v1, v2, v3), dist = potential_partials(k, s11, s22, s12, distances=True)
     # 0 in the number type of q: on floats a mixed int-float product costs
     # more than a float one
     zero = a - a
@@ -120,17 +121,15 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
     # its norm to 17 digits, and the float Newton stops on it
     grad = tuple(dnum[i] / den2 - e1 * da[i] + (js[i][0] * v1 + js[i][1] * v2 + js[i][2] * v3)
                  for i in range(4))
-    terms = (nu1, nu2, a, m1s, m2s, num, dnum, da, den2, den3, e1, k, s11, s22, s12,
-             v1, v2, v3, js)
+    terms = (nu1, nu2, a, m1s, m2s, num, dnum, da, den2, den3, e1, k, dist, v1, v2, v3, js)
     return num / den2 + v, grad, terms
 
 
 def _veff_hessian(terms):
     """The 4x4 V_eff Hessian: the kernel's second stage."""
-    nu1, nu2, a, m1s, m2s, num, dnum, da, den2, den3, e1, k, s11, s22, s12, \
-        v1, v2, v3, js = terms
+    nu1, nu2, a, m1s, m2s, num, dnum, da, den2, den3, e1, k, dist, v1, v2, v3, js = terms
     e2 = 3 * num / (4 * a ** 4)
-    v11, v22, v33, v12, v13, v23 = potential_second_partials(k, s11, s22, s12)
+    v11, v22, v33, v12, v13, v23 = potential_second_partials(k, dist)
     # w[i] = Vss js[i]
     w = [(v11 * c0 + v12 * c1 + v13 * c2, v12 * c0 + v22 * c1 + v23 * c2,
           v13 * c0 + v23 * c1 + v33 * c2) for c0, c1, c2 in js]
@@ -470,47 +469,34 @@ def predicted_negative_count(n: float, t: float) -> int:
 
 # --- general masses -----------------------------------------------------------
 
-def _solvability(nu1, nu2, q1, q2, q3, q4):
-    return q1 * q2 * nu1 + q3 * q4 * nu2
-
-
 def solvability_residual(masses: MassTriple, q) -> float:
     """q1 q2 nu1 + q3 q4 nu2; vanishes at every critical point of V_eff."""
-    return _solvability(masses.nu1, masses.nu2, *np.asarray(q, dtype=float).tolist())
-
-
-def _simplified_equations(masses: MassTriple, mu1: float, mu2: float):
-    """Kernel (q1, q2, q3, q4) -> the four simplified equilibrium equations.
-
-    Uses the simplified moments of inertia I1 = nu2 q4^2 + nu1 q2^2,
-    I2 = nu1 q1^2 + nu2 q3^2; the zero set contains the critical points of
-    V_eff.  Better conditioned than the raw gradient as mu2 -> 0.  Runs on
-    Python floats; the squares stay `** 2`, which rounds differently from
-    `x * x` for about one float in a thousand.
-    """
-    nu1, nu2 = masses.nu1, masses.nu2
-    k = masses.potential_constants
-
-    def equations(q1, q2, q3, q4):
-        a = _area((q1, q2, q3, q4))
-        i1 = nu2 * q4 ** 2 + nu1 * q2 ** 2
-        i2 = nu1 * q1 ** 2 + nu2 * q3 ** 2
-        s11, s22, s12 = q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4
-        check_scalar_products(s11, s22, s12)
-        _, v1, v2, v3 = potential_partials(k, s11, s22, s12)
-        pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
-        return (2 * q1 * v1 + q3 * v3 - i1 * mu2 * mu2 * q4 * pref,
-                2 * q2 * v1 + q4 * v3 + i2 * mu1 * mu1 * q3 * pref,
-                2 * q3 * v2 + q1 * v3 + i1 * mu2 * mu2 * q2 * pref,
-                2 * q4 * v2 + q2 * v3 - i2 * mu1 * mu1 * q1 * pref)
-    return equations
+    q1, q2, q3, q4 = np.asarray(q, dtype=float).tolist()
+    return q1 * q2 * masses.nu1 + q3 * q4 * masses.nu2
 
 
 def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
                                     mu2: float) -> np.ndarray:
-    """The four solvability-simplified equilibrium equations as residuals."""
-    return np.array(_simplified_equations(masses, mu1, mu2)(
-        *np.asarray(q, dtype=float).tolist()))
+    """The four solvability-simplified equilibrium equations as residuals.
+
+    Uses the simplified moments of inertia I1 = nu2 q4^2 + nu1 q2^2,
+    I2 = nu1 q1^2 + nu2 q3^2; the zero set contains the critical points of
+    V_eff.  Runs on Python floats; the squares stay `** 2`, which rounds
+    differently from `x * x` for about one float in a thousand.
+    """
+    q1, q2, q3, q4 = q = np.asarray(q, dtype=float).tolist()
+    nu1, nu2 = masses.nu1, masses.nu2
+    a = _area(q)
+    i1 = nu2 * q4 ** 2 + nu1 * q2 ** 2
+    i2 = nu1 * q1 ** 2 + nu2 * q3 ** 2
+    s11, s22, s12 = q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4
+    check_scalar_products(s11, s22, s12)
+    _, v1, v2, v3 = potential_partials(masses.potential_constants, s11, s22, s12)
+    pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
+    return np.array([2 * q1 * v1 + q3 * v3 - i1 * mu2 * mu2 * q4 * pref,
+                     2 * q2 * v1 + q4 * v3 + i2 * mu1 * mu1 * q3 * pref,
+                     2 * q3 * v2 + q1 * v3 + i1 * mu2 * mu2 * q2 * pref,
+                     2 * q4 * v2 + q2 * v3 - i2 * mu1 * mu1 * q1 * pref])
 
 
 @dataclass(frozen=True)
@@ -581,6 +567,9 @@ def general_hessian_eigen_asymptotics(masses: MassTriple, u: float) -> np.ndarra
 # 3e-5, one core of a 2-vCPU Xeon); at 60 digits it takes about 0.8 ms.
 DPS_MIN, DPS_MAX = 31, 2000
 
+# Newton steps before a solve is reported as NoConvergence
+NEWTON_MAX_STEPS = 60
+
 
 def _check_dps(dps) -> None:
     if not (isinstance(dps, numbers.Integral) and DPS_MIN <= dps <= DPS_MAX):
@@ -588,97 +577,37 @@ def _check_dps(dps) -> None:
 
 
 def newton_equilibrium(masses: MassTriple, mu1: float, mu2: float, seed,
-                       tol: float = 1e-12, max_iter: int = 60,
                        dps: Optional[int] = None) -> EquilibriumReport:
-    """Damped Newton refinement of a relative equilibrium from a seed.
+    """Newton refinement of a relative equilibrium from a seed.
 
-    The residual is the solvability-simplified system (finite-difference
-    Jacobian); `tol` bounds the scaled gradient norm.  With `dps` set (an
-    integer in [DPS_MIN, DPS_MAX], else ValueError), the solve runs on
-    `dps`-digit Decimals on the raw gradient, with the analytic Hessian as
-    the Jacobian, which is what resolves the q2, q3 components (of order
-    u^10, u^12) below double precision; `tol` is then unused.
+    Newton's method on the V_eff gradient with the analytic V_eff Hessian as
+    its Jacobian (`_newton`).  On floats it stops at 16 units of rounding of
+    the gradient's summands, so a seed already at that floor, as the
+    power-series seed is at small u, comes back unchanged; the report reuses
+    the kernel values of the last iterate.  With `dps` set (an integer in
+    [DPS_MIN, DPS_MAX], else ValueError) the same solve runs on `dps`-digit
+    Decimals, which is what resolves the q2, q3 components (of order u^10,
+    u^12) below double precision; the float inputs convert to Decimal
+    exactly and the root is rounded back to floats.
     """
     reduction.check_momenta(mu1, mu2)
-    kernel = None
-    if dps is not None:
-        _check_dps(dps)
-        q = _newton_dps(masses, mu1, mu2, np.asarray(seed, dtype=float), max_iter, dps)
+    q = np.asarray(seed, dtype=float).tolist()
+    if dps is None:
+        q, value, grad, terms = _newton(masses, mu1, mu2, q, 16 * 2.0 ** -52, 2.0 ** -52)
+        kernel = value, grad, _veff_hessian(terms)
     else:
-        q, kernel = _newton_fp(masses, mu1, mu2, np.asarray(seed, dtype=float), tol, max_iter)
+        _check_dps(dps)
+        dps = int(dps)  # a numpy integer does not mix with Decimal
+        with localcontext(Context(prec=dps)):
+            mm = MassTriple(Decimal(masses.m1), Decimal(masses.m2), Decimal(masses.m3))
+            q = _newton(mm, Decimal(mu1), Decimal(mu2), [Decimal(v) for v in q],
+                        Decimal(10) ** (15 - dps), Decimal(10) ** -dps)[0]
+        q, kernel = [float(v) for v in q], None
     report = _build_report(masses, q, mu1, mu2, kernel)
     hdet = abs(np.linalg.det(report.hessian[0:4, 0:4]))
     if hdet < 1e-300:
         raise DegenerateHessian("V_eff Hessian determinant below tolerance")
     return report
-
-
-def _scaled_norm(q, grad, hess):
-    """Gradient norm over the natural stiffness scale |Hessian| * |q|.
-
-    The V_eff Hessian spans ~u^-6 decades near the collision limit, so the
-    raw gradient norm is not a resolution measure; this ratio is roughly the
-    relative position error of the critical point.
-    """
-    scale = max(float(np.max(np.abs(hess))) * float(np.max(np.abs(q))), 1e-300)
-    return float(np.linalg.norm(grad)) / scale
-
-
-def _newton_fp(masses, mu1, mu2, q, tol, max_iter):
-    """Float Newton on Python floats; returns q and the kernel's (V, grad, Hessian) at q."""
-    # The four simplified equations obey -q2 e1 + q1 e2 - q4 e3 + q3 e4 == 0
-    # identically, so their zero set is a curve; closing the system with the
-    # solvability condition (in place of the q4-weighted third equation)
-    # makes the root isolated again.
-    equations = _simplified_equations(masses, mu1, mu2)
-    nu1, nu2 = masses.nu1, masses.nu2
-
-    def resid(qv):
-        e1, e2, _, e4 = equations(*qv)
-        return e1, e2, _solvability(nu1, nu2, *qv), e4
-
-    def scaled_gradient(qv):
-        kernel = effective_potential_kernel(masses, qv, mu1, mu2)
-        return _scaled_norm(qv, kernel[1], kernel[2]), kernel
-
-    q = q.tolist()
-    for _ in range(max_iter):
-        r = resid(q)
-        jac = np.empty((4, 4))
-        for k in range(4):
-            hk = 1e-7 * max(abs(q[k]), 1e-3 * abs(q[3]))
-            qp, qm = q.copy(), q.copy()
-            qp[k] += hk
-            qm[k] -= hk
-            jac[:, k] = [(rp - rm) / (2 * hk) for rp, rm in zip(resid(qp), resid(qm))]
-        try:
-            step = np.linalg.solve(jac, [-v for v in r]).tolist()
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Newton Jacobian: {exc}") from exc
-        base = float(np.linalg.norm(r))
-        lam = 1.0
-        qn = None
-        while lam > 1e-9:
-            cand = [qi + lam * si for qi, si in zip(q, step)]
-            try:
-                rn = float(np.linalg.norm(resid(cand)))
-            except (ValueError, OverflowError):  # `**` on a far-out float point overflows
-                lam *= 0.5
-                continue
-            if rn < base or lam <= 2e-9:
-                qn = cand
-                break
-            lam *= 0.5
-        if qn is None:
-            qn = [qi + 1e-9 * si for qi, si in zip(q, step)]
-        q = qn
-        err, kernel = scaled_gradient(q)
-        if err < tol:
-            return q, kernel
-    err, kernel = scaled_gradient(q)
-    if err < 100 * tol:
-        return q, kernel
-    raise NoConvergence(f"Newton did not reach tolerance {tol}; scaled gradient {err}")
 
 
 def _gauss_solve(a, b, eps):
@@ -711,36 +640,35 @@ def _gauss_solve(a, b, eps):
     return x
 
 
-def _newton_dps(masses, mu1, mu2, seed, max_iter, dps):
-    """High-precision Newton on the exact V_eff gradient, on `dps`-digit Decimals.
+def _newton(masses, mu1, mu2, q, tol, eps):
+    """Newton on the exact V_eff gradient; returns q and (V_eff, gradient, terms) at q.
 
-    The simplified system has spurious roots that deviate from the critical
-    point at the q2, q3 orders (they violate the solvability identity), so
-    at extended precision the raw gradient is the only correct residual.
-    The Jacobian is the analytic V_eff Hessian of the same kernel, computed
-    only where a step is taken.  It stops when max|grad| falls below
-    10^-(dps - 15) times `_gradient_scale` at the seed, a bound the working
-    precision can meet even where the gradient's summands are of order u^-6.
-    The float inputs convert to Decimal exactly; the root is rounded back to
-    floats.
+    One body for floats and Decimals: `masses`, `mu1`, `mu2` and the list
+    `q` are of one number type, and a Decimal solve runs inside its
+    context.  The simplified equations have spurious roots that deviate
+    from the critical point at the q2, q3 orders (they violate the
+    solvability identity), so the raw gradient is the residual.  The
+    Jacobian is the analytic V_eff Hessian of the same kernel, computed
+    only where a step is taken, and each step is one `_gauss_solve` with
+    pivot bound `eps`.  It stops when max|grad| falls below `tol` times
+    `_gradient_scale` at the current iterate, a bound the working precision
+    can meet even where the gradient's summands are of order u^-6; a bound
+    fixed at the seed would pass iterates that run off to large |q|, where
+    the gradient decays with its summands.  The test comes before the
+    first step too: a step from a point at that floor moves it by rounding
+    noise alone.
     """
-    dps = int(dps)  # a numpy integer does not mix with Decimal
-    with localcontext(Context(prec=dps)):
-        mm = MassTriple(Decimal(masses.m1), Decimal(masses.m2), Decimal(masses.m3))
-        mu1_, mu2_ = Decimal(mu1), Decimal(mu2)
-        tol, eps = Decimal(10) ** (15 - dps), Decimal(10) ** -dps
-        q = [Decimal(float(v)) for v in seed]
-        _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
-        # the summands' size barely moves between seed and root
-        bound = tol * _gradient_scale(terms)
-        for _ in range(max_iter):
-            dq = _gauss_solve(_veff_hessian(terms), [-g for g in grad], eps)
-            q = [qi + dqi for qi, dqi in zip(q, dq)]
-            _, grad, terms = _veff_value_gradient(mm, q, mu1_, mu2_)
-            if max(abs(g) for g in grad) < bound:
-                return np.array([float(v) for v in q])
-        raise NoConvergence(f"dps={dps} Newton did not reach {tol} relative to the "
-                            f"gradient's terms in {max_iter} steps")
+    value, grad, terms = _veff_value_gradient(masses, q, mu1, mu2)
+    steps = 0
+    while not max(abs(g) for g in grad) < tol * _gradient_scale(terms):
+        if steps == NEWTON_MAX_STEPS:
+            raise NoConvergence(f"Newton did not reach {tol} relative to the gradient's "
+                                f"terms in {NEWTON_MAX_STEPS} steps")
+        dq = _gauss_solve(_veff_hessian(terms), [-g for g in grad], eps)
+        q = [qi + dqi for qi, dqi in zip(q, dq)]
+        value, grad, terms = _veff_value_gradient(masses, q, mu1, mu2)
+        steps += 1
+    return q, value, grad, terms
 
 
 def _gradient_scale(terms):
@@ -752,7 +680,7 @@ def _gradient_scale(terms):
     floor scales with this, not with 1.
     """
     dnum, da, den2, e1 = terms[6], terms[7], terms[8], terms[10]
-    v1, v2, v3, js = terms[15:]
+    v1, v2, v3, js = terms[13:]
     return max(abs(dnum[i] / den2) + abs(e1 * da[i]) + abs(j0 * v1 + j1 * v2 + j2 * v3)
                for i, (j0, j1, j2) in enumerate(js))
 
@@ -798,14 +726,16 @@ class ScanTable:
         json.dump(obj, fh)
 
 
+def _scan_row(param: float, rep: EquilibriumReport) -> ScanRow:
+    return ScanRow(param=param, mu1=rep.mu1, mu2=rep.mu2, h=rep.h, b=rep.b,
+                   neg_inv_h=-1.0 / rep.h, classification=rep.classification,
+                   eigenvalues=rep.eigenvalues)
+
+
 def _isosceles_scan_point(args) -> ScanRow:
     n, t = args
     try:
-        rep = isosceles_equilibrium(n, float(t))
-        return ScanRow(
-            param=float(t), mu1=rep.mu1, mu2=rep.mu2, h=rep.h, b=rep.b,
-            neg_inv_h=-1.0 / rep.h, classification=rep.classification,
-            eigenvalues=rep.eigenvalues)
+        return _scan_row(float(t), isosceles_equilibrium(n, float(t)))
     except (NoRealMomenta, ValueError) as exc:
         return ScanRow(param=float(t), error=str(exc))
 
@@ -815,11 +745,7 @@ def _general_scan_point(args) -> ScanRow:
     mm = MassTriple(m1, m2, m3)
     try:
         seed = general_series_equilibrium(mm, float(u))
-        rep = newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps)
-        return ScanRow(
-            param=float(u), mu1=rep.mu1, mu2=rep.mu2, h=rep.h, b=rep.b,
-            neg_inv_h=-1.0 / rep.h, classification=rep.classification,
-            eigenvalues=rep.eigenvalues)
+        return _scan_row(float(u), newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps))
     except (NoRealMomenta, NoConvergence, DegenerateHessian, ValueError) as exc:
         return ScanRow(param=float(u), error=str(exc))
 

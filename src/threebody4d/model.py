@@ -215,12 +215,15 @@ def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
     return s11, k[0] * s11 + k[1] * s12 + s22, k[2] * s11 - k[3] * s12 + s22
 
 
-def potential_partials(k: tuple, s11: float, s22: float, s12: float):
+def potential_partials(k: tuple, s11: float, s22: float, s12: float,
+                       distances: bool = False):
     """V and its partials (V1, V2, V3) wrt (s11, s22, s12) in plain scalars.
 
     `k` is `masses.potential_constants`.  It runs unchanged on
     Python floats, mpmath numbers and Decimals (with `k` built from masses
-    of the same type).
+    of the same type).  With `distances` it returns the pair (partials,
+    (d1, d2, d3, i1, i2, i3)): the squared distances and their inverse
+    square roots, which `potential_second_partials` takes at the same point.
     """
     aa2, g2, aa3, g3, c1, c2, c3, b1, b2, b3, _, _, _, rsqrt = k
     d1, d2, d3 = _distances_sq(k, s11, s22, s12)
@@ -235,10 +238,11 @@ def potential_partials(k: tuple, s11: float, s22: float, s12: float):
     w1 = b1 * i1 / d1
     w2 = b2 * i2 / d2
     w3 = b3 * i3 / d3
-    return (c1 * i1 + c2 * i2 + c3 * i3,
-            w1 + w2 * aa2 + w3 * aa3,
-            w2 + w3,
-            w2 * g2 - w3 * g3)
+    partials = (c1 * i1 + c2 * i2 + c3 * i3,
+                w1 + w2 * aa2 + w3 * aa3,
+                w2 + w3,
+                w2 * g2 - w3 * g3)
+    return (partials, (d1, d2, d3, i1, i2, i3)) if distances else partials
 
 
 def potential_derivatives(masses: MassTriple, s: ScalarProducts):
@@ -246,20 +250,20 @@ def potential_derivatives(masses: MassTriple, s: ScalarProducts):
     return potential_partials(masses.potential_constants, s.s11, s.s22, s.s12)
 
 
-def potential_second_partials(k: tuple, s11, s22, s12):
+def potential_second_partials(k: tuple, distances: tuple):
     """Second partials (V11, V22, V33, V12, V13, V23) of V wrt (s11, s22, s12).
 
+    `distances` is what `potential_partials(k, s11, s22, s12, distances=True)`
+    returns second, so the distances are neither formed nor checked twice.
     Plain scalar arithmetic like `potential_partials`: it runs unchanged on
     Python floats, mpmath numbers and Decimals.
     """
     aa2, g2, aa3, g3, _, _, _, _, _, _, e1, e2, e3, rsqrt = k
-    d1, d2, d3 = _distances_sq(k, s11, s22, s12)
-    if d1 <= COLLISION_TOL or d2 <= COLLISION_TOL or d3 <= COLLISION_TOL:
-        raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
+    d1, d2, d3, i1, i2, i3 = distances
     if rsqrt is None:
         r1, r2, r3 = d1 ** -2.5, d2 ** -2.5, d3 ** -2.5
     else:
-        r1, r2, r3 = rsqrt(d1) / (d1 * d1), rsqrt(d2) / (d2 * d2), rsqrt(d3) / (d3 * d3)
+        r1, r2, r3 = i1 / (d1 * d1), i2 / (d2 * d2), i3 / (d3 * d3)
     # h_k = d^2(c_k / sqrt(d_k))/d(d_k)^2, times the outer products of the
     # gradients (1, 0, 0), (a2^2, 1, 2 a2) and (a3^2, 1, -2 a3) of d1, d2, d3
     h1 = e1 * r1

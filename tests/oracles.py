@@ -5,8 +5,8 @@ potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
 partial Hamiltonian and the invariant-set residual, the partial/full
 monitors, the inverse chart, the CSV rows of a trajectory, the step-control
-error norm, the float equilibrium Newton with its report, and the
-high-precision equilibrium Newton on mpmath numbers: one small
+error norm, the simplified equilibrium equations, the equilibrium report,
+and the high-precision equilibrium Newton on mpmath numbers: one small
 array per term, a fresh decoding of the phase point for every monitor, one
 eigvalsh call per Hessian block, and one svd call per inverse chart.  They
 are slower than the library versions and exist only so the tests can check
@@ -484,7 +484,7 @@ def mutual_distances_sq(masses: MassTriple, s: ScalarProducts):
             a3 * a3 * s.s11 - 2.0 * a3 * s.s12 + s.s22)
 
 
-# --- equilibrium solver: the numpy-scalar float Newton and its report ----------
+# --- equilibrium solver: residuals, the mpmath Newton and the report ----------
 
 def solvability_residual(masses: MassTriple, q) -> float:
     q = np.asarray(q, dtype=float)
@@ -511,56 +511,6 @@ def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
     ])
 
 
-def newton_fp(masses, mu1, mu2, q, tol=1e-12, max_iter=60):
-    """Damped Newton on numpy arrays: one residual array per evaluation."""
-    def resid(qv):
-        e = simplified_equilibrium_residual(masses, qv, mu1, mu2)
-        e[2] = solvability_residual(masses, qv)
-        return e
-
-    def scaled_gradient(qv):
-        _, grad, hess = equilibria.effective_potential_kernel(masses, qv.tolist(), mu1, mu2)
-        return equilibria._scaled_norm(qv, grad, hess)
-
-    q = np.asarray(q, dtype=float).copy()
-    for _ in range(max_iter):
-        r = resid(q)
-        jac = np.zeros((4, 4))
-        for k in range(4):
-            hk = 1e-7 * max(abs(q[k]), 1e-3 * abs(q[3]))
-            qp, qm = q.copy(), q.copy()
-            qp[k] += hk
-            qm[k] -= hk
-            jac[:, k] = (resid(qp) - resid(qm)) / (2 * hk)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Newton Jacobian: {exc}") from exc
-        base = float(np.linalg.norm(r))
-        lam = 1.0
-        qn = None
-        while lam > 1e-9:
-            cand = q + lam * step
-            try:
-                rn = float(np.linalg.norm(resid(cand)))
-            except ValueError:
-                lam *= 0.5
-                continue
-            if rn < base or lam <= 2e-9:
-                qn = cand
-                break
-            lam *= 0.5
-        if qn is None:
-            qn = q + 1e-9 * step
-        q = qn
-        if scaled_gradient(q) < tol:
-            return q
-    err = scaled_gradient(q)
-    if err < 100 * tol:
-        return q
-    raise NoConvergence(f"Newton did not reach tolerance {tol}; scaled gradient {err}")
-
-
 def newton_mp(masses, mu1, mu2, seed, max_iter=60, dps=60):
     """The high-precision Newton on mpmath numbers inside `mpmath.workdps`.
 
@@ -575,14 +525,13 @@ def newton_mp(masses, mu1, mu2, seed, max_iter=60, dps=60):
         mp_tol = mp.mpf(10) ** (-(dps - 15))
         q = [mp.mpf(float(v)) for v in seed]
         _, grad, terms = equilibria._veff_value_gradient(mm, q, mu1_, mu2_)
-        bound = mp_tol * equilibria._gradient_scale(terms)
-        for _ in range(max_iter):
+        for _ in range(max_iter + 1):
+            if max(abs(g) for g in grad) < mp_tol * equilibria._gradient_scale(terms):
+                return np.array([float(v) for v in q])
             dq = equilibria._gauss_solve(equilibria._veff_hessian(terms), [-g for g in grad],
                                          mp.eps)
             q = [qi + dqi for qi, dqi in zip(q, dq)]
             _, grad, terms = equilibria._veff_value_gradient(mm, q, mu1_, mu2_)
-            if max(abs(g) for g in grad) < bound:
-                return np.array([float(v) for v in q])
         raise NoConvergence(f"mp Newton did not reach {mp_tol} relative to the gradient's "
                             f"terms in {max_iter} steps")
 

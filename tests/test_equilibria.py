@@ -11,7 +11,7 @@ import pytest
 
 import threebody4d
 from threebody4d import equilibria, model, reduction
-from threebody4d.errors import DegenerateMomenta
+from threebody4d.errors import DegenerateMomenta, NoConvergence
 
 import oracles
 from conftest import (bisect, central_gradient, hessian_fd, random_reduced_state,
@@ -431,6 +431,20 @@ def test_mp_newton_stops_at_small_u(monkeypatch, k, u_ref):
     assert len(solves) <= 3
 
 
+def test_decimal_hessian_reuses_the_gradients_square_roots(monkeypatch):
+    # each gradient takes three Decimal square roots, and the Hessian at the
+    # same point reuses them: 9 per two-step dps=60 solve, not 15
+    roots, solves = [], []
+    rsqrt, gauss_solve = model._decimal_rsqrt, equilibria._gauss_solve
+    monkeypatch.setattr(model, "_decimal_rsqrt", lambda d: roots.append(1) or rsqrt(d))
+    monkeypatch.setattr(equilibria, "_gauss_solve",
+                        lambda *a: solves.append(1) or gauss_solve(*a))
+    seed = equilibria.general_series_equilibrium(MASSES, 1e-2)
+    equilibria.newton_equilibrium(MASSES, seed.mu1, seed.mu2, seed.q, dps=60)
+    assert len(solves) == 2
+    assert len(roots) == 3 * (len(solves) + 1)
+
+
 def _oracle_points():
     """Masses in [0.5, 2.5], each binary pair in turn, u log-uniform in [3e-5, 0.1]."""
     rng = np.random.default_rng(41)
@@ -449,6 +463,38 @@ def test_decimal_newton_roots_equal_the_mpmath_oracle(dps, every):
         q = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps).q
         ref = oracles.newton_mp(mm, seed.mu1, seed.mu2, seed.q, dps=dps)
         assert q.tolist() == ref.tolist(), (mm, u)
+
+
+def test_float_newton_meets_the_dps_root_on_the_readme_sweep():
+    # the README sweep: one default_rng(4) stream, 12 triples per u, each a
+    # random binary pair and masses U(0.5, 2.5).  At small u the series seed
+    # is already at the float rounding floor; a solve that steps from it
+    # moved q2 and q3 by up to 2e-2
+    rng = np.random.default_rng(4)
+    for u, rel in ((1e-3, 1e-11), (3e-3, 1e-11), (1e-2, 1e-11), (0.1, 1e-10)):
+        for _ in range(12):
+            pair = ((2, 3), (1, 3), (1, 2))[int(rng.integers(3))]
+            mm = model.MassTriple(*rng.uniform(0.5, 2.5, size=3)).permuted(pair)
+            seed = equilibria.general_series_equilibrium(mm, u)
+            ref = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=60).q
+            q = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q).q
+            for k in range(4):
+                assert abs(q[k] - ref[k]) <= rel * abs(ref[k]), (mm, u, k)
+
+
+def test_float_newton_reports_no_false_root_far_out():
+    # a u ~ 1 seed, outside the series' range: the Newton steps carry q out
+    # to |q| ~ 1e7, where the gradient decays with its summands; a bound
+    # fixed at the seed's summands passed that point as a root
+    mm = model.MassTriple(1.1374951774281923, 1.050558135829066, 1.9266008168244317)
+    seed = equilibria.general_series_equilibrium(mm, 0.9945093552897518)
+    try:
+        rep = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q)
+    except NoConvergence:
+        return
+    grad = equilibria.effective_potential_gradient(mm, rep.q, rep.mu1, rep.mu2)
+    scale = np.max(np.abs(rep.hessian[0:4, 0:4])) * np.max(np.abs(rep.q))
+    assert np.linalg.norm(grad) < 1e-10 * scale
 
 
 def test_dps_solve_does_not_import_mpmath():

@@ -128,8 +128,9 @@ def test_potential_hessian_finite_differences():
     m = model.MassTriple(0.8, 1.1, 2.4)
     st = random_full_state(rng)
     s = st.scalar_products()
+    k = m.potential_constants
     v11, v22, v33, v12, v13, v23 = model.potential_second_partials(
-        m.potential_constants, s.s11, s.s22, s.s12)
+        k, model.potential_partials(k, s.s11, s.s22, s.s12, distances=True)[1])
     hess = np.array([[v11, v12, v13], [v12, v22, v23], [v13, v23, v33]])
 
     def grad(x):
