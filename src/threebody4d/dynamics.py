@@ -28,7 +28,6 @@ from .errors import (
 from .model import (
     MassTriple,
     angular_momentum_components,
-    check_scalar_products,
     potential_partials,
     spectral_pair_components,
 )
@@ -128,7 +127,6 @@ def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
     s11 = q1 * q1 + q2 * q2
     s22 = q3 * q3 + q4 * q4
     s12 = q1 * q3 + q2 * q4
-    check_scalar_products(s11, s22, s12)
     _, v1, v2, v3 = potential_partials(k, s11, s22, s12)
     return (2.0 * q1 * v1 + q3 * v3,
             2.0 * q2 * v1 + q4 * v3,
@@ -298,7 +296,6 @@ def full_field(masses: MassTriple) -> VectorField:
         s11 = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
         s22 = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
         s12 = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
-        check_scalar_products(s11, s22, s12)
         _, v1, v2, v3 = potential_partials(kv, s11, s22, s12)
         w1, w2 = 2.0 * v1, 2.0 * v2
         return np.array((
@@ -545,12 +542,12 @@ def _midpoint_iterate(field, t, y, h, k, bound, max_iter):
     return k, delta
 
 
-def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
+def _midpoint_step(field, t, y, h, k, max_iter=100):
     """One implicit midpoint step: (y + h k, k) with k = f(t + h/2, y + (h/2) k).
 
     The slope k is found by fixed-point iteration from the predicted slope
     `k`, or from f(t, y) when `k` is None.  It stops when successive iterates
-    of the new state differ by less than tol * (max|y| + 1).  When the
+    of the new state differ by less than 1e-14 (max|y| + 1).  When the
     iteration from a predicted slope leaves the field's domain at an iterate,
     or does not converge within `max_iter` iterations, the step is solved
     again from f(t, y): a poor prediction can stray where the solution does
@@ -559,7 +556,7 @@ def _midpoint_step(field, t, y, h, k, tol=1e-14, max_iter=100):
     a non-finite iterate difference raises `NoConvergence` at once.
     """
     # y holds no NaN, so Python's max sees every entry
-    bound = tol * (max(map(abs, y.tolist())) + 1.0)
+    bound = 1e-14 * (max(map(abs, y.tolist())) + 1.0)
     if k is not None:
         try:
             k, delta = _midpoint_iterate(field, t, y, h, k, bound, max_iter)

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .model import (
     MassTriple,
-    check_scalar_products,
     potential_partials,
     potential_second_partials,
 )
@@ -47,10 +46,10 @@ EQUILATERAL_T = 2.0 - math.sqrt(3.0)
 
 # --- effective potential: value, gradient, Hessian --------------------------
 
-def _area(q):
-    """Oriented area A of q; ChartSingular when it is below AREA_TOL."""
-    a = (q[0] * q[3] - q[1] * q[2]) / 2
-    if abs(a) < reduction.AREA_TOL:
+def _area(k, q):
+    """Oriented area A of q; ChartSingular when |A| is below k's `AREA_TOL`, k[-1]."""
+    a = reduction.oriented_area(q)
+    if abs(a) < k[-1]:
         raise ChartSingular(f"oriented area A = {a} too small")
     return a
 
@@ -63,7 +62,7 @@ def _inertia_terms(masses: MassTriple, q):
 
 def moments_of_inertia_inv(masses: MassTriple, q) -> tuple[float, float]:
     """(I1^-1, I2^-1) from the 4 A^2 form (no solvability assumption)."""
-    a = _area(q)
+    a = _area(masses.potential_constants, q)
     t1, t2 = _inertia_terms(masses, q)
     return t1 / (4 * a * a), t2 / (4 * a * a)
 
@@ -72,10 +71,10 @@ def effective_potential_kernel(masses: MassTriple, q, mu1, mu2):
     """(V_eff, gradient, Hessian) at q = (q1, q2, q3, q4) in plain scalars.
 
     The gradient is a 4-tuple and the Hessian a symmetric 4x4 nested list.
-    The arithmetic holds no float constant, so it runs unchanged on Python
-    floats, on mpmath numbers and on Decimals (with a MassTriple of masses
-    of the same type, so that the mass constants carry the working
-    precision too).  V_eff is the centrifugal term
+    It holds no float constant, in its arithmetic or its comparisons, so it
+    runs unchanged on Python floats, on mpmath numbers and on Decimals (with
+    a MassTriple of masses of the same type, whose constants carry the
+    working precision and the tolerances too).  V_eff is the centrifugal term
     num/(8 A^2), num = mu1^2 T1 + mu2^2 T2 (see `_inertia_terms`), plus V
     of the scalar products of q.
     """
@@ -90,7 +89,8 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
     no Hessian pay nothing for it.
     """
     q1, q2, q3, q4 = q
-    a = _area(q)
+    k = masses.potential_constants
+    a = _area(k, q)
     nu1, nu2 = masses.nu1, masses.nu2
     m1s, m2s = mu1 * mu1, mu2 * mu2
     t1, t2 = _inertia_terms(masses, q)
@@ -105,11 +105,6 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
     s11 = q1 * q1 + q2 * q2
     s22 = q3 * q3 + q4 * q4
     s12 = q1 * q3 + q2 * q4
-    k = masses.potential_constants
-    if k[-1] is None:  # no Decimal square-root hook: floats or mpmath numbers
-        check_scalar_products(s11, s22, s12)
-    else:  # the check's float slack does not mix with Decimals
-        check_scalar_products(float(s11), float(s22), float(s12))
     (v, v1, v2, v3), dist = potential_partials(k, s11, s22, s12, distances=True)
     # 0 in the number type of q: on floats a mixed int-float product costs
     # more than a float one
@@ -339,13 +334,14 @@ def isosceles_equilibrium(n: float, t: float, m: float = 1.0,
     return _build_report(masses, q, math.sqrt(mu1sq), math.sqrt(mu2sq))
 
 
-def isosceles_hessian_blocks(n: float, t: float, m: float = 1.0, q4: float = 1.0):
+def isosceles_hessian_blocks(n: float, t: float):
     """The three 2x2 blocks of the Hessian plus the explicit 1/nu eigenvalues.
 
     Returns (q23_block, q14_block, p23_block, 1/nu1, 1/nu2) in the variable
-    pairs (q2,q3), (q1,q4), (p2,p3); the remaining directions p1, p4 are
-    eigenvectors with eigenvalues 1/nu1, 1/nu2.
+    pairs (q2,q3), (q1,q4), (p2,p3), in the m = q4 = 1 scale; the remaining
+    directions p1, p4 are eigenvectors with eigenvalues 1/nu1, 1/nu2.
     """
+    m = q4 = 1.0
     mu1sq, mu2sq, q1 = isosceles_momenta(n, t, m, q4)
     m1 = n * m
     nu1 = m / 2.0
@@ -427,7 +423,7 @@ class RegionLabel:
     boundary: bool
 
 
-def region_classification(n: float, t: float, tol: float = 1e-6) -> RegionLabel:
+def region_classification(n: float, t: float) -> RegionLabel:
     """Region of the (n, t) quadrant by the signs of P1, P2 and t - (2-sqrt 3).
 
     sign(P2) tracks sign(mu1^2 - mu2^2).  The (q2,q3)-block is positive
@@ -435,11 +431,12 @@ def region_classification(n: float, t: float, tol: float = 1e-6) -> RegionLabel:
     eigenvalues are positive) and the (p2,p3)-block iff
     sign(P2) * ((2 - sqrt 3) - t) > 0.  `minimum` marks an all-positive
     Hessian; `adjacent_to_n_axis` additionally requires mu1 > mu2, which
-    singles out the strip along the n-axis.
+    singles out the strip along the n-axis.  A point where |P1|, |P2| or
+    |t - (2 - sqrt 3)| is below 1e-6 is named `boundary`.
     """
     p1, p2 = stability_polynomials(n, t)
     dt = EQUILATERAL_T - t
-    boundary = abs(p1) < tol or abs(p2) < tol or abs(dt) < tol
+    boundary = abs(p1) < 1e-6 or abs(p2) < 1e-6 or abs(dt) < 1e-6
     s1 = 1 if p1 > 0 else -1
     s2 = 1 if p2 > 0 else -1
     st = 1 if dt > 0 else -1
@@ -486,12 +483,12 @@ def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
     """
     q1, q2, q3, q4 = q = np.asarray(q, dtype=float).tolist()
     nu1, nu2 = masses.nu1, masses.nu2
-    a = _area(q)
+    k = masses.potential_constants
+    a = _area(k, q)
     i1 = nu2 * q4 ** 2 + nu1 * q2 ** 2
     i2 = nu1 * q1 ** 2 + nu2 * q3 ** 2
     s11, s22, s12 = q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4
-    check_scalar_products(s11, s22, s12)
-    _, v1, v2, v3 = potential_partials(masses.potential_constants, s11, s22, s12)
+    _, v1, v2, v3 = potential_partials(k, s11, s22, s12)
     pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
     return np.array([2 * q1 * v1 + q3 * v3 - i1 * mu2 * mu2 * q4 * pref,
                      2 * q2 * v1 + q4 * v3 + i2 * mu1 * mu1 * q3 * pref,
@@ -516,18 +513,16 @@ def expansion_parameters(masses: MassTriple, mu1: float, mu2: float):
     return kappa, u
 
 
-def general_series_equilibrium(masses: MassTriple, u: float,
-                               mu1: Optional[float] = None) -> SeriesSeed:
+def general_series_equilibrium(masses: MassTriple, u: float) -> SeriesSeed:
     """Power-series equilibrium location for small u.
 
     Series through orders u^8 (q1), u^14 (q2), u^16 (q3), u^4 (q4), scaled by
-    kappa mu1^2.  With mu1 = None the normalisation kappa mu1^2 = 1 is used.
+    kappa mu1^2, with mu1 normalised to kappa mu1^2 = 1.
     """
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     msum = m2 + m3
     kappa = masses.total / (m1 ** 2 * msum ** 2)
-    if mu1 is None:
-        mu1 = 1.0 / math.sqrt(kappa)
+    mu1 = 1.0 / math.sqrt(kappa)
     mu = u * m2 * m3 * math.sqrt(kappa / msum)
     scale = kappa * mu1 * mu1
     u2 = u * u

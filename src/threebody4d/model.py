@@ -18,8 +18,10 @@ import numpy as np
 
 from .errors import CollisionError
 
-# squared-distance floor; below this the potential refuses to evaluate
+# floors of a valid configuration: squared distances above COLLISION_TOL, and an
+# oriented area |A| of at least AREA_TOL, which keeps it in the rotation chart
 COLLISION_TOL = 1e-24
+AREA_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,11 +63,6 @@ class MassTriple:
     def a3(self) -> float:
         return self.m3 / (self.m2 + self.m3)
 
-    @property
-    def n(self) -> float:
-        """Mass ratio m1/m; meaningful when m2 == m3 == m."""
-        return self.m1 / self.m2
-
     def permuted(self, pair: tuple[int, int]) -> "MassTriple":
         """Masses reordered so that the bodies `pair` (1-based) form the binary.
 
@@ -95,7 +92,11 @@ class ScalarProducts:
 
 
 def check_scalar_products(s11: float, s22: float, s12: float) -> None:
-    """Raise ValueError unless (s11, s22, s12) can be (|x1|^2, |x2|^2, x1.x2)."""
+    """Raise ValueError unless (s11, s22, s12) can be (|x1|^2, |x2|^2, x1.x2).
+
+    For values from outside the package, in `ScalarProducts`.  Products the
+    kernels form from two vectors pass it, so they do not make it.
+    """
     if s11 < 0 or s22 < 0:
         raise ValueError("squared norms must be non-negative")
     slack = 1e-9 * (s11 * s22) + 1e-300
@@ -192,23 +193,26 @@ def _decimal_rsqrt(d: Decimal) -> Decimal:
 
 
 def _potential_constants(masses: MassTriple) -> tuple:
-    """Mass constants of V(s11, s22, s12) and the inverse-square-root hook.
+    """Mass constants of V(s11, s22, s12), the inverse-square-root hook, the tolerances.
 
     (a2^2, 2 a2, a3^2, 2 a3, c1, c2, c3, -c1/2, -c2/2, -c3/2, 3 c1/4, 3 c2/4,
-    3 c3/4, rsqrt) with (c1, c2, c3) = (-m2 m3, -m3 m1, -m1 m2): the squared
-    distances are d1 = s11, d2 = a2^2 s11 + 2 a2 s12 + s22 and
-    d3 = a3^2 s11 - 2 a3 s12 + s22, V = sum_k c_k / sqrt(d_k), and -c_k/2
-    and 3 c_k/4 weigh its first and second derivatives in d_k, so the
-    partials hold no float constant.  `rsqrt` is None for float and mpmath
-    masses, whose partials take `d ** -0.5` inline, and 1/sqrt in the
-    current context for Decimal masses.
+    3 c3/4, rsqrt, collision_tol, area_tol) with (c1, c2, c3) =
+    (-m2 m3, -m3 m1, -m1 m2): the squared distances are d1 = s11,
+    d2 = a2^2 s11 + 2 a2 s12 + s22 and d3 = a3^2 s11 - 2 a3 s12 + s22,
+    V = sum_k c_k / sqrt(d_k), and -c_k/2 and 3 c_k/4 weigh its first and
+    second derivatives in d_k, so the partials hold no float constant.  The
+    one dispatch on the number type: Decimal masses get 1/sqrt in the current
+    context and the exact Decimal values of `COLLISION_TOL` and `AREA_TOL`,
+    so no comparison mixes in a float or changes its outcome; other masses
+    get None (for `d ** -0.5` inline) and the floats.
     """
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     a2, a3 = m2 / (m2 + m3), m3 / (m2 + m3)
     c1, c2, c3 = -m2 * m3, -m3 * m1, -m1 * m2
-    rsqrt = _decimal_rsqrt if isinstance(m1, Decimal) else None
+    num = Decimal if isinstance(m1, Decimal) else float
+    rsqrt = _decimal_rsqrt if num is Decimal else None
     return (a2 * a2, 2 * a2, a3 * a3, 2 * a3, c1, c2, c3, -c1 / 2, -c2 / 2, -c3 / 2,
-            3 * c1 / 4, 3 * c2 / 4, 3 * c3 / 4, rsqrt)
+            3 * c1 / 4, 3 * c2 / 4, 3 * c3 / 4, rsqrt, num(COLLISION_TOL), num(AREA_TOL))
 
 
 def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
@@ -221,13 +225,14 @@ def potential_partials(k: tuple, s11: float, s22: float, s12: float,
 
     `k` is `masses.potential_constants`.  It runs unchanged on
     Python floats, mpmath numbers and Decimals (with `k` built from masses
-    of the same type).  With `distances` it returns the pair (partials,
-    (d1, d2, d3, i1, i2, i3)): the squared distances and their inverse
-    square roots, which `potential_second_partials` takes at the same point.
+    of the same type).  Its collision test against `k`'s `COLLISION_TOL` is
+    the one check a potential evaluation makes.  With `distances` it returns
+    the pair (partials, (d1, d2, d3, i1, i2, i3)): the squared distances and
+    their inverse square roots, which `potential_second_partials` takes.
     """
-    aa2, g2, aa3, g3, c1, c2, c3, b1, b2, b3, _, _, _, rsqrt = k
+    aa2, g2, aa3, g3, c1, c2, c3, b1, b2, b3, _, _, _, rsqrt, tol, _ = k
     d1, d2, d3 = _distances_sq(k, s11, s22, s12)
-    if d1 <= COLLISION_TOL or d2 <= COLLISION_TOL or d3 <= COLLISION_TOL:
+    if d1 <= tol or d2 <= tol or d3 <= tol:
         raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
     if rsqrt is None:
         i1, i2, i3 = d1 ** -0.5, d2 ** -0.5, d3 ** -0.5
@@ -258,7 +263,7 @@ def potential_second_partials(k: tuple, distances: tuple):
     Plain scalar arithmetic like `potential_partials`: it runs unchanged on
     Python floats, mpmath numbers and Decimals.
     """
-    aa2, g2, aa3, g3, _, _, _, _, _, _, e1, e2, e3, rsqrt = k
+    aa2, g2, aa3, g3, _, _, _, _, _, _, e1, e2, e3, rsqrt, _, _ = k
     d1, d2, d3, i1, i2, i3 = distances
     if rsqrt is None:
         r1, r2, r3 = d1 ** -2.5, d2 ** -2.5, d3 ** -2.5
@@ -289,11 +294,6 @@ def hamiltonian_full(masses: MassTriple, state: FullState) -> float:
     return kin + newtonian_potential(masses, state.scalar_products())
 
 
-def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x ^ y = x y^t - y x^t."""
-    return np.outer(x, y) - np.outer(y, x)
-
-
 def pfaffian4(l: np.ndarray) -> float:
     """Pfaffian of a 4x4 antisymmetric matrix by the closed formula."""
     return float(l[0, 1] * l[2, 3] - l[0, 2] * l[1, 3] + l[0, 3] * l[1, 2])
@@ -303,7 +303,7 @@ def angular_momentum_components(z) -> tuple:
     """(L12, L13, L14, L23, L24, L34) of L = x1 ^ y1 + x2 ^ y2 on plain floats.
 
     `z` holds the 16 floats (x1, x2, y1, y2) of `reduction.full_to_array`;
-    each component is rounded as in the entry of `angular_momentum`'s matrix.
+    each wedge entry is exactly antisymmetric, so these are L's upper entries.
     """
     (a0, a1, a2, a3, b0, b1, b2, b3,
      u0, u1, u2, u3, v0, v1, v2, v3) = z
@@ -331,13 +331,11 @@ def spectral_pair_components(l) -> tuple[float, float]:
     return mu1, (-mu2 if pf < 0.0 else mu2)
 
 
-def spectral_pair(l: np.ndarray) -> tuple[float, float]:
-    """(mu1, mu2) of a 4x4 antisymmetric matrix; see `spectral_pair_components`."""
-    return spectral_pair_components(l[[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]].tolist())
-
-
 def angular_momentum(state: FullState) -> AngularMomentum:
     """L = x1 ^ y1 + x2 ^ y2 with its spectral pair."""
-    l = wedge(state.x1, state.y1) + wedge(state.x2, state.y2)
-    mu1, mu2 = spectral_pair(l)
-    return AngularMomentum(l, mu1, mu2)
+    comps = angular_momentum_components(
+        state.x1.tolist() + state.x2.tolist() + state.y1.tolist() + state.y2.tolist())
+    upper = np.zeros((4, 4))
+    upper[(0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)] = comps
+    mu1, mu2 = spectral_pair_components(comps)
+    return AngularMomentum(upper - upper.T, mu1, mu2)

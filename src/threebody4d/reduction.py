@@ -34,18 +34,27 @@ from .errors import (
     KineticDomainError,
 )
 from .model import (
+    AREA_TOL,
     FullState,
     MassTriple,
     ScalarProducts,
     angular_momentum_components,
-    check_scalar_products,
     potential_derivatives,
     potential_partials,
 )
 
-# chart-validity floors
-AREA_TOL = 1e-12
+# chart-validity floors: AREA_TOL (from `model`) on |A|, PSI_TOL on the angles
 PSI_TOL = 1e-10
+
+
+def oriented_area(q) -> float:
+    """A = (q1 q4 - q2 q3)/2, the oriented area of the configuration q."""
+    return (q[0] * q[3] - q[1] * q[2]) / 2
+
+
+def momentum_l3(q, p) -> float:
+    """L3 = q1 p2 - q2 p1 + q3 p4 - q4 p3."""
+    return q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
 
 
 @dataclass(frozen=True)
@@ -89,13 +98,11 @@ class PartialState:
 
     @property
     def area(self) -> float:
-        q = self.q
-        return 0.5 * (q[0] * q[3] - q[1] * q[2])
+        return oriented_area(self.q)
 
     @property
     def l3(self) -> float:
-        q, p = self.q, self.p
-        return q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
+        return momentum_l3(self.q, self.p)
 
     @property
     def sigma_momentum(self) -> float:
@@ -132,13 +139,11 @@ class ReducedState:
 
     @property
     def area(self) -> float:
-        q = self.q
-        return 0.5 * (q[0] * q[3] - q[1] * q[2])
+        return oriented_area(self.q)
 
     @property
     def l3(self) -> float:
-        q, p = self.q, self.p
-        return q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
+        return momentum_l3(self.q, self.p)
 
 
 def plane_rotation(i: int, j: int, t: float) -> np.ndarray:
@@ -230,8 +235,8 @@ def configuration_jacobian_det(partial: PartialState) -> float:
                           - math.cos(2 * partial.angles.psi2))
 
 
-def lift_jacobian(partial: PartialState, step: float = 1e-4) -> np.ndarray:
-    """Richardson-extrapolated 16x16 Jacobian of the lift (O(step^4) accurate).
+def lift_jacobian(partial: PartialState) -> np.ndarray:
+    """Richardson-extrapolated 16x16 Jacobian of the lift, O(h^4) at h = 1e-4 max(1, |z_k|).
 
     Row order (x1, x2, y1, y2); column order
     (q1..q4, psi1, psi2, theta1, theta2, p1..p4, p_psi1, p_psi2, p_th1, p_th2).
@@ -249,7 +254,7 @@ def lift_jacobian(partial: PartialState, step: float = 1e-4) -> np.ndarray:
 
     jac = np.zeros((16, 16))
     for k in range(16):
-        hk = step * max(1.0, abs(base[k]))
+        hk = 1e-4 * max(1.0, abs(base[k]))
         jac[:, k] = (4.0 * column(k, hk / 2.0) - column(k, hk)) / 3.0
     return jac
 
@@ -451,7 +456,6 @@ def partial_values_kernel(masses: Optional[MassTriple], mu1: float, mu2: float,
         s22 = q3 ** 2 + q4 ** 2
         s12 = q1 * q3 + q2 * q4
         if potential is None:
-            check_scalar_products(s11, s22, s12)
             v = potential_partials(kv, s11, s22, s12)[0]
         else:
             v = potential(ScalarProducts(s11, s22, s12))
@@ -588,11 +592,12 @@ def hamiltonian_reduced(masses: MassTriple, state: ReducedState,
     `potential` (a callable on ScalarProducts) replaces the Newtonian one;
     the kinetic reduction is potential-agnostic.
     """
-    q, p = state.q, state.p
-    area = state.area
+    # on Python floats, whose `**` raises OverflowError where numpy's warns
+    q, p = state.q.tolist(), state.p.tolist()
+    area = oriented_area(q)
     if abs(area) < AREA_TOL:
         raise ChartSingular(f"oriented area A = {area} too small")
-    l3 = state.l3
+    l3 = momentum_l3(q, p)
     f34 = kinetic_f(q[2], q[3], l3, state.mu1, state.mu2, area)
     f12 = kinetic_f(q[0], q[1], l3, state.mu1, state.mu2, area)
     s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
@@ -636,12 +641,17 @@ def embed_reduced(state: ReducedState, theta1: float = 0.0,
 # The verification suites and the tests draw their points from these two
 # generators; the draw order is part of what a seed means.
 
-def random_chart_point(rng) -> PartialState:
-    """A generic partial state away from the chart boundaries."""
+def _random_q(rng) -> np.ndarray:
+    """A configuration q with |qi| in [0.6, 1.6] and |A| > 1/4."""
     while True:
         q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
-        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25:
-            break
+        if abs(oriented_area(q)) > 0.25:
+            return q
+
+
+def random_chart_point(rng) -> PartialState:
+    """A generic partial state away from the chart boundaries."""
+    q = _random_q(rng)
     while True:
         psi1 = rng.uniform(0.25, 1.3)
         psi2 = rng.uniform(0.25, 1.3)
@@ -661,10 +671,7 @@ def random_reduced_state(rng, mu1: float, mu2: float) -> ReducedState:
     check_momenta(mu1, mu2)
     dlt = mu1 - mu2
     while True:
-        q = rng.uniform(0.6, 1.6, size=4) * rng.choice([-1.0, 1.0], size=4)
-        if abs(0.5 * (q[0] * q[3] - q[1] * q[2])) <= 0.25:
-            continue
+        q = _random_q(rng)
         p = rng.normal(0.0, 0.25, size=4)
-        l3 = q[0] * p[1] - q[1] * p[0] + q[2] * p[3] - q[3] * p[2]
-        if abs(l3) < 0.8 * dlt:
+        if abs(momentum_l3(q, p)) < 0.8 * dlt:
             return ReducedState(q, p, mu1, mu2)

@@ -303,11 +303,16 @@ def theta_rotation(angles: reduction.RotationAngles) -> np.ndarray:
             @ reduction.plane_rotation(2, 3, angles.theta2))
 
 
+def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x ^ y = x y^t - y x^t."""
+    return np.outer(x, y) - np.outer(y, x)
+
+
 def project_to_partial(state: model.FullState) -> reduction.PartialState:
     """The inverse chart on numpy 2x2 and 4x4 matrices, with `np.linalg.svd`."""
     ptop = np.column_stack([state.x1[0:2], state.x2[0:2]])
     pbot = np.column_stack([state.x1[2:4], state.x2[2:4]])
-    gram = model.wedge(state.x1, state.x2)
+    gram = wedge(state.x1, state.x2)
     scale = float(np.linalg.norm(state.x1) * np.linalg.norm(state.x2))
     if np.max(np.abs(gram)) < reduction.AREA_TOL * max(scale, 1e-30):
         raise DegeneratePlane("x1 and x2 are collinear (A = 0)")
@@ -342,7 +347,7 @@ def project_to_partial(state: model.FullState) -> reduction.PartialState:
     yh1 = m.T @ state.y1
     yh2 = m.T @ state.y2
     p = np.array([yh1[0], yh1[1], yh2[0], yh2[1]])
-    lmat = model.wedge(state.x1, state.y1) + model.wedge(state.x2, state.y2)
+    lmat = wedge(state.x1, state.y1) + wedge(state.x2, state.y2)
     mth = theta_rotation(ang)
     lhat = mth.T @ lmat @ mth
     p_theta = np.array([-lmat[0, 1], -lmat[2, 3]])
@@ -496,7 +501,7 @@ def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
     """The four simplified equations on numpy scalars."""
     q = np.asarray(q, dtype=float)
     nu1, nu2 = masses.nu1, masses.nu2
-    a = equilibria._area(q)
+    a = equilibria._area(masses.potential_constants, q)
     i1 = nu2 * q[3] ** 2 + nu1 * q[1] ** 2
     i2 = nu1 * q[0] ** 2 + nu2 * q[2] ** 2
     s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,

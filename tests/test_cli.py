@@ -333,6 +333,9 @@ def test_full_precision_roundtrip(tmp_path):
     # the derived momenta have mu2 > mu1
     (["equilibrium", "--general", "-m", "1,2,3", "-u", "5"], 2),
     (["integrate", "--monitor-every", "0", "--t-end", "0.1"], 2),
+    # a finite start whose float `**` overflows in the field or the monitors
+    *((["integrate", "--system", system, "-q", "1e200,0,0,1", "--t-end", "0.1"], 3)
+      for system in ("reduced", "partial")),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):

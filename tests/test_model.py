@@ -1,9 +1,11 @@
 """Masses, Jacobi vectors, potential, Hamiltonian and angular momentum."""
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threebody4d import model
 from threebody4d.errors import CollisionError
@@ -157,6 +159,22 @@ def test_collision_raises():
     assert model.newtonian_potential(m, model.ScalarProducts(1e-10, 1.0, 0.0)) < 0
 
 
+def test_collision_fires_at_one_squared_distance_on_floats_and_decimals():
+    tol = model.COLLISION_TOL
+    k = model.MassTriple(1.0, 1.0, 1.0).potential_constants
+    with pytest.raises(CollisionError):
+        model.potential_partials(k, tol, 1.0, 0.0)
+    model.potential_partials(k, math.nextafter(tol, 1.0), 1.0, 0.0)
+    with localcontext(Context(prec=60)):
+        k = model.MassTriple(Decimal(1), Decimal(1), Decimal(1)).potential_constants
+        # the tolerances a Decimal kernel compares against are Decimals
+        assert all(isinstance(v, Decimal) for v in k[-2:])
+        d = Decimal(tol)
+        with pytest.raises(CollisionError):
+            model.potential_partials(k, d, Decimal(1), Decimal(0))
+        model.potential_partials(k, d.next_plus(), Decimal(1), Decimal(0))
+
+
 def test_hamiltonian_equilateral():
     m = model.MassTriple(1.0, 1.0, 1.0)
     r2 = np.array([0.5, 0, 0, 0])
@@ -208,9 +226,17 @@ def test_angular_momentum_normal_form():
     l0 = np.zeros((4, 4))
     l0[0, 1], l0[1, 0] = mu1, -mu1
     l0[2, 3], l0[3, 2] = mu2, -mu2
-    got = model.spectral_pair(l0)
+    got = model.spectral_pair_components(l0[np.triu_indices(4, 1)].tolist())
     assert got == pytest.approx((mu1, mu2))
     assert model.pfaffian4(l0) == pytest.approx(mu1 * mu2)
+
+
+def test_angular_momentum_matrix_is_the_wedge_sum():
+    rng = np.random.default_rng(33)
+    for _ in range(50):
+        state = random_full_state(rng)
+        ref = oracles.wedge(state.x1, state.y1) + oracles.wedge(state.x2, state.y2)
+        assert np.array_equal(model.angular_momentum(state).matrix, ref)
 
 
 def test_pfaffian_squared_is_determinant():
@@ -262,3 +288,38 @@ def test_scalar_products_validation():
         model.ScalarProducts(-1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         model.ScalarProducts(1.0, 1.0, 2.0)
+
+
+# The kernels form (s11, s22, s12) from two vectors and do not check them.
+# Components are 0 or m 10^(e + o), 0.1 <= |m| <= 1, o in [-8, 0], for a
+# scale exponent e in [-75, 75] per vector: no square falls below the
+# normal range, where its rounding is no longer relative (s22 = 4.4e-323
+# for 4.66e-323 against s11 = 1e24 exceeds the slack), and s11 s22 stays
+# finite.  The chart kernels cannot reach that range: their area test
+# fails first.
+_mantissa = st.one_of(st.just(0.0), st.builds(lambda m, s: m * s, st.floats(0.1, 1.0),
+                                              st.sampled_from((-1.0, 1.0))))
+
+
+def _vector(dim, e):
+    return st.lists(st.tuples(_mantissa, st.integers(-8, 0)),
+                    min_size=dim, max_size=dim).map(
+        lambda comps: [m * 10.0 ** (e + o) for m, o in comps])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(dim=st.sampled_from((2, 4)), ex=st.integers(-75, 75), ey=st.integers(-75, 75),
+       data=st.data())
+def test_formed_scalar_products_pass_the_configuration_check(dim, ex, ey, data):
+    x = data.draw(_vector(dim, ex))
+    if data.draw(st.booleans()):
+        y = data.draw(_vector(dim, ey))
+    else:  # near-collinear, and collinear at eps = 0
+        c = data.draw(_mantissa)
+        eps = data.draw(st.sampled_from((0.0, 1e-16, 1e-12, 1e-8)))
+        r = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+        y = [c * 10.0 ** (ey - ex) * xi * (1.0 + eps * ri) for xi, ri in zip(x, r)]
+    s12 = sum(a * b for a, b in zip(x, y))
+    # the chart kernels square with `*` and with `**`
+    model.check_scalar_products(sum(a * a for a in x), sum(b * b for b in y), s12)
+    model.check_scalar_products(sum(a ** 2 for a in x), sum(b ** 2 for b in y), s12)
