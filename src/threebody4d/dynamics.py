@@ -28,6 +28,7 @@ from .errors import (
 from .model import (
     MassTriple,
     angular_momentum_components,
+    full_values_kernel,
     potential_partials,
     spectral_pair_components,
 )
@@ -191,11 +192,9 @@ def _partial_gradient(masses: MassTriple):
     """Kernel from the 16 chart variables to the gradient of the partial Hamiltonian.
 
     The kinetic part is (u1^2 + u2^2)/(2 nu1) + (u3^2 + u4^2)/(2 nu2) with
-    u1 = q3 B - q4 p_psi1/(2A), u2 = -q4 C + q3 p_psi2/(2A),
-    u3 = -q1 B + q2 p_psi1/(2A), u4 = q2 C - q1 p_psi2/(2A), and
-    B = nb/den, C = nc/den, den = 2 A (cos 2psi1 - cos 2psi2).  Its derivative
-    along any variable is sum_i (u_i/nu) du_i, and du_i is linear in
-    (dB, dC, d(1/2A)) plus the explicit q-dependence of u_i.
+    the lifted momenta u_i of `reduction._lift_momenta`, inlined here.  Its
+    derivative along any variable is sum_i (u_i/nu) du_i, and du_i is linear
+    in (dB, dC, d(1/2A)) plus the explicit q-dependence of u_i.
     """
     nu1, nu2 = masses.nu1, masses.nu2
     kv = masses.potential_constants
@@ -574,10 +573,9 @@ def _midpoint_step(field, t, y, h, k, max_iter=100):
 # --- standard monitors and the full/reduced comparison ----------------------
 
 def reduced_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
-    def ham(t, z):
-        return reduction.hamiltonian_reduced(
-            masses, ReducedState(z[0:4], z[4:8], mu1, mu2))
-    return {"H": ham}
+    """H from one kernel call per sample."""
+    value = reduction.reduced_values_kernel(masses, mu1, mu2)
+    return {"H": lambda t, z: value(z.tolist())}
 
 
 def _per_sample(decode):
@@ -599,40 +597,29 @@ def _per_sample(decode):
     return cached
 
 
-def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
-    """H, the invariant-set residual c1..c4 and p_theta, from one kernel call per sample."""
-    kernel = reduction.partial_values_kernel(masses, mu1, mu2)
-    sample = _per_sample(lambda z: kernel(z.tolist()))
+def _sample_monitors(values, names) -> dict:
+    """One monitor per name, the i-th entry of values(z), evaluated once per sample."""
+    sample = _per_sample(values)
 
     def make(i):
         def monitor(t, z):
             return sample(z)[i]
         return monitor
+    return {name: make(i) for i, name in enumerate(names)}
 
-    mons = {name: make(i) for i, name in enumerate(("H", "c1", "c2", "c3", "c4"))}
+
+def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
+    """H, the invariant-set residual c1..c4 and p_theta, from one kernel call per sample."""
+    kernel = reduction.partial_values_kernel(masses, mu1, mu2)
+    mons = _sample_monitors(lambda z: kernel(z.tolist()), ("H", "c1", "c2", "c3", "c4"))
     mons["p_theta1"] = lambda t, z: z[14]
     mons["p_theta2"] = lambda t, z: z[15]
     return mons
 
 
 def full_monitors(masses: MassTriple) -> dict:
-    from .model import angular_momentum, hamiltonian_full
-
-    def decode(z):
-        state = reduction.array_to_full(z)
-        return state, angular_momentum(state)
-    sample = _per_sample(decode)
-
-    def ham(t, z):
-        return hamiltonian_full(masses, sample(z)[0])
-
-    def mu1(t, z):
-        return sample(z)[1].mu1
-
-    def mu2(t, z):
-        return sample(z)[1].mu2
-
-    return {"H": ham, "mu1": mu1, "mu2": mu2}
+    """H, mu1 and mu2 from one kernel call per sample."""
+    return _sample_monitors(full_values_kernel(masses), ("H", "mu1", "mu2"))
 
 
 @dataclass
@@ -657,7 +644,8 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
     (`reduction.inverse_chart`, on plain floats); the projection is aligned
     to the reduced reference over the discrete chart symmetries
     (`reduction.aligned_deviation`) before measuring the (q, p) deviation.
-    Both runs record only the start, the sample times and the end.
+    Both runs record only the start and one forced landing per sample time,
+    the last one at t_end, so their states pair up row by row.
     """
     part0 = reduction.embed_reduced(reduced_start)
     z_full0 = reduction.full_to_array(reduction.lift_to_full(part0))
@@ -680,26 +668,17 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
 
     mu10, mu20 = spectral_pair(z_full0.tolist())
     residual = reduction.partial_values_kernel(None, mu10, abs(mu20))
-    # the recorded step nearest to each sample time, for both runs at once
-    kfs = np.abs(np.subtract.outer(samples, rec_full.times)).argmin(axis=1).tolist()
-    krs = np.abs(np.subtract.outer(samples, rec_red.times)).argmin(axis=1).tolist()
-
     devs = []
     max_res = 0.0
     max_mu = 0.0
-    times_out = []
-    for ts, kf, kr in zip(samples.tolist(), kfs, krs):
-        if abs(rec_full.times[kf] - ts) > 1e-9 or abs(rec_red.times[kr] - ts) > 1e-9:
-            continue
-        zf = rec_full.states[kf].tolist()
+    for zf, zr in zip(rec_full.states[1:].tolist(), rec_red.states[1:].tolist()):
         values = reduction.inverse_chart(zf)
-        devs.append(reduction.aligned_deviation(values, rec_red.states[kr].tolist()))
+        devs.append(reduction.aligned_deviation(values, zr))
         max_res = max(max_res, *map(abs, residual(values)[1:]))
         mu1, mu2 = spectral_pair(zf)
         max_mu = max(max_mu, abs(mu1 - mu10), abs(mu2 - mu20))
-        times_out.append(ts)
     return ComparisonReport(
-        times=np.array(times_out),
+        times=samples,
         max_qp_deviation=float(max(devs)) if devs else math.inf,
         max_invariant_residual=max_res,
         max_mu_drift=max_mu,

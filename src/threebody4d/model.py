@@ -156,6 +156,10 @@ class AngularMomentum:
     mu2: float
 
 
+def full_to_array(state: FullState) -> np.ndarray:
+    return np.concatenate([state.x1, state.x2, state.y1, state.y2])
+
+
 def jacobi_from_positions(masses: MassTriple, r1, r2, r3, v1, v2, v3) -> FullState:
     """Jacobi vectors and conjugate momenta from raw positions/velocities.
 
@@ -287,11 +291,28 @@ def newtonian_potential(masses: MassTriple, s: ScalarProducts) -> float:
     return potential_derivatives(masses, s)[0]
 
 
+def full_values_kernel(masses: MassTriple):
+    """Kernel from the array (x1, x2, y1, y2) of `full_to_array` to (H, mu1, mu2).
+
+    H = |y1|^2/(2 nu1) + |y2|^2/(2 nu2) + V from numpy dot products, V from
+    `potential_partials`; (mu1, mu2) is the spectral pair of L from its six
+    components.  The full monitors call it once per sample.
+    """
+    two_nu1, two_nu2 = 2.0 * masses.nu1, 2.0 * masses.nu2
+    kv = masses.potential_constants
+
+    def values(z):
+        x1, x2, y1, y2 = z[0:4], z[4:8], z[8:12], z[12:16]
+        kin = float(y1 @ y1) / two_nu1 + float(y2 @ y2) / two_nu2
+        v = potential_partials(kv, float(x1 @ x1), float(x2 @ x2), float(x1 @ x2))[0]
+        mu1, mu2 = spectral_pair_components(angular_momentum_components(z.tolist()))
+        return kin + v, mu1, mu2
+    return values
+
+
 def hamiltonian_full(masses: MassTriple, state: FullState) -> float:
-    """H = |y1|^2/(2 nu1) + |y2|^2/(2 nu2) + V(scalar products of x)."""
-    kin = float(state.y1 @ state.y1) / (2.0 * masses.nu1) \
-        + float(state.y2 @ state.y2) / (2.0 * masses.nu2)
-    return kin + newtonian_potential(masses, state.scalar_products())
+    """H = |y1|^2/(2 nu1) + |y2|^2/(2 nu2) + V(scalar products of x), by `full_values_kernel`."""
+    return full_values_kernel(masses)(full_to_array(state))[0]
 
 
 def pfaffian4(l: np.ndarray) -> float:
@@ -302,7 +323,7 @@ def pfaffian4(l: np.ndarray) -> float:
 def angular_momentum_components(z) -> tuple:
     """(L12, L13, L14, L23, L24, L34) of L = x1 ^ y1 + x2 ^ y2 on plain floats.
 
-    `z` holds the 16 floats (x1, x2, y1, y2) of `reduction.full_to_array`;
+    `z` holds the 16 floats (x1, x2, y1, y2) of `full_to_array`;
     each wedge entry is exactly antisymmetric, so these are L's upper entries.
     """
     (a0, a1, a2, a3, b0, b1, b2, b3,
@@ -333,8 +354,7 @@ def spectral_pair_components(l) -> tuple[float, float]:
 
 def angular_momentum(state: FullState) -> AngularMomentum:
     """L = x1 ^ y1 + x2 ^ y2 with its spectral pair."""
-    comps = angular_momentum_components(
-        state.x1.tolist() + state.x2.tolist() + state.y1.tolist() + state.y2.tolist())
+    comps = angular_momentum_components(full_to_array(state).tolist())
     upper = np.zeros((4, 4))
     upper[(0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)] = comps
     mu1, mu2 = spectral_pair_components(comps)

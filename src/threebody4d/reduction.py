@@ -37,9 +37,8 @@ from .model import (
     AREA_TOL,
     FullState,
     MassTriple,
-    ScalarProducts,
     angular_momentum_components,
-    potential_derivatives,
+    full_to_array,
     potential_partials,
 )
 
@@ -165,8 +164,13 @@ def rotation_matrix(angles: RotationAngles) -> np.ndarray:
             @ plane_rotation(1, 3, angles.psi2))
 
 
-def _bc_coefficients(q, l3, p_theta, psi1, psi2):
-    """The linear-in-momenta coefficients B and C of the cotangent lift."""
+def _lift_momenta(q, l3, p_theta, p_psi, psi1, psi2):
+    """(u1, u2, u3, u4), the last two components of M^t y1 and M^t y2 in the lift.
+
+    u1 = q3 B - q4 p_psi1/(2A), u2 = -q4 C + q3 p_psi2/(2A),
+    u3 = -q1 B + q2 p_psi1/(2A), u4 = q2 C - q1 p_psi2/(2A), with B = nb/den,
+    C = nc/den linear in the momenta and den = 2 A (cos 2psi1 - cos 2psi2).
+    """
     area = 0.5 * (q[0] * q[3] - q[1] * q[2])
     if abs(area) < AREA_TOL:
         raise ChartSingular(f"oriented area A = {area} too small")
@@ -178,25 +182,25 @@ def _bc_coefficients(q, l3, p_theta, psi1, psi2):
     s2, c2 = math.sin(psi2), math.cos(psi2)
     b = (l3 * math.sin(2 * psi1) + 2.0 * (p_theta[0] * s1 * c2 + p_theta[1] * c1 * s2)) / den
     c = (l3 * math.sin(2 * psi2) + 2.0 * (p_theta[0] * c1 * s2 + p_theta[1] * s1 * c2)) / den
-    return b, c, area
+    pp1, pp2 = p_psi
+    inv2a = 0.5 / area
+    return (q[2] * b - q[3] * pp1 * inv2a,
+            -q[3] * c + q[2] * pp2 * inv2a,
+            -q[0] * b + q[1] * pp1 * inv2a,
+            q[1] * c - q[0] * pp2 * inv2a)
 
 
 def lift_to_full(partial: PartialState) -> FullState:
     """Chart point -> (x1, x2, y1, y2); the exact cotangent lift."""
     q, p = partial.q, partial.p
     ang = partial.angles
-    b, c, area = _bc_coefficients(q, partial.l3, partial.p_theta, ang.psi1, ang.psi2)
-    pp1, pp2 = partial.p_psi
-    inv2a = 0.5 / area
-    a1 = q[2] * b - q[3] * pp1 * inv2a
-    a2 = -q[3] * c + q[2] * pp2 * inv2a
-    a3 = -q[0] * b + q[1] * pp1 * inv2a
-    a4 = q[1] * c - q[0] * pp2 * inv2a
+    u1, u2, u3, u4 = _lift_momenta(q, partial.l3, partial.p_theta, partial.p_psi,
+                                   ang.psi1, ang.psi2)
     m = rotation_matrix(ang)
     x1 = m @ np.array([q[0], q[1], 0.0, 0.0])
     x2 = m @ np.array([q[2], q[3], 0.0, 0.0])
-    y1 = m @ np.array([p[0], p[1], a1, a2])
-    y2 = m @ np.array([p[2], p[3], a3, a4])
+    y1 = m @ np.array([p[0], p[1], u1, u2])
+    y2 = m @ np.array([p[2], p[3], u3, u4])
     return FullState(x1, x2, y1, y2)
 
 
@@ -280,10 +284,6 @@ def array_to_partial(z: np.ndarray) -> PartialState:
         p_psi=z[12:14],
         p_theta=z[14:16],
     )
-
-
-def full_to_array(state: FullState) -> np.ndarray:
-    return np.concatenate([state.x1, state.x2, state.y1, state.y2])
 
 
 def array_to_full(z: np.ndarray) -> FullState:
@@ -415,26 +415,16 @@ def aligned_deviation(values, qp) -> float:
     return worst
 
 
-def kinetic_tilde(qi: float, qj: float, b: float, c: float, pp1: float,
-                  pp2: float, area: float) -> float:
-    """f~(qi, qj) = (qi B - qj p_psi1/(2A))^2 + (-qj C + qi p_psi2/(2A))^2."""
-    inv2a = 0.5 / area
-    t1 = qi * b - qj * pp1 * inv2a
-    t2 = -qj * c + qi * pp2 * inv2a
-    return t1 * t1 + t2 * t2
-
-
-def partial_values_kernel(masses: Optional[MassTriple], mu1: float, mu2: float,
-                          potential=None):
+def partial_values_kernel(masses: Optional[MassTriple], mu1: float, mu2: float):
     """Kernel from the 16 chart values to (H, c1, c2, c3, c4) on plain floats.
 
     The values come as Python floats in the order of `partial_to_array`.  H
-    is the partial Hamiltonian of `hamiltonian_partial`, with the Newtonian
-    potential or with `potential` (a callable on ScalarProducts), and
-    (c1, c2, c3, c4) the invariant-set residual of `invariant_set_residual`
-    for p_theta = (mu1, mu2).  Without `masses` the kernel returns H = None
-    and checks no chart condition.  The partial monitors call it once per
-    sample.
+    is the partial Hamiltonian of `hamiltonian_partial`, its kinetic terms
+    f~(q3, q4) = u1^2 + u2^2 and f~(q1, q2) = u3^2 + u4^2 from
+    `_lift_momenta`, and (c1, c2, c3, c4) the invariant-set residual of
+    `invariant_set_residual` for p_theta = (mu1, mu2).  Without `masses` the
+    kernel returns H = None and checks no chart condition.  The partial
+    monitors call it once per sample.
     """
     if masses is not None:
         two_nu1, two_nu2 = 2.0 * masses.nu1, 2.0 * masses.nu2
@@ -449,34 +439,27 @@ def partial_values_kernel(masses: Optional[MassTriple], mu1: float, mu2: float,
         c4 = diff_mu * math.cos(psi1 + psi2) + l3
         if masses is None:
             return None, pp1, pp2, c3, c4
-        b, c, area = _bc_coefficients((q1, q2, q3, q4), l3, (pt1, pt2), psi1, psi2)
-        f34 = kinetic_tilde(q3, q4, b, c, pp1, pp2, area)
-        f12 = kinetic_tilde(q1, q2, b, c, pp1, pp2, area)
-        s11 = q1 ** 2 + q2 ** 2
-        s22 = q3 ** 2 + q4 ** 2
-        s12 = q1 * q3 + q2 * q4
-        if potential is None:
-            v = potential_partials(kv, s11, s22, s12)[0]
-        else:
-            v = potential(ScalarProducts(s11, s22, s12))
+        u1, u2, u3, u4 = _lift_momenta((q1, q2, q3, q4), l3, (pt1, pt2), (pp1, pp2),
+                                       psi1, psi2)
+        f34 = u1 * u1 + u2 * u2
+        f12 = u3 * u3 + u4 * u4
+        v = potential_partials(kv, q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4)[0]
         h = ((p1 ** 2 + p2 ** 2 + f34) / two_nu1
              + (p3 ** 2 + p4 ** 2 + f12) / two_nu2 + v)
         return h, pp1, pp2, c3, c4
     return values
 
 
-def hamiltonian_partial(masses: MassTriple, partial: PartialState,
-                        potential=None) -> float:
+def hamiltonian_partial(masses: MassTriple, partial: PartialState) -> float:
     """Partially reduced Hamiltonian (6 degrees of freedom, theta cyclic).
 
     H = (p1^2 + p2^2 + f~(q3,q4))/(2 nu1) + (p3^2 + p4^2 + f~(q1,q2))/(2 nu2)
-        + V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4).
+        + V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4),
 
-    The reduction holds for any potential through the scalar products;
-    `potential` (a callable on ScalarProducts) replaces the Newtonian one.
+    by `partial_values_kernel`.
     """
     # the momenta of the residual do not enter H
-    values = partial_values_kernel(masses, 0.0, 0.0, potential)
+    values = partial_values_kernel(masses, 0.0, 0.0)
     return values(partial_to_array(partial).tolist())[0]
 
 
@@ -582,29 +565,40 @@ def kinetic_f(qi: float, qj: float, l3: float, mu1: float, mu2: float,
     return ((ld + ls) ** 2 * qi * qi + (ld - ls) ** 2 * qj * qj) / (16.0 * area * area)
 
 
-def hamiltonian_reduced(masses: MassTriple, state: ReducedState,
-                        potential=None) -> float:
-    """Fully reduced Hamiltonian on the 8-dimensional phase space.
+def reduced_values_kernel(masses: MassTriple, mu1: float, mu2: float):
+    """Kernel from the 8 reduced values (q1..q4, p1..p4) to H on plain floats.
 
     H = (p1^2 + p2^2 + f(q3,q4))/(2 nu1) + (p3^2 + p4^2 + f(q1,q2))/(2 nu2)
-        + V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4).
+        + V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4),
 
-    `potential` (a callable on ScalarProducts) replaces the Newtonian one;
-    the kinetic reduction is potential-agnostic.
+    with f = `kinetic_f` at the momenta (mu1, mu2), which are checked once,
+    here.  On Python floats, whose `**` raises OverflowError where numpy's
+    warns.  `hamiltonian_reduced` and the reduced monitor call it, the
+    monitor once per sample.
     """
-    # on Python floats, whose `**` raises OverflowError where numpy's warns
-    q, p = state.q.tolist(), state.p.tolist()
-    area = oriented_area(q)
-    if abs(area) < AREA_TOL:
-        raise ChartSingular(f"oriented area A = {area} too small")
-    l3 = momentum_l3(q, p)
-    f34 = kinetic_f(q[2], q[3], l3, state.mu1, state.mu2, area)
-    f12 = kinetic_f(q[0], q[1], l3, state.mu1, state.mu2, area)
-    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
-                       q[0] * q[2] + q[1] * q[3])
-    v = potential(s) if potential is not None else potential_derivatives(masses, s)[0]
-    return ((p[0] ** 2 + p[1] ** 2 + f34) / (2.0 * masses.nu1)
-            + (p[2] ** 2 + p[3] ** 2 + f12) / (2.0 * masses.nu2) + v)
+    check_momenta(mu1, mu2)
+    two_nu1, two_nu2 = 2.0 * masses.nu1, 2.0 * masses.nu2
+    kv = masses.potential_constants
+
+    def value(z):
+        q, p = z[0:4], z[4:8]
+        area = oriented_area(q)
+        if abs(area) < AREA_TOL:
+            raise ChartSingular(f"oriented area A = {area} too small")
+        l3 = momentum_l3(q, p)
+        f34 = kinetic_f(q[2], q[3], l3, mu1, mu2, area)
+        f12 = kinetic_f(q[0], q[1], l3, mu1, mu2, area)
+        v = potential_partials(kv, q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
+                               q[0] * q[2] + q[1] * q[3])[0]
+        return ((p[0] ** 2 + p[1] ** 2 + f34) / two_nu1
+                + (p[2] ** 2 + p[3] ** 2 + f12) / two_nu2 + v)
+    return value
+
+
+def hamiltonian_reduced(masses: MassTriple, state: ReducedState) -> float:
+    """Fully reduced Hamiltonian on the 8-dimensional phase space, by `reduced_values_kernel`."""
+    value = reduced_values_kernel(masses, state.mu1, state.mu2)
+    return value(state.q.tolist() + state.p.tolist())
 
 
 def embed_reduced(state: ReducedState, theta1: float = 0.0,

@@ -3,9 +3,10 @@
 These are the straightforward numpy forms of the mutual distances, the
 potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
-partial Hamiltonian and the invariant-set residual, the partial/full
-monitors, the inverse chart, the CSV rows of a trajectory, the step-control
-error norm, the simplified equilibrium equations, the equilibrium report,
+full, partial and reduced Hamiltonians, the invariant-set residual, the
+monitors of the three systems, the inverse chart, the CSV rows of a
+trajectory, the step-control error norm, the simplified equilibrium
+equations, the equilibrium report,
 and the high-precision equilibrium Newton on mpmath numbers: one small
 array per term, a fresh decoding of the phase point for every monitor, one
 eigvalsh call per Hessian block, and one svd call per inverse chart.  They
@@ -236,8 +237,32 @@ def kinetic_tilde(qi, qj, b, c, pp1, pp2, area):
     return t1 * t1 + t2 * t2
 
 
-def hamiltonian_partial(masses: MassTriple, partial: reduction.PartialState,
-                        potential=None) -> float:
+def hamiltonian_full(masses: MassTriple, state: model.FullState) -> float:
+    """|y1|^2/(2 nu1) + |y2|^2/(2 nu2) + V on the numpy vectors of a FullState."""
+    kin = float(state.y1 @ state.y1) / (2.0 * masses.nu1) \
+        + float(state.y2 @ state.y2) / (2.0 * masses.nu2)
+    s = ScalarProducts(float(state.x1 @ state.x1), float(state.x2 @ state.x2),
+                       float(state.x1 @ state.x2))
+    return kin + model.potential_derivatives(masses, s)[0]
+
+
+def hamiltonian_reduced(masses: MassTriple, state: reduction.ReducedState) -> float:
+    """The reduced Hamiltonian on the Python floats of a ReducedState."""
+    q, p = state.q.tolist(), state.p.tolist()
+    area = reduction.oriented_area(q)
+    if abs(area) < reduction.AREA_TOL:
+        raise ChartSingular(f"oriented area A = {area} too small")
+    l3 = reduction.momentum_l3(q, p)
+    f34 = reduction.kinetic_f(q[2], q[3], l3, state.mu1, state.mu2, area)
+    f12 = reduction.kinetic_f(q[0], q[1], l3, state.mu1, state.mu2, area)
+    s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
+                       q[0] * q[2] + q[1] * q[3])
+    return ((p[0] ** 2 + p[1] ** 2 + f34) / (2.0 * masses.nu1)
+            + (p[2] ** 2 + p[3] ** 2 + f12) / (2.0 * masses.nu2)
+            + model.potential_derivatives(masses, s)[0])
+
+
+def hamiltonian_partial(masses: MassTriple, partial: reduction.PartialState) -> float:
     """The partial Hamiltonian on the numpy scalars of a PartialState."""
     q, p = partial.q, partial.p
     ang = partial.angles
@@ -247,9 +272,9 @@ def hamiltonian_partial(masses: MassTriple, partial: reduction.PartialState,
     f12 = kinetic_tilde(q[0], q[1], b, c, pp1, pp2, area)
     s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
                        q[0] * q[2] + q[1] * q[3])
-    v = potential(s) if potential is not None else model.potential_derivatives(masses, s)[0]
     return ((p[0] ** 2 + p[1] ** 2 + f34) / (2.0 * masses.nu1)
-            + (p[2] ** 2 + p[3] ** 2 + f12) / (2.0 * masses.nu2) + v)
+            + (p[2] ** 2 + p[3] ** 2 + f12) / (2.0 * masses.nu2)
+            + model.potential_derivatives(masses, s)[0])
 
 
 def invariant_set_residual(partial: reduction.PartialState, mu1: float,
@@ -283,10 +308,17 @@ def partial_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
     return mons
 
 
+def reduced_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
+    """One ReducedState per sample."""
+    def ham(t, z):
+        return hamiltonian_reduced(masses, reduction.ReducedState(z[0:4], z[4:8], mu1, mu2))
+    return {"H": ham}
+
+
 def full_monitors(masses: MassTriple) -> dict:
     """One decoding and one angular momentum per callable."""
     def ham(t, z):
-        return model.hamiltonian_full(masses, reduction.array_to_full(z))
+        return hamiltonian_full(masses, reduction.array_to_full(z))
 
     def mu1(t, z):
         return model.angular_momentum(reduction.array_to_full(z)).mu1

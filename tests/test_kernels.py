@@ -169,11 +169,6 @@ def test_effective_potential_kernel_on_decimals_at_60_digits():
                     <= 1e-45 * max(map(abs, r))
 
 
-def _soft(s):
-    """A softened potential, for the `potential=` path."""
-    return -1.0 / math.sqrt(s.s11 + 0.1) - 1.0 / math.sqrt(s.s11 + s.s22 + 1.0)
-
-
 @PROPERTY
 @given(q=chart_q, p=momenta, psi=psi_pair, theta=st.tuples(angle, angle),
        pp=p_psi, pt=p_theta, mu=st.tuples(st.floats(0.8, 2.0), st.floats(0.0, 0.7)))
@@ -185,10 +180,24 @@ def test_partial_hamiltonian_and_residual_equal_oracle_bodies(q, p, psi, theta, 
     for state in (part, reduction.array_to_partial(reduction.partial_to_array(part))):
         assert (reduction.hamiltonian_partial(MASSES, state)
                 == oracles.hamiltonian_partial(MASSES, state))
-        assert (reduction.hamiltonian_partial(MASSES, state, potential=_soft)
-                == oracles.hamiltonian_partial(MASSES, state, potential=_soft))
         assert np.array_equal(reduction.invariant_set_residual(state, *mu),
                               oracles.invariant_set_residual(state, *mu))
+
+
+@PROPERTY
+@given(q=chart_q, p=momenta, mu1=st.floats(0.8, 2.0), ratio=st.floats(0.05, 0.85))
+def test_reduced_hamiltonian_equals_oracle_body(q, p, mu1, ratio):
+    state = reduction.ReducedState(q, p, mu1, ratio * mu1)
+    assume(abs(state.l3) < 0.8 * (state.mu1 - state.mu2))
+    assert (reduction.hamiltonian_reduced(MASSES, state)
+            == oracles.hamiltonian_reduced(MASSES, state))
+
+
+def test_full_hamiltonian_equals_oracle_body():
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        state = random_full_state(rng, scale=10.0 ** rng.uniform(-3, 3))
+        assert model.hamiltonian_full(MASSES, state) == oracles.hamiltonian_full(MASSES, state)
 
 
 def _squares_round_apart(rng, lo, hi):
@@ -217,15 +226,21 @@ def test_partial_hamiltonian_squares_like_the_oracle():
         checked += 1
 
 
-def test_partial_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
-    rng = np.random.default_rng(11)
-    decodes = []
-    kernel = reduction.partial_values_kernel
+def _counted(module, name, monkeypatch):
+    """Patch the kernel factory module.name to count its kernel's calls in the returned list."""
+    calls = []
+    factory = getattr(module, name)
 
     def counted(*args):
-        values = kernel(*args)
-        return lambda z: decodes.append(1) or values(z)
-    monkeypatch.setattr(reduction, "partial_values_kernel", counted)
+        values = factory(*args)
+        return lambda z: calls.append(1) or values(z)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_partial_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    decodes = _counted(reduction, "partial_values_kernel", monkeypatch)
     fast = dynamics.partial_monitors(MASSES, 1.3, 0.4)
     ref = oracles.partial_monitors(MASSES, 1.3, 0.4)
     for k in range(50):
@@ -241,12 +256,24 @@ def test_partial_monitors_equal_per_callable_values_and_decode_once(monkeypatch)
 def test_full_monitors_equal_per_callable_values_and_decode_once(monkeypatch):
     rng = np.random.default_rng(12)
     ref = oracles.full_monitors(MASSES)
-    calls = []
-    ang = model.angular_momentum
-    monkeypatch.setattr(model, "angular_momentum", lambda st: calls.append(1) or ang(st))
+    calls = _counted(dynamics, "full_values_kernel", monkeypatch)
     fast = dynamics.full_monitors(MASSES)
     for k in range(50):
         z = reduction.full_to_array(random_full_state(rng))
+        del calls[:]
+        values = {name: fn(0.1 * k, z) for name, fn in fast.items()}
+        assert len(calls) == 1
+        assert values == {name: fn(0.1 * k, z) for name, fn in ref.items()}
+
+
+def test_reduced_monitor_equals_oracle_with_one_kernel_call(monkeypatch):
+    rng = np.random.default_rng(15)
+    ref = oracles.reduced_monitors(MASSES, 1.3, 0.4)
+    calls = _counted(reduction, "reduced_values_kernel", monkeypatch)
+    fast = dynamics.reduced_monitors(MASSES, 1.3, 0.4)
+    for k in range(50):
+        state = random_reduced_state(rng, 1.3, 0.4)
+        z = np.concatenate([state.q, state.p])
         del calls[:]
         values = {name: fn(0.1 * k, z) for name, fn in fast.items()}
         assert len(calls) == 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from threebody4d import model
+from threebody4d import dynamics, model
 from threebody4d.errors import CollisionError
 
 import oracles
@@ -193,6 +193,32 @@ def test_hamiltonian_rotation_invariance():
         rot = random_so4(rng)
         h1 = model.hamiltonian_full(m, st.rotated(rot))
         assert abs(h1 - h0) < 1e-12 * max(1.0, abs(h0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_full_values_kernel_invariant_under_rotations(seed):
+    rng = np.random.default_rng(seed)
+    st0 = random_full_state(rng)
+    values = model.full_values_kernel(model.MassTriple(1.0, 2.0, 3.0))
+    h0, a1, a2 = values(model.full_to_array(st0))
+    h1, b1, b2 = values(model.full_to_array(st0.rotated(random_so4(rng))))
+    assert abs(h1 - h0) <= 1e-12 * max(1.0, abs(h0))
+    assert abs(b1 - a1) <= 1e-12 * a1
+    # mu2^2 is the small root of a quadratic in mu^2: its rounding is
+    # absolute, of the size of mu1^2
+    assert abs(b2 * b2 - a2 * a2) <= 1e-12 * a1 * a1 and b2 * a2 >= 0.0
+
+
+def test_full_hamiltonian_and_monitor_at_a_subnormal_squared_norm():
+    # s22 = 4.66e-323 is subnormal, so s12^2 exceeds s11 s22 by more than
+    # the slack of the Cauchy-Schwarz check, which formed products skip
+    m = model.MassTriple(1.0, 1.0, 1.0)
+    st0 = model.FullState([0.0, 0.0, 0.0, 1e12], [0.0, 0.0, 0.0, 6.828e-162],
+                          np.zeros(4), np.zeros(4))
+    assert model.hamiltonian_full(m, st0) == -5.0000000000000005e-12
+    h = dynamics.full_monitors(m)["H"]
+    assert h(0.0, model.full_to_array(st0)) == -5.0000000000000005e-12
 
 
 def test_hamiltonian_newtonian_oracle():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from threebody4d import dynamics, model, reduction
 from threebody4d.errors import (
@@ -391,25 +392,28 @@ def test_embed_theta_free_parameters():
         assert abs(h - h0) < 1e-12 * max(1.0, abs(h0))
 
 
-def test_reduction_holds_for_arbitrary_potential():
-    # the kinetic reduction is potential-agnostic: any function of the
-    # scalar products gives the same composition identities
-    def soft(s):
-        return 0.7 * s.s11 - 1.3 * s.s22 + 0.4 * s.s12 ** 2 \
-            - 1.0 / math.sqrt(s.s11 + s.s22 + 1.0)
+signed = st.builds(lambda m, s: m * s, st.floats(0.6, 1.6), st.sampled_from((-1.0, 1.0)))
 
-    rng = np.random.default_rng(24)
-    for _ in range(10):
-        red = random_reduced_state(rng, MU1, MU2)
-        emb = reduction.embed_reduced(red)
-        hr = reduction.hamiltonian_reduced(MASSES, red, potential=soft)
-        hp = reduction.hamiltonian_partial(MASSES, emb, potential=soft)
-        assert hr == pytest.approx(hp, rel=1e-12)
-        # and the partial one still matches full kinetic + the new potential
-        full = reduction.lift_to_full(emb)
-        kin = (full.y1 @ full.y1) / (2 * MASSES.nu1) \
-            + (full.y2 @ full.y2) / (2 * MASSES.nu2)
-        assert hp == pytest.approx(kin + soft(full.scalar_products()), rel=1e-12)
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=st.tuples(signed, signed, signed, signed).filter(
+           lambda q: abs(reduction.oriented_area(q)) > 0.25),
+       p=st.tuples(*[st.floats(-0.6, 0.6)] * 4), mu1=st.floats(0.8, 2.0),
+       ratio=st.floats(0.05, 0.85), theta=st.tuples(*[st.floats(-math.pi, math.pi)] * 2))
+def test_reduced_partial_and_lifted_kinetic_energies_agree(q, p, mu1, ratio, theta):
+    # the reduction acts on the kinetic part alone: H - V agrees at every
+    # level, whatever V of the scalar products is added
+    red = reduction.ReducedState(q, p, mu1, ratio * mu1)
+    assume(abs(red.l3) < 0.8 * (red.mu1 - red.mu2))
+    v = model.newtonian_potential(MASSES, model.ScalarProducts(
+        q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2, q[0] * q[2] + q[1] * q[3]))
+    emb = reduction.embed_reduced(red, *theta)
+    kin_partial = reduction.hamiltonian_partial(MASSES, emb) - v
+    assert reduction.hamiltonian_reduced(MASSES, red) - v == pytest.approx(kin_partial,
+                                                                          rel=1e-12)
+    full = reduction.lift_to_full(emb)
+    kin_full = (full.y1 @ full.y1) / (2 * MASSES.nu1) + (full.y2 @ full.y2) / (2 * MASSES.nu2)
+    assert kin_full == pytest.approx(kin_partial, rel=1e-12)
 
 
 def test_chart_failure_raises_not_nan():
