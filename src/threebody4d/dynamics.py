@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,11 +40,31 @@ DOMAIN_ERRORS = (CollisionError, ChartSingular, KineticDomainError)
 
 @dataclass(frozen=True)
 class VectorField:
-    """A first-order field dz/dt = evaluate(t, z) on phase points of size `dimension`."""
+    """A first-order field dz/dt = f(t, z) on phase points of size `dimension`.
+
+    `kernel(t, z)` is f on a list of Python floats and returns a sequence of
+    floats; the integrators call it.  `evaluate(t, z)` is f on an ndarray
+    and returns an ndarray.  Give either one: a field built from `kernel`
+    alone evaluates as `np.array(kernel(t, z.tolist()))`, and one built from
+    `evaluate` alone runs as `evaluate(t, np.array(z)).tolist()`, with t
+    passed unchanged.
+    """
 
     dimension: int
-    evaluate: Callable[[float, np.ndarray], np.ndarray]
+    evaluate: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     name: str = ""
+    kernel: Optional[Callable[[float, list], Sequence[float]]] = None
+
+    def __post_init__(self):
+        evaluate, kernel = self.evaluate, self.kernel
+        if kernel is None:
+            if evaluate is None:
+                raise TypeError("a VectorField needs evaluate or kernel")
+            object.__setattr__(self, "kernel",
+                               lambda t, z: evaluate(t, np.array(z)).tolist())
+        elif evaluate is None:
+            object.__setattr__(self, "evaluate",
+                               lambda t, z: np.array(kernel(t, z.tolist())))
 
 
 @dataclass
@@ -67,6 +87,10 @@ class IntegratorConfig:
         # a NaN or fractional limit would silently switch the step limit off
         if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        # the integrators run on Python floats; a numpy scalar here would
+        # turn every list operation of a step into numpy scalar arithmetic
+        for name in ("rel_tol", "abs_tol", "max_step", "dt"):
+            setattr(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -119,9 +143,9 @@ class TrajectoryRecord:
 #
 # Each gradient is a float kernel: a closure over the mass constants that
 # takes the phase point as a list of Python floats and returns a tuple
-# (dH/dq, dH/dp).  The vector fields call the kernels on `z.tolist()` and
-# allocate one output array, (dH/dp, -dH/dq); the public gradient functions
-# wrap the same kernels.
+# (dH/dq, dH/dp).  Each vector field's kernel calls one on the same floats
+# and returns the tuple (dH/dp, -dH/dq); the public gradient functions wrap
+# the same kernels.
 
 def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
     """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4); `k` is `MassTriple.potential_constants`."""
@@ -266,22 +290,22 @@ def reduced_field(masses: MassTriple, mu1: float, mu2: float) -> VectorField:
     reduction.check_momenta(mu1, mu2)
     grad = _reduced_gradient(masses, mu1, mu2)
 
-    def rhs(t, z):
-        g1, g2, g3, g4, g5, g6, g7, g8 = grad(z.tolist())
-        return np.array((g5, g6, g7, g8, -g1, -g2, -g3, -g4))
-    return VectorField(8, rhs, name="reduced")
+    def kernel(t, z):
+        g1, g2, g3, g4, g5, g6, g7, g8 = grad(z)
+        return (g5, g6, g7, g8, -g1, -g2, -g3, -g4)
+    return VectorField(8, name="reduced", kernel=kernel)
 
 
 def partial_field(masses: MassTriple) -> VectorField:
     """Canonical field of the partial Hamiltonian on the 16 chart variables."""
     grad = _partial_gradient(masses)
 
-    def rhs(t, z):
+    def kernel(t, z):
         (g1, g2, g3, g4, g5, g6, g7, g8,
-         g9, g10, g11, g12, g13, g14, g15, g16) = grad(z.tolist())
-        return np.array((g9, g10, g11, g12, g13, g14, g15, g16,
-                         -g1, -g2, -g3, -g4, -g5, -g6, -g7, -g8))
-    return VectorField(16, rhs, name="partial")
+         g9, g10, g11, g12, g13, g14, g15, g16) = grad(z)
+        return (g9, g10, g11, g12, g13, g14, g15, g16,
+                -g1, -g2, -g3, -g4, -g5, -g6, -g7, -g8)
+    return VectorField(16, name="partial", kernel=kernel)
 
 
 def full_field(masses: MassTriple) -> VectorField:
@@ -289,72 +313,86 @@ def full_field(masses: MassTriple) -> VectorField:
     nu1, nu2 = masses.nu1, masses.nu2
     kv = masses.potential_constants
 
-    def rhs(t, z):
+    def kernel(t, z):
         (a1, a2, a3, a4, b1, b2, b3, b4,
-         y1, y2, y3, y4, y5, y6, y7, y8) = z.tolist()
+         y1, y2, y3, y4, y5, y6, y7, y8) = z
         s11 = a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4
         s22 = b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4
         s12 = a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
         _, v1, v2, v3 = potential_partials(kv, s11, s22, s12)
         w1, w2 = 2.0 * v1, 2.0 * v2
-        return np.array((
+        return (
             y1 / nu1, y2 / nu1, y3 / nu1, y4 / nu1,
             y5 / nu2, y6 / nu2, y7 / nu2, y8 / nu2,
             -(w1 * a1 + v3 * b1), -(w1 * a2 + v3 * b2),
             -(w1 * a3 + v3 * b3), -(w1 * a4 + v3 * b4),
             -(w2 * b1 + v3 * a1), -(w2 * b2 + v3 * a2),
             -(w2 * b3 + v3 * a3), -(w2 * b4 + v3 * a4),
-        ))
-    return VectorField(16, rhs, name="full")
+        )
+    return VectorField(16, name="full", kernel=kernel)
 
 
 # --- integrators ------------------------------------------------------------
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner).  The last row of A
-# equals the fifth-order weights, so the input of stage 7 is the new state.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = [
-    None,
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+# equals the fifth-order weights B, so the input of stage 7 is the new state;
+# E = B - B*, with B* the fourth-order weights.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
+    _B1 - 5179 / 57600, 0.0, _B3 - 7571 / 16695, _B4 - 393 / 640,
+    _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40)
 
 
-def _dopri_step(field, t, y, h, k):
-    """One Dormand-Prince step: (fifth-order state, local error estimate).
+def _dopri_step(kernel, t, y, h):
+    """One Dormand-Prince step on lists of floats: (fifth-order state, error estimate).
 
-    `k` is a (7, dimension) array that receives the stages; exactly seven
-    field evaluations per call.
+    Exactly seven kernel calls.  Each stage sums its slopes and then adds
+    them to y.  The error estimate carries the second slope with its zero
+    weight, so a NaN in any stage reaches it.
     """
-    k[0] = field.evaluate(t, y)
-    for i in range(1, 7):
-        yi = y + h * (_DP_A[i] @ k[:i])
-        k[i] = field.evaluate(t + _DP_C[i] * h, yi)
-    return yi, h * (_DP_E @ k)
+    k1 = kernel(t, y)
+    a1 = h * _A21
+    k2 = kernel(t + _C2 * h, [u + a1 * v1 for u, v1 in zip(y, k1)])
+    a1, a2 = h * _A31, h * _A32
+    k3 = kernel(t + _C3 * h, [u + (a1 * v1 + a2 * v2) for u, v1, v2 in zip(y, k1, k2)])
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4 = kernel(t + _C4 * h, [u + (a1 * v1 + a2 * v2 + a3 * v3)
+                              for u, v1, v2, v3 in zip(y, k1, k2, k3)])
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = kernel(t + _C5 * h, [u + (a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4)
+                              for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)])
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = kernel(t + h, [u + (a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5)
+                        for u, v1, v2, v3, v4, v5 in zip(y, k1, k2, k3, k4, k5)])
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    ynew = [u + (b1 * v1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
+            for u, v1, v3, v4, v5, v6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = kernel(t + h, ynew)
+    e1, e2, e3, e4, e5, e6, e7 = (h * _E1, h * _E2, h * _E3, h * _E4, h * _E5, h * _E6,
+                                  h * _E7)
+    err = [e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7
+           for v1, v2, v3, v4, v5, v6, v7 in zip(k1, k2, k3, k4, k5, k6, k7)]
+    return ynew, err
 
 
-def _error_norm(err, y, ynew, abs_tol, rel_tol, ratio, work):
+def _error_norm(err, y, ynew, abs_tol, rel_tol):
     """RMS of err / (abs_tol + rel_tol * max(|y|, |ynew|)), the step-control norm.
 
-    `ratio` and `work` are scratch arrays of the state's size.  The sum is
-    numpy's pairwise sum, the one `np.mean` takes.
+    The squares are summed left to right.  The maximum is taken so that a
+    NaN in ynew makes the norm NaN (y holds no NaN).
     """
-    np.abs(y, out=ratio)
-    np.abs(ynew, out=work)
-    np.maximum(ratio, work, out=ratio)
-    ratio *= rel_tol
-    ratio += abs_tol
-    np.divide(err, ratio, out=ratio)
-    ratio *= ratio
-    return math.sqrt(float(ratio.sum()) / ratio.size)
+    total = 0.0
+    for e, u, v in zip(err, map(abs, y), map(abs, ynew)):
+        r = e / (abs_tol + rel_tol * (u if v < u else v))
+        total += r * r
+    return math.sqrt(total / len(err))
 
 
 def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
@@ -362,10 +400,13 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
               t_samples: Optional[np.ndarray] = None) -> TrajectoryRecord:
     """Integrate dz/dt = field(t, z) from t = 0 to t_end.
 
-    `monitors` maps names to callables fn(t, z) sampled together with the
-    states.  A domain error of the field (collision, chart failure, kinetic
-    boundary) ends the run as a domain exit: the record is returned with
-    `domain_exit` set to the error and `exit_time` to the last time reached.
+    Both methods step on lists of Python floats through `field.kernel`;
+    `t_end` and the sample times are taken as floats.  An array of the state
+    is built only for a recorded sample: `monitors` maps names to callables
+    fn(t, z) on that array, sampled together with the states.  A domain
+    error of the field (collision, chart failure, kinetic boundary) ends the
+    run as a domain exit: the record is returned with `domain_exit` set to
+    the error and `exit_time` to the last time reached.
     `dopri` rejects a step with a stage outside the domain and shrinks it by
     0.2; it exits when a step shorter than 1e-14 * max(1, |t|) still leaves
     the domain.  If `t_samples` is given, steps land exactly on those times
@@ -383,27 +424,31 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     `config.max_steps` steps; the midpoint rule does so before its first
     step when t_end / dt alone exceeds the limit.
     """
-    y = np.asarray(start, dtype=float).copy()
-    if not (np.all(np.isfinite(y)) and math.isfinite(t_end)):
+    z = np.array(start, dtype=float)
+    if not (np.all(np.isfinite(z)) and math.isfinite(t_end)):
         raise ValueError("start and t_end must be finite")
+    t_end = float(t_end)
+    kernel = field.kernel
+    y = z.tolist()
     monitors = monitors or {}
     times = [0.0]
-    states = [y.copy()]
-    mon_vals = {k: [fn(0.0, y)] for k, fn in monitors.items()}
+    states = [z]
+    mon_vals = {k: [fn(0.0, z)] for k, fn in monitors.items()}
     exit_reason = None
     exit_time = None
     n_steps = 0
     n_rejected = 0
-    sample_queue = list(t_samples) if t_samples is not None else []
+    sample_queue = [] if t_samples is None else [float(s) for s in t_samples]
     sample_queue = [s for s in sample_queue if 0.0 < s <= t_end]
     sample_queue.sort()
 
     def record(t, y, force=False):
         if force or n_steps % config.monitor_every == 0:
             times.append(t)
-            states.append(y.copy())
+            z = np.array(y)
+            states.append(z)
             for k, fn in monitors.items():
-                mon_vals[k].append(fn(t, y))
+                mon_vals[k].append(fn(t, z))
 
     def next_stop(t):
         while sample_queue and sample_queue[0] <= t + 1e-15 * max(1.0, abs(t)):
@@ -422,7 +467,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
         # counts how many trailing ones come from consecutive steps of length
         # h, the only ones the extrapolation may span; with none (a step of
         # another length on either side), the solve starts from the last slope
-        slopes = np.empty((_PREDICTOR_SLOPES, y.size))
+        slopes = np.empty((_PREDICTOR_SLOPES, len(y)))
         equal = 0
         while t < t_end - 1e-15 * max(1.0, t_end):
             if n_steps == config.max_steps:
@@ -440,9 +485,9 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                 k0 = None
             else:
                 m = max(equal, 1)
-                k0 = _EXTRAPOLATE[m] @ slopes[-m:]
+                k0 = (_EXTRAPOLATE[m] @ slopes[-m:]).tolist()
             try:
-                y, k = _midpoint_step(field, t, y, hs, k0)
+                y, k = _midpoint_step(kernel, t, y, hs, k0)
             except DOMAIN_ERRORS as exc:
                 exit_reason, exit_time = f"{type(exc).__name__}: {exc}", t
                 break
@@ -455,13 +500,11 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
     elif config.method == "dopri":
         h = max(min(config.max_step, t_end / 50.0), 1e-12)
-        stages = np.empty((7, y.size))
-        ratio, work = np.empty(y.size), np.empty(y.size)
         while t < t_end - 1e-15 * max(1.0, t_end):
             stop = min(next_stop(t), t_end)
             h = min(h, config.max_step, stop - t)
             try:
-                ynew, err = _dopri_step(field, t, y, h, stages)
+                ynew, err = _dopri_step(kernel, t, y, h)
             except DOMAIN_ERRORS as exc:
                 # a stage outside the domain rejects the step, as an infinite
                 # error estimate would; the run exits where even a step below
@@ -472,7 +515,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                 n_rejected += 1
                 h *= 0.2
             else:
-                enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol, ratio, work)
+                enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol)
                 if not math.isfinite(enorm):
                     raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
                 if enorm <= 1.0:
@@ -519,7 +562,7 @@ _EXTRAPOLATE = [None] + [np.array([(-1) ** (m - 1 - j) * math.comb(m, j) for j i
                          for m in range(1, _PREDICTOR_SLOPES + 1)]
 
 
-def _midpoint_iterate(field, t, y, h, k, bound, max_iter):
+def _midpoint_iterate(kernel, t, y, h, k, bound, max_iter):
     """Fixed-point iteration k <- f(t + h/2, y + (h/2) k) from the slope `k`.
 
     Returns the last slope and the last difference of successive iterates of
@@ -530,8 +573,11 @@ def _midpoint_iterate(field, t, y, h, k, bound, max_iter):
     tm = t + 0.5 * h
     half = 0.5 * h
     for _ in range(max_iter):
-        knew = field.evaluate(tm, y + half * k)
-        delta = h * float(abs(knew - k).max())
+        knew = kernel(tm, [u + half * v for u, v in zip(y, k)])
+        diff = [abs(u - v) for u, v in zip(knew, k)]
+        # max passes over a NaN that is not first; their sum keeps it
+        total = sum(diff)
+        delta = h * (max(diff) if total == total else total)
         k = knew
         if delta < bound:
             break
@@ -541,8 +587,9 @@ def _midpoint_iterate(field, t, y, h, k, bound, max_iter):
     return k, delta
 
 
-def _midpoint_step(field, t, y, h, k, max_iter=100):
-    """One implicit midpoint step: (y + h k, k) with k = f(t + h/2, y + (h/2) k).
+def _midpoint_step(kernel, t, y, h, k, max_iter=100):
+    """One implicit midpoint step on lists of floats: (y + h k, k) with
+    k = f(t + h/2, y + (h/2) k).
 
     The slope k is found by fixed-point iteration from the predicted slope
     `k`, or from f(t, y) when `k` is None.  It stops when successive iterates
@@ -554,18 +601,18 @@ def _midpoint_step(field, t, y, h, k, max_iter=100):
     domain exit, and only its failure to converge raises `NoConvergence`;
     a non-finite iterate difference raises `NoConvergence` at once.
     """
-    # y holds no NaN, so Python's max sees every entry
-    bound = 1e-14 * (max(map(abs, y.tolist())) + 1.0)
+    # y holds no NaN, so max sees every entry
+    bound = 1e-14 * (max(map(abs, y)) + 1.0)
     if k is not None:
         try:
-            k, delta = _midpoint_iterate(field, t, y, h, k, bound, max_iter)
+            k, delta = _midpoint_iterate(kernel, t, y, h, k, bound, max_iter)
             if delta < bound:
-                return y + h * k, k
+                return [u + h * v for u, v in zip(y, k)], k
         except DOMAIN_ERRORS:
             pass
-    k, delta = _midpoint_iterate(field, t, y, h, field.evaluate(t, y), bound, max_iter)
+    k, delta = _midpoint_iterate(kernel, t, y, h, kernel(t, y), bound, max_iter)
     if delta < bound:
-        return y + h * k, k
+        return [u + h * v for u, v in zip(y, k)], k
     raise NoConvergence(f"implicit midpoint did not converge at t = {t!r} in "
                         f"{max_iter} iterations: last iterate difference {delta!r}")
 

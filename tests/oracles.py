@@ -5,8 +5,9 @@ potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
 full, partial and reduced Hamiltonians, the invariant-set residual, the
 monitors of the three systems, the inverse chart, the CSV rows of a
-trajectory, the step-control error norm, the simplified equilibrium
-equations, the equilibrium report,
+trajectory, the Dormand-Prince step on arrays and its error norm (numpy
+and list forms), the simplified equilibrium equations, the equilibrium
+report,
 and the high-precision equilibrium Newton on mpmath numbers: one small
 array per term, a fresh decoding of the phase point for every monitor, one
 eigvalsh call per Hessian block, and one svd call per inverse chart.  They
@@ -418,10 +419,55 @@ def to_csv(rec, fh, state_labels=None):
         fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+# Dormand-Prince 5(4) tableau as arrays, row i of A for stage i + 1.
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = [
+    None,
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+                  187 / 2100, 1 / 40])
+DP_E = DP_B5 - DP_B4
+
+
+def dopri_step(field, t, y, h, k):
+    """One Dormand-Prince step on arrays: (fifth-order state, local error estimate).
+
+    `k` is a (7, dimension) array that receives the stages; exactly seven
+    field evaluations per call.
+    """
+    k[0] = field.evaluate(t, y)
+    for i in range(1, 7):
+        yi = y + h * (DP_A[i] @ k[:i])
+        k[i] = field.evaluate(t + DP_C[i] * h, yi)
+    return yi, h * (DP_E @ k)
+
+
 def error_norm(err, y, ynew, abs_tol, rel_tol):
-    """The step-control norm with a fresh array per operation."""
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(ynew))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+    """RMS of err / (abs_tol + rel_tol * max(|y|, |ynew|)) on arrays, numpy's pairwise sum."""
+    ratio, work = np.abs(y), np.abs(ynew)
+    np.maximum(ratio, work, out=ratio)
+    ratio *= rel_tol
+    ratio += abs_tol
+    np.divide(err, ratio, out=ratio)
+    ratio *= ratio
+    return math.sqrt(float(ratio.sum()) / ratio.size)
+
+
+def error_norm_list(err, y, ynew, abs_tol, rel_tol):
+    """The same norm on lists of floats, its squares summed left to right."""
+    ratios = [e / (abs_tol + rel_tol * max(abs(b), abs(a)))
+              for e, a, b in zip(err, y, ynew)]
+    total = 0.0
+    for r in ratios:
+        total = total + r * r
+    return math.sqrt(total / len(ratios))
 
 
 def potential_hessian_s(masses: MassTriple, s: ScalarProducts) -> np.ndarray:

@@ -338,21 +338,131 @@ def test_to_csv_bytes_equal_numpy_scalar_formatting():
     assert rec.domain_exit is not None
 
 
-def test_error_norm_equals_mean_form_bitwise():
+def test_error_norm_equals_list_oracle_bitwise():
     rng = np.random.default_rng(5)
     for dim in (1, 7, 8, 16, 200):
-        ratio, work = np.empty(dim), np.empty(dim)
         for scale in (1e-12, 1.0, 1e150, 1e300):
             y, ynew, err = scale * rng.normal(size=(3, dim))
             y[::3] = 0.0
             ynew[::3] = 0.0
             err[::2] = 0.0
             for abs_tol, rel_tol in ((1e-13, 1e-11), (1e-10, 1e-10)):
-                # at 1e300 an error over abs_tol alone overflows to inf, in both forms
+                args = (err.tolist(), y.tolist(), ynew.tolist(), abs_tol, rel_tol)
+                fast = dynamics._error_norm(*args)
+                assert fast == oracles.error_norm_list(*args)
                 with np.errstate(over="ignore"):
-                    fast = dynamics._error_norm(err, y, ynew, abs_tol, rel_tol, ratio, work)
                     ref = oracles.error_norm(err, y, ynew, abs_tol, rel_tol)
-                assert fast == ref
+                if scale == 1e300 and dim > 1:
+                    # an error over abs_tol alone overflows to inf, in every form
+                    assert fast == ref == math.inf
+                else:
+                    assert fast == pytest.approx(ref, rel=1e-14)
+
+
+def test_error_norm_is_nan_when_the_new_state_is():
+    for i in range(4):
+        ynew = [1.0, -2.0, 0.5, 3.0]
+        ynew[i] = math.nan
+        assert math.isnan(dynamics._error_norm([1e-12] * 4, [1.0] * 4, ynew, 1e-12, 1e-10))
+
+
+def _seeded_fields(rng):
+    """The reduced, partial and full fields, each with a start from a random reduced state."""
+    red = random_reduced_state(rng, MU1, MU2)
+    part = reduction.embed_reduced(red)
+    return [(dynamics.reduced_field(MASSES, MU1, MU2), np.concatenate([red.q, red.p])),
+            (dynamics.partial_field(MASSES), reduction.partial_to_array(part)),
+            (dynamics.full_field(MASSES),
+             reduction.full_to_array(reduction.lift_to_full(part)))]
+
+
+def test_dopri_list_step_agrees_with_the_numpy_step():
+    # normwise, relative to the largest component: the stage sums run in
+    # another order than numpy's dot products, and the partial field's
+    # p_psi rates are rounding noise of size eps around 0, so a component
+    # alone can move by its whole size; the error estimate cancels the
+    # slopes to O(h^5), so it is measured against h max|k|
+    rng = np.random.default_rng(6)
+    abs_tol, rel_tol = 1e-12, 1e-10
+    for _ in range(10):
+        for field, z in _seeded_fields(rng):
+            for h in (1e-1, 1e-2, 1e-3):
+                k = np.empty((7, z.size))
+                ynew_ref, err_ref = oracles.dopri_step(field, 0.3, z, h, k)
+                ynew, err = dynamics._dopri_step(field.kernel, 0.3, z.tolist(), h)
+                assert np.max(np.abs(np.array(ynew) - ynew_ref)) \
+                    <= 1e-14 * np.max(np.abs(ynew_ref))
+                assert np.max(np.abs(np.array(err) - err_ref)) <= 1e-14 * h * np.max(np.abs(k))
+                norm = dynamics._error_norm(err, z.tolist(), ynew, abs_tol, rel_tol)
+                assert norm == pytest.approx(
+                    oracles.error_norm(np.array(err), z, np.array(ynew), abs_tol, rel_tol),
+                    rel=1e-14)
+
+
+def _counted(fn, calls):
+    def counted(t, z):
+        calls.append(t)
+        return fn(t, z)
+    return counted
+
+
+def _same_records(a, b):
+    return (a.times.tobytes() == b.times.tobytes() and a.states.tobytes() == b.states.tobytes()
+            and a.monitors.keys() == b.monitors.keys()
+            and all(np.asarray(a.monitors[k]).tobytes() == np.asarray(b.monitors[k]).tobytes()
+                    for k in a.monitors)
+            and (a.n_steps, a.n_rejected, a.domain_exit, a.exit_time)
+            == (b.n_steps, b.n_rejected, b.domain_exit, b.exit_time))
+
+
+@pytest.mark.parametrize("method", ["dopri", "midpoint"])
+def test_kernel_path_equals_the_evaluate_only_path(method):
+    # the benchmark's tracer wraps `evaluate`, so its counts hold for the kernel path
+    cfg = dynamics.IntegratorConfig(method=method, rel_tol=1e-11, abs_tol=1e-13, dt=2e-3)
+    monitors = [dynamics.reduced_monitors(MASSES, MU1, MU2),
+                dynamics.partial_monitors(MASSES, MU1, MU2), dynamics.full_monitors(MASSES)]
+    for (vf, z0), mons in zip(_seeded_fields(np.random.default_rng(7)), monitors):
+        runs = []
+        for build in (lambda calls: dynamics.VectorField(vf.dimension, name=vf.name,
+                                                         kernel=_counted(vf.kernel, calls)),
+                      lambda calls: dynamics.VectorField(vf.dimension,
+                                                         _counted(vf.evaluate, calls), vf.name)):
+            calls = []
+            rec = dynamics.integrate(build(calls), z0, 0.3, cfg, monitors=mons,
+                                     t_samples=np.array([0.0137, 0.25]))
+            runs.append((rec, calls))
+        (rec, calls), (rec_eval, calls_eval) = runs
+        assert rec.n_steps > 20 and 0.0137 in rec.times.tolist()
+        assert _same_records(rec, rec_eval)
+        assert calls == calls_eval
+
+
+def test_numpy_scalars_stop_at_the_integrator_boundary():
+    inner = dynamics.reduced_field(MASSES, MU1, MU2)
+
+    def kernel(t, z):
+        assert type(t) is float and all(type(x) is float for x in z)
+        return inner.kernel(t, z)
+
+    field = dynamics.VectorField(8, name="strict", kernel=kernel)
+    z0 = np.array([1.1, 0.1, -0.2, 0.9, 0.02, -0.01, 0.03, 0.01])
+    samples = [0.0137, 0.125]
+    for method in ("dopri", "midpoint"):
+        runs = []
+        for number, sample_times in ((np.float64, np.array(samples)), (float, samples)):
+            cfg = dynamics.IntegratorConfig(method=method, rel_tol=number(1e-10),
+                                            abs_tol=number(1e-12), max_step=number(0.05),
+                                            dt=number(math.pi / 1000))
+            assert all(type(v) is float for v in (cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.dt))
+            runs.append(dynamics.integrate(field, z0, number(0.2), cfg,
+                                           monitors=dynamics.reduced_monitors(MASSES, MU1, MU2),
+                                           t_samples=sample_times))
+        assert runs[0].n_steps > 10 and _same_records(*runs)
+
+
+def test_vector_field_needs_evaluate_or_kernel():
+    with pytest.raises(TypeError):
+        dynamics.VectorField(2)
 
 
 def test_step_limit_raises_before_stepping_or_once_reached():
@@ -434,6 +544,20 @@ def test_dopri_nan_momentum_raises_step_size_underflow():
 def test_reduced_field_refuses_non_finite_momenta(mu1, mu2):
     with pytest.raises(ValueError, match="finite"):
         dynamics.reduced_field(MASSES, mu1, mu2)
+
+
+@pytest.mark.parametrize("stage", range(7))
+def test_dopri_nan_in_one_stage_raises_step_size_underflow(stage):
+    # the field ignores its input, so the NaN reaches no later stage; the
+    # error estimate still carries it, the second slope's zero weight too
+    calls = itertools.count()
+
+    def evaluate(t, z):
+        return np.array([math.nan if next(calls) == stage else 1.0])
+
+    with pytest.raises(StepSizeUnderflow):
+        dynamics.integrate(dynamics.VectorField(1, evaluate), np.zeros(1), 1.0,
+                           dynamics.IntegratorConfig(max_steps=10_000))
 
 
 def test_dopri_collapsing_step_raises_step_size_underflow():
@@ -556,13 +680,14 @@ def test_midpoint_retries_a_predicted_solve_from_the_field_at_the_step_start():
 def test_midpoint_retries_an_unconverged_predicted_solve():
     # dz/dt = -z at h = 1e-3: each iteration shrinks the error by h/2, so five
     # iterations converge from f(t, y) but not from a slope 1e6 off
-    field = dynamics.VectorField(2, lambda t, z: -z)
-    y = np.array([1.0, -0.5])
-    solved = dynamics._midpoint_step(field, 0.0, y, 1e-3, None, max_iter=5)
-    retried = dynamics._midpoint_step(field, 0.0, y, 1e-3, -y + 1e6, max_iter=5)
-    assert all(np.array_equal(a, b) for a, b in zip(solved, retried))
+    kernel = dynamics.VectorField(2, lambda t, z: -z).kernel
+    y = [1.0, -0.5]
+    far = [1e6 - v for v in y]
+    solved = dynamics._midpoint_step(kernel, 0.0, y, 1e-3, None, max_iter=5)
+    retried = dynamics._midpoint_step(kernel, 0.0, y, 1e-3, far, max_iter=5)
+    assert all(a == b for a, b in zip(solved, retried))
     with pytest.raises(NoConvergence, match="did not converge"):
-        dynamics._midpoint_step(field, 0.0, y, 1e-3, -y + 1e6, max_iter=2)
+        dynamics._midpoint_step(kernel, 0.0, y, 1e-3, far, max_iter=2)
 
 
 def test_midpoint_domain_exit_when_the_solve_from_the_step_start_fails():
@@ -615,3 +740,19 @@ def test_midpoint_nan_field_raises_no_convergence_at_once():
         dynamics.integrate(dynamics.VectorField(8, evaluate), z0, 300 * dt,
                            dynamics.IntegratorConfig(method="midpoint", dt=dt))
     assert next(calls) <= 7
+
+
+def test_midpoint_nan_in_one_component_raises_no_convergence_at_once():
+    # dz/dt = -z keeps the NaN in its component, where Python's max skips it
+    calls = itertools.count()
+
+    def evaluate(t, z):
+        out = -z
+        if next(calls) >= 5:
+            out[-1] = math.nan
+        return out
+
+    with pytest.raises(NoConvergence, match="diverged"):
+        dynamics.integrate(dynamics.VectorField(3, evaluate), np.array([1.0, -0.5, 0.25]),
+                           1.0, dynamics.IntegratorConfig(method="midpoint", dt=1e-3))
+    assert next(calls) == 6
