@@ -26,7 +26,6 @@ from .model import (
     angular_momentum,
     hamiltonian_full,
     jacobi_from_positions,
-    newtonian_potential,
 )
 from .reduction import (
     PartialState,

@@ -67,7 +67,7 @@ class VectorField:
                                lambda t, z: np.array(kernel(t, z.tolist())))
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     method: str = "dopri"          # "dopri" or "midpoint"
     rel_tol: float = 1e-10
@@ -78,6 +78,8 @@ class IntegratorConfig:
     monitor_every: int = 1
 
     def __post_init__(self):
+        if self.method not in ("dopri", "midpoint"):
+            raise ValueError(f"unknown method {self.method!r}: use 'dopri' or 'midpoint'")
         # written as not (x > 0) so that NaN fails too
         if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_step > 0
                 and self.dt > 0) or not math.isfinite(self.dt):
@@ -90,7 +92,7 @@ class IntegratorConfig:
         # the integrators run on Python floats; a numpy scalar here would
         # turn every list operation of a step into numpy scalar arithmetic
         for name in ("rel_tol", "abs_tol", "max_step", "dt"):
-            setattr(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass
@@ -139,13 +141,12 @@ class TrajectoryRecord:
         json.dump(obj, fh)
 
 
-# --- analytic gradients -----------------------------------------------------
+# --- analytic field kernels -------------------------------------------------
 #
-# Each gradient is a float kernel: a closure over the mass constants that
-# takes the phase point as a list of Python floats and returns a tuple
-# (dH/dq, dH/dp).  Each vector field's kernel calls one on the same floats
-# and returns the tuple (dH/dp, -dH/dq); the public gradient functions wrap
-# the same kernels.
+# Each field kernel is the hand-coded derivative of its Hamiltonian: a
+# closure over the mass constants that takes t and the phase point as a list
+# of Python floats and returns the tuple (dH/dp, -dH/dq) directly.  The public
+# gradients are derived from the same kernels by exact negation.
 
 def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
     """d/dq of V(q1^2+q2^2, q3^2+q4^2, q1 q3 + q2 q4); `k` is `MassTriple.potential_constants`."""
@@ -159,8 +160,8 @@ def _potential_gradient_q(k: tuple, q1: float, q2: float, q3: float, q4: float):
             2.0 * q4 * v2 + q2 * v3)
 
 
-def _reduced_gradient(masses: MassTriple, mu1: float, mu2: float):
-    """Kernel (q1..q4, p1..p4) -> (dH/dq, dH/dp) of the reduced Hamiltonian.
+def _reduced_kernel(masses: MassTriple, mu1: float, mu2: float):
+    """Field kernel (t, (q1..q4, p1..p4)) -> (dH/dp, -dH/dq) of the reduced Hamiltonian.
 
     The kinetic functions enter through W = sum over the two blocks of
     (2 nu)^-1 ((Ld+Ls)^2 qi^2 + (Ld-Ls)^2 qj^2); the roots depend on q, p
@@ -174,12 +175,11 @@ def _reduced_gradient(masses: MassTriple, mu1: float, mu2: float):
     sig = mu1 + mu2
     dlt = mu1 - mu2
     sig2, dlt2 = sig * sig, dlt * dlt
+    chart_area = reduction._chart_area
 
-    def grad(z):
+    def kernel(t, z):
         q1, q2, q3, q4, p1, p2, p3, p4 = z
-        area = 0.5 * (q1 * q4 - q2 * q3)
-        if abs(area) < reduction.AREA_TOL:
-            raise ChartSingular(f"oriented area A = {area} too small")
+        area = chart_area(z)
         l3 = q1 * p2 - q2 * p1 + q3 * p4 - q4 * p3
         ld2 = dlt2 - l3 * l3
         ls2 = sig2 - l3 * l3
@@ -195,49 +195,47 @@ def _reduced_gradient(masses: MassTriple, mu1: float, mu2: float):
         wa = 0.5 * (wp + wm) / (8.0 * area ** 3)
         wl = w_l3 * inv16a2
         v1, v2, v3, v4 = _potential_gradient_q(kv, q1, q2, q3, q4)
-        return ((gp * q1 / nu2 + w_l3 * p2) * inv16a2 - wa * q4 + v1,
-                (gm * q2 / nu2 - w_l3 * p1) * inv16a2 + wa * q3 + v2,
-                (gp * q3 / nu1 + w_l3 * p4) * inv16a2 + wa * q2 + v3,
-                (gm * q4 / nu1 - w_l3 * p3) * inv16a2 - wa * q1 + v4,
-                p1 / nu1 - wl * q2,
+        return (p1 / nu1 - wl * q2,
                 p2 / nu1 + wl * q1,
                 p3 / nu2 - wl * q4,
-                p4 / nu2 + wl * q3)
-    return grad
+                p4 / nu2 + wl * q3,
+                -((gp * q1 / nu2 + w_l3 * p2) * inv16a2 - wa * q4 + v1),
+                -((gm * q2 / nu2 - w_l3 * p1) * inv16a2 + wa * q3 + v2),
+                -((gp * q3 / nu1 + w_l3 * p4) * inv16a2 + wa * q2 + v3),
+                -((gm * q4 / nu1 - w_l3 * p3) * inv16a2 - wa * q1 + v4))
+    return kernel
 
 
 def gradient_reduced(masses: MassTriple, state: ReducedState) -> np.ndarray:
-    """(dH/dq, dH/dp) of the fully reduced Hamiltonian, analytically."""
-    grad = _reduced_gradient(masses, state.mu1, state.mu2)
-    return np.array(grad(state.q.tolist() + state.p.tolist()))
+    """(dH/dq, dH/dp) of the fully reduced Hamiltonian, from the field kernel."""
+    f = _reduced_kernel(masses, state.mu1, state.mu2)(0.0, state.q.tolist() + state.p.tolist())
+    return np.array([-v for v in f[4:]] + list(f[:4]))
 
 
-def _partial_gradient(masses: MassTriple):
-    """Kernel from the 16 chart variables to the gradient of the partial Hamiltonian.
+def _partial_kernel(masses: MassTriple):
+    """Field kernel (t, the 16 chart variables) -> (dH/dp, -dH/dq) of the partial Hamiltonian.
 
     The kinetic part is (u1^2 + u2^2)/(2 nu1) + (u3^2 + u4^2)/(2 nu2) with
     the lifted momenta u_i of `reduction._lift_momenta`, inlined here.  Its
     derivative along any variable is sum_i (u_i/nu) du_i, and du_i is linear
-    in (dB, dC, d(1/2A)) plus the explicit q-dependence of u_i.
+    in (dB, dC, d(1/2A)) plus the explicit q-dependence of u_i.  H does not
+    depend on theta, so the rates of p_theta are -0.0.
     """
     nu1, nu2 = masses.nu1, masses.nu2
     kv = masses.potential_constants
     sin, cos = math.sin, math.cos
+    chart_area, chart_e = reduction._chart_area, reduction._chart_e
 
-    def grad(z):
+    def kernel(t, z):
         (q1, q2, q3, q4, ps1, ps2, _, _,
          p1, p2, p3, p4, pp1, pp2, pt1, pt2) = z
-        area = 0.5 * (q1 * q4 - q2 * q3)
-        if abs(area) < reduction.AREA_TOL:
-            raise ChartSingular(f"oriented area A = {area} too small")
+        area = chart_area(z)
         l3 = q1 * p2 - q2 * p1 + q3 * p4 - q4 * p3
         s1, c1 = sin(ps1), cos(ps1)
         s2, c2 = sin(ps2), cos(ps2)
         sin2a, cos2a = sin(2 * ps1), cos(2 * ps1)
         sin2b, cos2b = sin(2 * ps2), cos(2 * ps2)
-        e = cos2a - cos2b
-        if abs(e) < reduction.PSI_TOL:
-            raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
+        e = chart_e(cos2a, cos2b)
         den = 2.0 * area * e
         s1c2, c1s2 = s1 * c2, c1 * s2
         b = (l3 * sin2a + 2.0 * (pt1 * s1c2 + pt2 * c1s2)) / den
@@ -263,16 +261,6 @@ def _partial_gradient(masses: MassTriple):
         de1 = -2.0 * sin2a / e
         de2 = 2.0 * sin2b / e
         return (
-            p2 * g_l - q4 * ha - r3 * b - r4 * pp2 * inv2a + v1,
-            -p1 * g_l + q3 * ha + r3 * pp1 * inv2a + r4 * c + v2,
-            p4 * g_l + q2 * ha + r1 * b + r2 * pp2 * inv2a + v3,
-            -p3 * g_l - q1 * ha - r1 * pp1 * inv2a - r2 * c + v4,
-            rb * ((2.0 * l3 * cos2a + dn_diag) / den - b * de1)
-            + rc * (dn_mixed / den - c * de1),
-            rb * (dn_mixed / den - b * de2)
-            + rc * ((2.0 * l3 * cos2b + dn_diag) / den - c * de2),
-            0.0,
-            0.0,
             p1 / nu1 - q2 * g_l,
             p2 / nu1 + q1 * g_l,
             p3 / nu2 - q4 * g_l,
@@ -281,31 +269,29 @@ def _partial_gradient(masses: MassTriple):
             (r2 * q3 - r4 * q1) * inv2a,
             2.0 * (rb * s1c2 + rc * c1s2) / den,
             2.0 * (rb * c1s2 + rc * s1c2) / den,
+            -(p2 * g_l - q4 * ha - r3 * b - r4 * pp2 * inv2a + v1),
+            -(-p1 * g_l + q3 * ha + r3 * pp1 * inv2a + r4 * c + v2),
+            -(p4 * g_l + q2 * ha + r1 * b + r2 * pp2 * inv2a + v3),
+            -(-p3 * g_l - q1 * ha - r1 * pp1 * inv2a - r2 * c + v4),
+            -(rb * ((2.0 * l3 * cos2a + dn_diag) / den - b * de1)
+              + rc * (dn_mixed / den - c * de1)),
+            -(rb * (dn_mixed / den - b * de2)
+              + rc * ((2.0 * l3 * cos2b + dn_diag) / den - c * de2)),
+            -0.0,
+            -0.0,
         )
-    return grad
+    return kernel
 
 
 def reduced_field(masses: MassTriple, mu1: float, mu2: float) -> VectorField:
     """Canonical field of the reduced Hamiltonian on z = (q1..q4, p1..p4)."""
     reduction.check_momenta(mu1, mu2)
-    grad = _reduced_gradient(masses, mu1, mu2)
-
-    def kernel(t, z):
-        g1, g2, g3, g4, g5, g6, g7, g8 = grad(z)
-        return (g5, g6, g7, g8, -g1, -g2, -g3, -g4)
-    return VectorField(8, name="reduced", kernel=kernel)
+    return VectorField(8, name="reduced", kernel=_reduced_kernel(masses, mu1, mu2))
 
 
 def partial_field(masses: MassTriple) -> VectorField:
     """Canonical field of the partial Hamiltonian on the 16 chart variables."""
-    grad = _partial_gradient(masses)
-
-    def kernel(t, z):
-        (g1, g2, g3, g4, g5, g6, g7, g8,
-         g9, g10, g11, g12, g13, g14, g15, g16) = grad(z)
-        return (g9, g10, g11, g12, g13, g14, g15, g16,
-                -g1, -g2, -g3, -g4, -g5, -g6, -g7, -g8)
-    return VectorField(16, name="partial", kernel=kernel)
+    return VectorField(16, name="partial", kernel=_partial_kernel(masses))
 
 
 def full_field(masses: MassTriple) -> VectorField:
@@ -498,7 +484,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             t = stop if land else t + hs
             n_steps += 1
             record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
-    elif config.method == "dopri":
+    else:
         h = max(min(config.max_step, t_end / 50.0), 1e-12)
         while t < t_end - 1e-15 * max(1.0, t_end):
             stop = min(next_stop(t), t_end)
@@ -533,8 +519,6 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             if n_steps + n_rejected > config.max_steps:
                 raise StepLimitExceeded(f"dopri exceeded max_steps = {config.max_steps} "
                                         f"at t = {t!r}")
-    else:
-        raise ValueError(f"unknown method {config.method!r}")
 
     if times[-1] != t:
         record(t, y, force=True)

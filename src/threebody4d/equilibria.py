@@ -28,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    ChartSingular,
     DegenerateMomenta,
     DegenerateHessian,
     NoConvergence,
@@ -46,14 +45,6 @@ EQUILATERAL_T = 2.0 - math.sqrt(3.0)
 
 # --- effective potential: value, gradient, Hessian --------------------------
 
-def _area(k, q):
-    """Oriented area A of q; ChartSingular when |A| is below k's `AREA_TOL`, k[-1]."""
-    a = reduction.oriented_area(q)
-    if abs(a) < k[-1]:
-        raise ChartSingular(f"oriented area A = {a} too small")
-    return a
-
-
 def _inertia_terms(masses: MassTriple, q):
     """(T1, T2) = (q1^2/nu2 + q3^2/nu1, q2^2/nu2 + q4^2/nu1), so I_i^-1 = T_i/(4 A^2)."""
     return (q[0] ** 2 / masses.nu2 + q[2] ** 2 / masses.nu1,
@@ -62,7 +53,7 @@ def _inertia_terms(masses: MassTriple, q):
 
 def moments_of_inertia_inv(masses: MassTriple, q) -> tuple[float, float]:
     """(I1^-1, I2^-1) from the 4 A^2 form (no solvability assumption)."""
-    a = _area(masses.potential_constants, q)
+    a = reduction._chart_area(q, masses.potential_constants[-1])
     t1, t2 = _inertia_terms(masses, q)
     return t1 / (4 * a * a), t2 / (4 * a * a)
 
@@ -90,7 +81,7 @@ def _veff_value_gradient(masses: MassTriple, q, mu1, mu2):
     """
     q1, q2, q3, q4 = q
     k = masses.potential_constants
-    a = _area(k, q)
+    a = reduction._chart_area(q, k[-1])
     nu1, nu2 = masses.nu1, masses.nu2
     m1s, m2s = mu1 * mu1, mu2 * mu2
     t1, t2 = _inertia_terms(masses, q)
@@ -484,7 +475,7 @@ def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
     q1, q2, q3, q4 = q = np.asarray(q, dtype=float).tolist()
     nu1, nu2 = masses.nu1, masses.nu2
     k = masses.potential_constants
-    a = _area(k, q)
+    a = reduction._chart_area(q, k[-1])
     i1 = nu2 * q4 ** 2 + nu1 * q2 ** 2
     i2 = nu1 * q1 ** 2 + nu2 * q3 ** 2
     s11, s22, s12 = q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4

@@ -122,25 +122,6 @@ class FullState:
                 raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, v)
 
-    def scalar_products(self) -> ScalarProducts:
-        return ScalarProducts(
-            float(self.x1 @ self.x1),
-            float(self.x2 @ self.x2),
-            float(self.x1 @ self.x2),
-        )
-
-    def rotated(self, m: np.ndarray) -> "FullState":
-        return FullState(m @ self.x1, m @ self.x2, m @ self.y1, m @ self.y2)
-
-    def rescaled(self, s: float) -> "FullState":
-        """Image under the scaling symmetry r -> s r, t -> s^(3/2) t.
-
-        Positions scale by s and momenta by s^(-1/2); H scales by 1/s.
-        Exposed as a test utility only.
-        """
-        c = s ** -0.5
-        return FullState(s * self.x1, s * self.x2, c * self.y1, c * self.y2)
-
 
 @dataclass(frozen=True)
 class AngularMomentum:
@@ -219,10 +200,6 @@ def _potential_constants(masses: MassTriple) -> tuple:
             3 * c1 / 4, 3 * c2 / 4, 3 * c3 / 4, rsqrt, num(COLLISION_TOL), num(AREA_TOL))
 
 
-def _distances_sq(k: tuple, s11: float, s22: float, s12: float):
-    return s11, k[0] * s11 + k[1] * s12 + s22, k[2] * s11 - k[3] * s12 + s22
-
-
 def potential_partials(k: tuple, s11: float, s22: float, s12: float,
                        distances: bool = False):
     """V and its partials (V1, V2, V3) wrt (s11, s22, s12) in plain scalars.
@@ -235,7 +212,7 @@ def potential_partials(k: tuple, s11: float, s22: float, s12: float,
     their inverse square roots, which `potential_second_partials` takes.
     """
     aa2, g2, aa3, g3, c1, c2, c3, b1, b2, b3, _, _, _, rsqrt, tol, _ = k
-    d1, d2, d3 = _distances_sq(k, s11, s22, s12)
+    d1, d2, d3 = s11, aa2 * s11 + g2 * s12 + s22, aa3 * s11 - g3 * s12 + s22
     if d1 <= tol or d2 <= tol or d3 <= tol:
         raise CollisionError(f"squared distance below tolerance: {(d1, d2, d3)}")
     if rsqrt is None:
@@ -286,11 +263,6 @@ def potential_second_partials(k: tuple, distances: tuple):
             h2 * g2 - h3 * g3)
 
 
-def newtonian_potential(masses: MassTriple, s: ScalarProducts) -> float:
-    """V = -m2 m3/d1 - m3 m1/d2 - m1 m2/d3 as a function of scalar products."""
-    return potential_derivatives(masses, s)[0]
-
-
 def full_values_kernel(masses: MassTriple):
     """Kernel from the array (x1, x2, y1, y2) of `full_to_array` to (H, mu1, mu2).
 
@@ -313,11 +285,6 @@ def full_values_kernel(masses: MassTriple):
 def hamiltonian_full(masses: MassTriple, state: FullState) -> float:
     """H = |y1|^2/(2 nu1) + |y2|^2/(2 nu2) + V(scalar products of x), by `full_values_kernel`."""
     return full_values_kernel(masses)(full_to_array(state))[0]
-
-
-def pfaffian4(l: np.ndarray) -> float:
-    """Pfaffian of a 4x4 antisymmetric matrix by the closed formula."""
-    return float(l[0, 1] * l[2, 3] - l[0, 2] * l[1, 3] + l[0, 3] * l[1, 2])
 
 
 def angular_momentum_components(z) -> tuple:

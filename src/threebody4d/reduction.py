@@ -48,7 +48,27 @@ PSI_TOL = 1e-10
 
 def oriented_area(q) -> float:
     """A = (q1 q4 - q2 q3)/2, the oriented area of the configuration q."""
-    return (q[0] * q[3] - q[1] * q[2]) / 2
+    return _chart_area(q, 0)
+
+
+def _chart_area(q, tol=AREA_TOL):
+    """A of q[0:4], or ChartSingular when |A| < tol: the chart's area floor.
+
+    `tol` is in the number type of q (`potential_constants[-1]` on
+    Decimals), so the comparison mixes in no float; 0 is no floor.
+    """
+    area = (q[0] * q[3] - q[1] * q[2]) / 2
+    if abs(area) < tol:
+        raise ChartSingular(f"oriented area A = {area} too small")
+    return area
+
+
+def _chart_e(cos2a, cos2b):
+    """e = cos 2psi1 - cos 2psi2, or ChartSingular when |e| < PSI_TOL: the chart's angle floor."""
+    e = cos2a - cos2b
+    if abs(e) < PSI_TOL:
+        raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
+    return e
 
 
 def momentum_l3(q, p) -> float:
@@ -74,9 +94,7 @@ class RotationAngles:
         return self.psi1 - self.psi2
 
     def require_valid(self):
-        if abs(math.cos(2 * self.psi1) - math.cos(2 * self.psi2)) < PSI_TOL:
-            raise ChartSingular(
-                f"cos(2 psi1) == cos(2 psi2) at psi = ({self.psi1}, {self.psi2})")
+        _chart_e(math.cos(2 * self.psi1), math.cos(2 * self.psi2))
 
 
 @dataclass(frozen=True)
@@ -171,13 +189,8 @@ def _lift_momenta(q, l3, p_theta, p_psi, psi1, psi2):
     u3 = -q1 B + q2 p_psi1/(2A), u4 = q2 C - q1 p_psi2/(2A), with B = nb/den,
     C = nc/den linear in the momenta and den = 2 A (cos 2psi1 - cos 2psi2).
     """
-    area = 0.5 * (q[0] * q[3] - q[1] * q[2])
-    if abs(area) < AREA_TOL:
-        raise ChartSingular(f"oriented area A = {area} too small")
-    e = math.cos(2 * psi1) - math.cos(2 * psi2)
-    if abs(e) < PSI_TOL:
-        raise ChartSingular("cos(2 psi1) == cos(2 psi2)")
-    den = 2.0 * area * e
+    area = _chart_area(q)
+    den = 2.0 * area * _chart_e(math.cos(2 * psi1), math.cos(2 * psi2))
     s1, c1 = math.sin(psi1), math.cos(psi1)
     s2, c2 = math.sin(psi2), math.cos(psi2)
     b = (l3 * math.sin(2 * psi1) + 2.0 * (p_theta[0] * s1 * c2 + p_theta[1] * c1 * s2)) / den
@@ -284,11 +297,6 @@ def array_to_partial(z: np.ndarray) -> PartialState:
         p_psi=z[12:14],
         p_theta=z[14:16],
     )
-
-
-def array_to_full(z: np.ndarray) -> FullState:
-    z = np.asarray(z, dtype=float)
-    return FullState(z[0:4], z[4:8], z[8:12], z[12:16])
 
 
 def inverse_chart(z) -> list:
@@ -463,35 +471,6 @@ def hamiltonian_partial(masses: MassTriple, partial: PartialState) -> float:
     return values(partial_to_array(partial).tolist())[0]
 
 
-def angular_momentum_partial(partial: PartialState) -> np.ndarray:
-    """The conjugated angular momentum M_theta^t L M_theta in closed form.
-
-    Equals -B12 p_th1 - B34 p_th2 - B13 p_psi1 - B24 p_psi2
-    + (1/2)(v1/sin delta)(B23 + B14) + (1/2)(v2/sin sigma)(B23 - B14)
-    with v1 = L3 + Sigma cos delta, v2 = L3 + Delta cos sigma.
-    """
-    ang = partial.angles
-    sig, dlt = ang.sigma, ang.delta
-    sd, ss = math.sin(dlt), math.sin(sig)
-    if abs(sd) < PSI_TOL or abs(ss) < PSI_TOL:
-        raise ChartSingular("sin(sigma) or sin(delta) vanishes")
-    l3 = partial.l3
-    v1 = l3 + partial.sigma_momentum * math.cos(dlt)
-    v2 = l3 + partial.delta_momentum * math.cos(sig)
-    l23 = 0.5 * (v1 / sd + v2 / ss)
-    l14 = 0.5 * (v1 / sd - v2 / ss)
-    pt1, pt2 = partial.p_theta
-    pp1, pp2 = partial.p_psi
-    out = np.zeros((4, 4))
-    out[0, 1], out[1, 0] = -pt1, pt1
-    out[2, 3], out[3, 2] = -pt2, pt2
-    out[0, 2], out[2, 0] = -pp1, pp1
-    out[1, 3], out[3, 1] = -pp2, pp2
-    out[1, 2], out[2, 1] = l23, -l23
-    out[0, 3], out[3, 0] = l14, -l14
-    return out
-
-
 def invariant_set_residual(partial: PartialState, mu1: float, mu2: float) -> np.ndarray:
     """(c1, c2, c3, c4) whose zero level is the invariant set for p_theta = mu.
 
@@ -506,8 +485,8 @@ def restriction_matrix_A(partial: PartialState) -> tuple[np.ndarray, float]:
     """Bracket matrix A_ij = {g_i, g_j} of the four constraint functions.
 
     The g_i are the off-normal-plane components of the conjugated angular
-    momentum: g1 = -p_psi1, g2 = -p_psi2, g3 = L23, g4 = L14 (see
-    `angular_momentum_partial`).  Hard-coded closed forms; a finite-difference
+    momentum Lhat = M_theta^t L M_theta: g1 = -p_psi1, g2 = -p_psi2,
+    g3 = Lhat_23, g4 = Lhat_14.  Hard-coded closed forms; a finite-difference
     bracket oracle covers them in the test suite.  Restricted to the invariant
     set the only non-zero entries are +-p_theta_i and the determinant is
     (mu1^2 - mu2^2)^2.
@@ -582,9 +561,7 @@ def reduced_values_kernel(masses: MassTriple, mu1: float, mu2: float):
 
     def value(z):
         q, p = z[0:4], z[4:8]
-        area = oriented_area(q)
-        if abs(area) < AREA_TOL:
-            raise ChartSingular(f"oriented area A = {area} too small")
+        area = _chart_area(q)
         l3 = momentum_l3(q, p)
         f34 = kinetic_f(q[2], q[3], l3, mu1, mu2, area)
         f12 = kinetic_f(q[0], q[1], l3, mu1, mu2, area)

@@ -1,9 +1,25 @@
 """Shared generators and finite-difference helpers for the test suite."""
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from threebody4d import dynamics, equilibria, model
 from threebody4d.reduction import random_chart_point, random_reduced_state  # noqa: F401
+
+# hypothesis strategies for chart points: |qi| in [0.6, 1.6] with |A| > 1/4,
+# psi away from the chart's singular set, p_psi away from zero and p_theta
+# drawn freely (points off the invariant set)
+signed = st.builds(lambda m, s: m * s, st.floats(0.6, 1.6), st.sampled_from((-1.0, 1.0)))
+chart_q = st.tuples(signed, signed, signed, signed).filter(
+    lambda q: abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25)
+momenta = st.tuples(*[st.floats(-0.6, 0.6)] * 4)
+psi_pair = st.tuples(st.floats(0.25, 1.3), st.floats(0.25, 1.3)).filter(
+    lambda a: abs(math.cos(2 * a[0]) - math.cos(2 * a[1])) > 0.15)
+p_psi = st.tuples(signed, signed).map(lambda v: (0.3 * v[0], 0.3 * v[1]))
+p_theta = st.tuples(st.floats(0.1, 2.0), st.floats(-2.0, 2.0))
+angle = st.floats(-math.pi, math.pi)
 
 
 def zero_field(dimension: int) -> dynamics.VectorField:
@@ -11,12 +27,31 @@ def zero_field(dimension: int) -> dynamics.VectorField:
 
 
 def gradient_partial(masses: model.MassTriple, z) -> np.ndarray:
-    """Gradient of the partial Hamiltonian in all 16 chart variables.
+    """Gradient of the partial Hamiltonian in all 16 chart variables, from the field kernel.
 
     Variable order matches `reduction.partial_to_array`:
     (q1..q4, psi1, psi2, th1, th2, p1..p4, p_psi1, p_psi2, p_th1, p_th2).
     """
-    return np.array(dynamics._partial_gradient(masses)(np.asarray(z, dtype=float).tolist()))
+    f = dynamics._partial_kernel(masses)(0.0, np.asarray(z, dtype=float).tolist())
+    return np.array([-v for v in f[8:]] + list(f[:8]))
+
+
+def scalar_products(state: model.FullState) -> model.ScalarProducts:
+    return model.ScalarProducts(float(state.x1 @ state.x1), float(state.x2 @ state.x2),
+                                float(state.x1 @ state.x2))
+
+
+def rotated(state: model.FullState, m: np.ndarray) -> model.FullState:
+    return model.FullState(m @ state.x1, m @ state.x2, m @ state.y1, m @ state.y2)
+
+
+def rescaled(state: model.FullState, s: float) -> model.FullState:
+    """Image under the scaling symmetry r -> s r, t -> s^(3/2) t.
+
+    Positions scale by s and momenta by s^(-1/2); H scales by 1/s.
+    """
+    c = s ** -0.5
+    return model.FullState(s * state.x1, s * state.x2, c * state.y1, c * state.y2)
 
 
 def random_so4(rng) -> np.ndarray:

@@ -4,7 +4,8 @@ These are the straightforward numpy forms of the mutual distances, the
 potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
 full, partial and reduced Hamiltonians, the invariant-set residual, the
-monitors of the three systems, the inverse chart, the CSV rows of a
+monitors of the three systems, the conjugated angular momentum and the
+Pfaffian in closed form, the inverse chart, the CSV rows of a
 trajectory, the Dormand-Prince step on arrays and its error norm (numpy
 and list forms), the simplified equilibrium equations, the equilibrium
 report,
@@ -319,15 +320,54 @@ def reduced_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
 def full_monitors(masses: MassTriple) -> dict:
     """One decoding and one angular momentum per callable."""
     def ham(t, z):
-        return hamiltonian_full(masses, reduction.array_to_full(z))
+        return hamiltonian_full(masses, array_to_full(z))
 
     def mu1(t, z):
-        return model.angular_momentum(reduction.array_to_full(z)).mu1
+        return model.angular_momentum(array_to_full(z)).mu1
 
     def mu2(t, z):
-        return model.angular_momentum(reduction.array_to_full(z)).mu2
+        return model.angular_momentum(array_to_full(z)).mu2
 
     return {"H": ham, "mu1": mu1, "mu2": mu2}
+
+
+def array_to_full(z: np.ndarray) -> model.FullState:
+    z = np.asarray(z, dtype=float)
+    return model.FullState(z[0:4], z[4:8], z[8:12], z[12:16])
+
+
+def pfaffian4(l: np.ndarray) -> float:
+    """Pfaffian of a 4x4 antisymmetric matrix by the closed formula."""
+    return float(l[0, 1] * l[2, 3] - l[0, 2] * l[1, 3] + l[0, 3] * l[1, 2])
+
+
+def angular_momentum_partial(partial: reduction.PartialState) -> np.ndarray:
+    """The conjugated angular momentum M_theta^t L M_theta in closed form.
+
+    Equals -B12 p_th1 - B34 p_th2 - B13 p_psi1 - B24 p_psi2
+    + (1/2)(v1/sin delta)(B23 + B14) + (1/2)(v2/sin sigma)(B23 - B14)
+    with v1 = L3 + Sigma cos delta, v2 = L3 + Delta cos sigma.
+    """
+    ang = partial.angles
+    sig, dlt = ang.sigma, ang.delta
+    sd, ss = math.sin(dlt), math.sin(sig)
+    if abs(sd) < reduction.PSI_TOL or abs(ss) < reduction.PSI_TOL:
+        raise ChartSingular("sin(sigma) or sin(delta) vanishes")
+    l3 = partial.l3
+    v1 = l3 + partial.sigma_momentum * math.cos(dlt)
+    v2 = l3 + partial.delta_momentum * math.cos(sig)
+    l23 = 0.5 * (v1 / sd + v2 / ss)
+    l14 = 0.5 * (v1 / sd - v2 / ss)
+    pt1, pt2 = partial.p_theta
+    pp1, pp2 = partial.p_psi
+    out = np.zeros((4, 4))
+    out[0, 1], out[1, 0] = -pt1, pt1
+    out[2, 3], out[3, 2] = -pt2, pt2
+    out[0, 2], out[2, 0] = -pp1, pp1
+    out[1, 3], out[3, 1] = -pp2, pp2
+    out[1, 2], out[2, 1] = l23, -l23
+    out[0, 3], out[3, 0] = l14, -l14
+    return out
 
 
 def theta_rotation(angles: reduction.RotationAngles) -> np.ndarray:
@@ -579,7 +619,7 @@ def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
     """The four simplified equations on numpy scalars."""
     q = np.asarray(q, dtype=float)
     nu1, nu2 = masses.nu1, masses.nu2
-    a = equilibria._area(masses.potential_constants, q)
+    a = reduction._chart_area(q, masses.potential_constants[-1])
     i1 = nu2 * q[3] ** 2 + nu1 * q[1] ** 2
     i2 = nu1 * q[0] ** 2 + nu2 * q[2] ** 2
     s = ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,

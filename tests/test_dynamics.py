@@ -1,5 +1,6 @@
 """Vector fields, integrators, conservation, full-vs-reduced comparison."""
 
+import dataclasses
 import io
 import itertools
 import json
@@ -21,7 +22,7 @@ from threebody4d.errors import (
 
 import oracles
 from conftest import (central_gradient, gradient_partial, random_chart_point,
-                      random_reduced_state, zero_field)
+                      random_reduced_state, scalar_products, zero_field)
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 MU1, MU2 = 1.3, 0.4
@@ -273,9 +274,9 @@ def test_compare_at_equilibrium_stays_on_group_orbit():
     zf = reduction.full_to_array(
         reduction.lift_to_full(reduction.embed_reduced(start)))
     recf = dynamics.integrate(dynamics.full_field(EQUAL), zf, period, cfg)
-    s0 = reduction.array_to_full(recf.states[0]).scalar_products()
+    s0 = scalar_products(oracles.array_to_full(recf.states[0]))
     for row in recf.states:
-        s = reduction.array_to_full(row).scalar_products()
+        s = scalar_products(oracles.array_to_full(row))
         assert abs(s.s11 - s0.s11) < 1e-8
         assert abs(s.s22 - s0.s22) < 1e-8
         assert abs(s.s12 - s0.s12) < 1e-8
@@ -509,9 +510,13 @@ def test_integrator_config_validation():
         with pytest.raises(ValueError, match="max_steps"):
             dynamics.IntegratorConfig(max_steps=limit)
     assert dynamics.IntegratorConfig(max_steps=np.int64(7)).max_steps == 7
-    with pytest.raises(ValueError):
-        dynamics.integrate(zero_field(2), np.zeros(2), 1.0,
-                           dynamics.IntegratorConfig(method="rk4"))
+    # an unknown method is refused when the config is made, naming the known ones
+    with pytest.raises(ValueError, match="method") as exc:
+        dynamics.IntegratorConfig(method="rk4")
+    assert "dopri" in str(exc.value) and "midpoint" in str(exc.value)
+    cfg = dynamics.IntegratorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.method = "rk4"
 
 
 def test_reduced_field_checks_momenta_once():

@@ -14,23 +14,12 @@ from threebody4d import dynamics, equilibria, model, reduction
 from threebody4d.errors import ChartSingular, NoConvergence
 
 import oracles
-from conftest import (gradient_partial, random_chart_point, random_full_state,
-                      random_reduced_state)
+from conftest import (angle, chart_q, gradient_partial, momenta, p_psi, p_theta, psi_pair,
+                      random_chart_point, random_full_state, random_reduced_state)
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 RTOL = 1e-13
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
-
-signed = st.builds(lambda m, s: m * s, st.floats(0.6, 1.6), st.sampled_from((-1.0, 1.0)))
-chart_q = st.tuples(signed, signed, signed, signed).filter(
-    lambda q: abs(0.5 * (q[0] * q[3] - q[1] * q[2])) > 0.25)
-momenta = st.tuples(*[st.floats(-0.6, 0.6)] * 4)
-psi_pair = st.tuples(st.floats(0.25, 1.3), st.floats(0.25, 1.3)).filter(
-    lambda a: abs(math.cos(2 * a[0]) - math.cos(2 * a[1])) > 0.15)
-# p_psi away from zero and p_theta drawn freely: points off the invariant set
-p_psi = st.tuples(signed, signed).map(lambda v: (0.3 * v[0], 0.3 * v[1]))
-p_theta = st.tuples(st.floats(0.1, 2.0), st.floats(-2.0, 2.0))
-angle = st.floats(-math.pi, math.pi)
 
 
 def _close(fast, ref):
@@ -355,7 +344,7 @@ def test_inverse_chart_refuses_like_the_oracle(x):
     with pytest.raises(ChartSingular) as fast:
         reduction.inverse_chart(z)
     with pytest.raises(ChartSingular) as ref:
-        oracles.project_to_partial(reduction.array_to_full(z))
+        oracles.project_to_partial(oracles.array_to_full(z))
     assert (type(fast.value), str(fast.value)) == (type(ref.value), str(ref.value))
 
 
@@ -373,16 +362,16 @@ def test_comparison_equals_the_oracle_sample_loop(monkeypatch):
     rec_full, rec_red = records
 
     def mu(z):
-        l = model.angular_momentum(reduction.array_to_full(z)).matrix
+        l = model.angular_momentum(oracles.array_to_full(z)).matrix
         im = sorted(abs(np.linalg.eigvals(l).imag))
-        return im[-1], math.copysign(im[0], model.pfaffian4(l))
+        return im[-1], math.copysign(im[0], oracles.pfaffian4(l))
 
     mu10, mu20 = mu(rec_full.states[0])
     devs, res, drift = [], 0.0, 0.0
     for ts in report.times:
         zf = rec_full.states[np.argmin(np.abs(rec_full.times - ts))]
         zr = rec_red.states[np.argmin(np.abs(rec_red.times - ts))]
-        proj = oracles.project_to_partial(reduction.array_to_full(zf))
+        proj = oracles.project_to_partial(oracles.array_to_full(zf))
         devs.append(min(max(np.max(np.abs(img.q - zr[0:4])), np.max(np.abs(img.p - zr[4:8])))
                         for img in reduction.chart_images(proj)))
         res = max(res, np.max(np.abs(oracles.invariant_set_residual(proj, mu10, abs(mu20)))))

@@ -11,7 +11,8 @@ from threebody4d import dynamics, model
 from threebody4d.errors import CollisionError
 
 import oracles
-from conftest import central_gradient, random_full_state, random_so4
+from conftest import (central_gradient, random_full_state, random_so4, rescaled, rotated,
+                      scalar_products)
 
 
 def test_mass_triple_derived():
@@ -97,7 +98,7 @@ def test_potential_equilateral_unit():
     r3 = np.array([-0.5, 0, 0, 0])
     r1 = np.array([0, math.sqrt(3) / 2, 0, 0])
     st = model.jacobi_from_positions(m, r1, r2, r3, *np.zeros((3, 4)))
-    v = model.newtonian_potential(m, st.scalar_products())
+    v = model.potential_derivatives(m, scalar_products(st))[0]
     assert v == pytest.approx(-3.0, abs=1e-14)
 
 
@@ -106,7 +107,7 @@ def test_potential_derived_value():
     s = model.ScalarProducts(4.0, 1.0, 0.0)  # x1 = (2,0,0,0), x2 = (0,1,0,0)
     d1, d2, d3 = oracles.mutual_distances_sq(m, s)
     assert (d1, d2, d3) == pytest.approx((4.0, 2.0, 2.0))
-    v = model.newtonian_potential(m, s)
+    v = model.potential_derivatives(m, s)[0]
     assert v == pytest.approx(-(0.5 + math.sqrt(2.0)), abs=1e-14)
 
 
@@ -115,11 +116,11 @@ def test_potential_gradient_finite_differences():
     m = model.MassTriple(1.0, 2.0, 3.0)
     for _ in range(10):
         st = random_full_state(rng)
-        s = st.scalar_products()
+        s = scalar_products(st)
         _, v1, v2, v3 = model.potential_derivatives(m, s)
 
         def f(x):
-            return model.newtonian_potential(m, model.ScalarProducts(*x))
+            return model.potential_derivatives(m, model.ScalarProducts(*x))[0]
 
         fd = central_gradient(f, [s.s11, s.s22, s.s12], h=1e-7)
         assert np.allclose([v1, v2, v3], fd, rtol=1e-7)
@@ -129,7 +130,7 @@ def test_potential_hessian_finite_differences():
     rng = np.random.default_rng(12)
     m = model.MassTriple(0.8, 1.1, 2.4)
     st = random_full_state(rng)
-    s = st.scalar_products()
+    s = scalar_products(st)
     k = m.potential_constants
     v11, v22, v33, v12, v13, v23 = model.potential_second_partials(
         k, model.potential_partials(k, s.s11, s.s22, s.s12, distances=True)[1])
@@ -152,11 +153,11 @@ def test_potential_hessian_finite_differences():
 def test_collision_raises():
     m = model.MassTriple(1.0, 1.0, 1.0)
     with pytest.raises(CollisionError):
-        model.newtonian_potential(m, model.ScalarProducts(0.0, 1.0, 0.0))
+        model.potential_derivatives(m, model.ScalarProducts(0.0, 1.0, 0.0))[0]
     # tolerance boundary: squared distance below 1e-24 trips the guard
     with pytest.raises(CollisionError):
-        model.newtonian_potential(m, model.ScalarProducts(5e-25, 1.0, 0.0))
-    assert model.newtonian_potential(m, model.ScalarProducts(1e-10, 1.0, 0.0)) < 0
+        model.potential_derivatives(m, model.ScalarProducts(5e-25, 1.0, 0.0))[0]
+    assert model.potential_derivatives(m, model.ScalarProducts(1e-10, 1.0, 0.0))[0] < 0
 
 
 def test_collision_fires_at_one_squared_distance_on_floats_and_decimals():
@@ -191,7 +192,7 @@ def test_hamiltonian_rotation_invariance():
         st = random_full_state(rng)
         h0 = model.hamiltonian_full(m, st)
         rot = random_so4(rng)
-        h1 = model.hamiltonian_full(m, st.rotated(rot))
+        h1 = model.hamiltonian_full(m, rotated(st, rot))
         assert abs(h1 - h0) < 1e-12 * max(1.0, abs(h0))
 
 
@@ -202,7 +203,7 @@ def test_full_values_kernel_invariant_under_rotations(seed):
     st0 = random_full_state(rng)
     values = model.full_values_kernel(model.MassTriple(1.0, 2.0, 3.0))
     h0, a1, a2 = values(model.full_to_array(st0))
-    h1, b1, b2 = values(model.full_to_array(st0.rotated(random_so4(rng))))
+    h1, b1, b2 = values(model.full_to_array(rotated(st0, random_so4(rng))))
     assert abs(h1 - h0) <= 1e-12 * max(1.0, abs(h0))
     assert abs(b1 - a1) <= 1e-12 * a1
     # mu2^2 is the small root of a quadratic in mu^2: its rounding is
@@ -254,7 +255,7 @@ def test_angular_momentum_normal_form():
     l0[2, 3], l0[3, 2] = mu2, -mu2
     got = model.spectral_pair_components(l0[np.triu_indices(4, 1)].tolist())
     assert got == pytest.approx((mu1, mu2))
-    assert model.pfaffian4(l0) == pytest.approx(mu1 * mu2)
+    assert oracles.pfaffian4(l0) == pytest.approx(mu1 * mu2)
 
 
 def test_angular_momentum_matrix_is_the_wedge_sum():
@@ -271,7 +272,7 @@ def test_pfaffian_squared_is_determinant():
         st = random_full_state(rng)
         l = model.angular_momentum(st).matrix
         det = np.linalg.det(l)
-        assert model.pfaffian4(l) ** 2 == pytest.approx(det, rel=1e-10, abs=1e-14)
+        assert oracles.pfaffian4(l) ** 2 == pytest.approx(det, rel=1e-10, abs=1e-14)
 
 
 def test_spectral_reconstruction():
@@ -281,7 +282,7 @@ def test_spectral_reconstruction():
         am = model.angular_momentum(st)
         tr2 = float(np.trace(am.matrix @ am.matrix))
         assert -2.0 * (am.mu1 ** 2 + am.mu2 ** 2) == pytest.approx(tr2, rel=1e-10)
-        assert am.mu1 * am.mu2 == pytest.approx(model.pfaffian4(am.matrix),
+        assert am.mu1 * am.mu2 == pytest.approx(oracles.pfaffian4(am.matrix),
                                                 rel=1e-10, abs=1e-12)
         assert am.mu1 >= abs(am.mu2) >= 0.0
 
@@ -292,7 +293,7 @@ def test_angular_momentum_equivariance():
         st = random_full_state(rng)
         rot = random_so4(rng)
         l0 = model.angular_momentum(st).matrix
-        l1 = model.angular_momentum(st.rotated(rot)).matrix
+        l1 = model.angular_momentum(rotated(st, rot)).matrix
         assert np.allclose(l1, rot @ l0 @ rot.T, atol=1e-12)
 
 
@@ -302,10 +303,10 @@ def test_scaling_symmetry():
     st = random_full_state(rng)
     s = 3.7
     h0 = model.hamiltonian_full(m, st)
-    h1 = model.hamiltonian_full(m, st.rescaled(s))
+    h1 = model.hamiltonian_full(m, rescaled(st, s))
     assert h1 == pytest.approx(h0 / s, rel=1e-12)
     am0 = model.angular_momentum(st)
-    am1 = model.angular_momentum(st.rescaled(s))
+    am1 = model.angular_momentum(rescaled(st, s))
     assert am1.mu1 == pytest.approx(math.sqrt(s) * am0.mu1, rel=1e-12)
 
 

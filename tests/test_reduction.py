@@ -1,12 +1,13 @@
 """Rotation chart, lift/projection, invariant set, reduced Hamiltonian."""
 
 import math
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from threebody4d import dynamics, model, reduction
+from threebody4d import dynamics, equilibria, model, reduction
 from threebody4d.errors import (
     ChartSingular,
     DegenerateMomenta,
@@ -15,7 +16,8 @@ from threebody4d.errors import (
 )
 
 import oracles
-from conftest import random_chart_point, random_reduced_state
+from conftest import (angle, chart_q, momenta, p_psi, p_theta, random_chart_point,
+                      random_reduced_state)
 
 MASSES = model.MassTriple(1.0, 2.0, 3.0)
 MU1, MU2 = 1.3, 0.4
@@ -154,13 +156,27 @@ def test_project_collinear_raises():
             [1, 0.5, 0, 0], [2, 1.0, 0, 0], np.zeros(4), np.zeros(4)))
 
 
-def test_hamiltonian_partial_matches_full():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        part = random_chart_point(rng)
-        hp = reduction.hamiltonian_partial(MASSES, part)
-        hf = model.hamiltonian_full(MASSES, reduction.lift_to_full(part))
-        assert hp == pytest.approx(hf, rel=1e-10)
+def _cos2_gap(psi):
+    return abs(math.cos(2 * psi[0]) - math.cos(2 * psi[1]))
+
+
+# psi2 = psi1 + d with |d| log-uniform in [1e-6, 1]: pairs from well inside the
+# chart down to |cos 2psi1 - cos 2psi2| = 1e-6, near its singular set
+near_psi_pair = st.builds(lambda a, x, s: (a, a + s * 10.0 ** x), st.floats(0.25, 1.3),
+                          st.floats(-6.0, 0.0), st.sampled_from((-1.0, 1.0))).filter(
+    lambda a: 0.25 <= a[1] <= 1.3 and _cos2_gap(a) >= 1e-6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(q=chart_q, p=momenta, psi=near_psi_pair, theta=st.tuples(angle, angle),
+       pp=p_psi, pt=p_theta)
+def test_hamiltonian_partial_matches_full(q, p, psi, theta, pp, pt):
+    # H_partial = H_full o lift at chart points off the invariant set
+    part = reduction.PartialState(q=q, p=p, angles=reduction.RotationAngles(*psi, *theta),
+                                  p_psi=pp, p_theta=pt)
+    hp = reduction.hamiltonian_partial(MASSES, part)
+    hf = model.hamiltonian_full(MASSES, reduction.lift_to_full(part))
+    assert hp == pytest.approx(hf, rel=1e-10)
 
 
 def test_hamiltonian_partial_theta_independent():
@@ -185,14 +201,14 @@ def test_hamiltonian_partial_zero_momenta_is_potential():
     s = model.ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
                              q[0] * q[2] + q[1] * q[3])
     assert reduction.hamiltonian_partial(MASSES, rest) == pytest.approx(
-        model.newtonian_potential(MASSES, s), rel=1e-14)
+        model.potential_derivatives(MASSES, s)[0], rel=1e-14)
 
 
 def test_angular_momentum_partial_matches_conjugated():
     rng = np.random.default_rng(10)
     for _ in range(20):
         part = random_chart_point(rng)
-        lhat = reduction.angular_momentum_partial(part)
+        lhat = oracles.angular_momentum_partial(part)
         full = reduction.lift_to_full(part)
         l = model.angular_momentum(full).matrix
         mth = oracles.theta_rotation(part.angles)
@@ -204,7 +220,7 @@ def test_angular_momentum_partial_on_invariant_set():
     for _ in range(10):
         red = random_reduced_state(rng, MU1, MU2)
         part = reduction.embed_reduced(red)
-        lhat = reduction.angular_momentum_partial(part)
+        lhat = oracles.angular_momentum_partial(part)
         target = np.zeros((4, 4))
         target[0, 1], target[1, 0] = -MU1, MU1
         target[2, 3], target[3, 2] = -MU2, MU2
@@ -272,7 +288,7 @@ def test_restriction_matrix_brackets_fd():
 
     def constraint(i):
         def f(z):
-            lhat = reduction.angular_momentum_partial(reduction.array_to_partial(z))
+            lhat = oracles.angular_momentum_partial(reduction.array_to_partial(z))
             return (lhat[0, 2], lhat[1, 3], lhat[1, 2], lhat[0, 3])[i]
         return f
 
@@ -338,7 +354,7 @@ def test_hamiltonian_reduced_momentum_homogeneity():
         q = red.q
         s = model.ScalarProducts(q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2,
                                  q[0] * q[2] + q[1] * q[3])
-        v = model.newtonian_potential(MASSES, s)
+        v = model.potential_derivatives(MASSES, s)[0]
         kin0 = reduction.hamiltonian_reduced(MASSES, red) - v
         lam = 1.73
         scaled = reduction.ReducedState(red.q, lam * red.p, lam * MU1, lam * MU2)
@@ -392,21 +408,16 @@ def test_embed_theta_free_parameters():
         assert abs(h - h0) < 1e-12 * max(1.0, abs(h0))
 
 
-signed = st.builds(lambda m, s: m * s, st.floats(0.6, 1.6), st.sampled_from((-1.0, 1.0)))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(q=st.tuples(signed, signed, signed, signed).filter(
-           lambda q: abs(reduction.oriented_area(q)) > 0.25),
-       p=st.tuples(*[st.floats(-0.6, 0.6)] * 4), mu1=st.floats(0.8, 2.0),
-       ratio=st.floats(0.05, 0.85), theta=st.tuples(*[st.floats(-math.pi, math.pi)] * 2))
+@given(q=chart_q, p=momenta, mu1=st.floats(0.8, 2.0), ratio=st.floats(0.05, 0.85),
+       theta=st.tuples(angle, angle))
 def test_reduced_partial_and_lifted_kinetic_energies_agree(q, p, mu1, ratio, theta):
     # the reduction acts on the kinetic part alone: H - V agrees at every
     # level, whatever V of the scalar products is added
     red = reduction.ReducedState(q, p, mu1, ratio * mu1)
     assume(abs(red.l3) < 0.8 * (red.mu1 - red.mu2))
-    v = model.newtonian_potential(MASSES, model.ScalarProducts(
-        q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2, q[0] * q[2] + q[1] * q[3]))
+    v = model.potential_derivatives(MASSES, model.ScalarProducts(
+        q[0] ** 2 + q[1] ** 2, q[2] ** 2 + q[3] ** 2, q[0] * q[2] + q[1] * q[3]))[0]
     emb = reduction.embed_reduced(red, *theta)
     kin_partial = reduction.hamiltonian_partial(MASSES, emb) - v
     assert reduction.hamiltonian_reduced(MASSES, red) - v == pytest.approx(kin_partial,
@@ -425,3 +436,74 @@ def test_chart_failure_raises_not_nan():
         reduction.hamiltonian_partial(MASSES, flat)
     with pytest.raises(ChartSingular):
         reduction.lift_to_full(flat)
+
+
+# --- the chart floors: one check, one message, in every chart kernel ---------
+
+def _chart_values(q, psi=(0.4, 1.1)):
+    """16 chart values with configuration q and angles psi, off the invariant set."""
+    return list(q) + list(psi) + [0.3, -0.5, 0.2, -0.1, 0.3, 0.1, 0.2, -0.3, MU1, MU2]
+
+
+def _veff_decimal(q):
+    with localcontext(Context(prec=40)):
+        masses = model.MassTriple(Decimal(1), Decimal(2), Decimal(3))
+        return equilibria.effective_potential_kernel(
+            masses, [Decimal(v) for v in q], Decimal(MU1), Decimal(MU2))
+
+
+AREA_FLOOR_KERNELS = {
+    "reduced_field": lambda q: dynamics.reduced_field(MASSES, MU1, MU2).kernel(
+        0.0, q + [0.1, 0.2, 0.0, 0.1]),
+    "partial_field": lambda q: dynamics.partial_field(MASSES).kernel(0.0, _chart_values(q)),
+    "reduced_values_kernel": lambda q: reduction.reduced_values_kernel(MASSES, MU1, MU2)(
+        q + [0.1, 0.2, 0.0, 0.1]),
+    "partial_values_kernel": lambda q: reduction.partial_values_kernel(MASSES, MU1, MU2)(
+        _chart_values(q)),
+    "lift_to_full": lambda q: reduction.lift_to_full(
+        reduction.array_to_partial(_chart_values(q))),
+    "effective_potential_kernel": lambda q: equilibria.effective_potential_kernel(
+        MASSES, q, MU1, MU2),
+    "effective_potential_kernel_decimal": _veff_decimal,
+}
+
+
+@pytest.mark.parametrize("evaluate", AREA_FLOOR_KERNELS.values(), ids=AREA_FLOOR_KERNELS)
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_area_floor_is_one_check(evaluate, sign):
+    # x1 = (1, 0), x2 = (1, 2a): the oriented area is a, and no two bodies collide
+    def q(a):
+        return [1.0, 0.0, 1.0, 2.0 * sign * a]
+    with pytest.raises(ChartSingular, match=r"^oriented area A = \S+ too small$"):
+        evaluate(q(model.AREA_TOL / 2))
+    evaluate(q(2 * model.AREA_TOL))
+
+
+def _psi_with_gap(gap):
+    """(psi1, psi2) with cos 2psi1 - cos 2psi2 = gap, up to rounding."""
+    psi1 = 0.6
+    return psi1, 0.5 * math.acos(math.cos(2 * psi1) - gap)
+
+
+Q_CHART = [1.1, 0.1, -0.2, 0.9]
+PSI_FLOOR_KERNELS = {
+    "partial_field": lambda psi: dynamics.partial_field(MASSES).kernel(
+        0.0, _chart_values(Q_CHART, psi)),
+    "partial_values_kernel": lambda psi: reduction.partial_values_kernel(MASSES, MU1, MU2)(
+        _chart_values(Q_CHART, psi)),
+    "lift_to_full": lambda psi: reduction.lift_to_full(
+        reduction.array_to_partial(_chart_values(Q_CHART, psi))),
+    "require_valid": lambda psi: reduction.RotationAngles(*psi).require_valid(),
+}
+
+
+@pytest.mark.parametrize("evaluate", PSI_FLOOR_KERNELS.values(), ids=PSI_FLOOR_KERNELS)
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_psi_floor_is_one_check(evaluate, sign):
+    psi = _psi_with_gap(sign * reduction.PSI_TOL / 2)
+    assert _cos2_gap(psi) == pytest.approx(reduction.PSI_TOL / 2, rel=1e-4)
+    with pytest.raises(ChartSingular, match=r"^cos\(2 psi1\) == cos\(2 psi2\)$"):
+        evaluate(psi)
+    psi = _psi_with_gap(sign * 2 * reduction.PSI_TOL)
+    assert _cos2_gap(psi) == pytest.approx(2 * reduction.PSI_TOL, rel=1e-4)
+    evaluate(psi)
