@@ -12,9 +12,11 @@ from .errors import (
     DegenerateHessian,
     DegenerateMomenta,
     DegeneratePlane,
+    DomainError,
     KineticDomainError,
     NoConvergence,
     NoRealMomenta,
+    SolverFailure,
     StepLimitExceeded,
     StepSizeUnderflow,
 )

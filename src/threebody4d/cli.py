@@ -18,27 +18,16 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import dynamics, equilibria, model, reduction
-from .errors import (
-    ChartSingular,
-    CollisionError,
-    DegenerateHessian,
-    KineticDomainError,
-    NoConvergence,
-    NoRealMomenta,
-    StepLimitExceeded,
-    StepSizeUnderflow,
-)
+from .errors import SolverFailure
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_SOLVER = 3
 
-# the package's domain and solver failures and a float `**` overflow (exit 3); every
+# every solver failure of the package and a float `**` overflow (exit 3); every
 # other ValueError, and an OSError opening --out or --config, is invalid config (exit 2)
-SOLVER_FAILURES = (ChartSingular, CollisionError, KineticDomainError, NoRealMomenta,
-                   NoConvergence, DegenerateHessian, StepSizeUnderflow, StepLimitExceeded,
-                   OverflowError)
+SOLVER_FAILURES = (SolverFailure, OverflowError)
 
 
 class ConfigError(ValueError):
@@ -281,9 +270,8 @@ def cmd_scan(args) -> None:
         rows = []
         for n in n_grid:
             for t in t_grid:
-                p1, p2 = equilibria.stability_polynomials(n, t)
                 lab = equilibria.region_classification(n, t)
-                rows.append((n, t, p1, p2, lab.name, int(lab.minimum)))
+                rows.append((n, t, lab.p1, lab.p2, lab.name, int(lab.minimum)))
         with _open_out(args.out) as fh:
             if args.format == "json":
                 json.dump([{"n": r[0], "t": r[1], "P1": r[2], "P2": r[3],
@@ -295,19 +283,16 @@ def cmd_scan(args) -> None:
                     fh.write(f"{r[0]:.17g},{r[1]:.17g},{r[2]:.17g},{r[3]:.17g},"
                              f"{r[4]},{r[5]}\n")
         return
-    if args.workers < 1:
-        raise ConfigError("--workers must be >= 1")
     if args.isosceles:
         if args.n is None or args.t_grid is None:
             raise ConfigError("isosceles scan needs -n and --t-grid")
-        table = equilibria.isosceles_scan(args.n, _parse_grid(args.t_grid),
-                                          workers=args.workers)
+        table = equilibria.isosceles_scan(args.n, _parse_grid(args.t_grid))
     elif args.general:
         if args.masses is None or args.u_grid is None:
             raise ConfigError("general scan needs -m and --u-grid")
         masses = _parse_masses(args.masses)
         table = equilibria.general_scan(masses, _parse_grid(args.u_grid),
-                                        _parse_pair(args.pair), workers=args.workers)
+                                        _parse_pair(args.pair))
     else:
         raise ConfigError("choose --isosceles, --general or --region-map")
     with _open_out(args.out) as fh:
@@ -437,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t-grid", default=None, help="start:stop:count[:log]")
     ps.add_argument("--u-grid", default=None, help="start:stop:count[:log]")
     ps.add_argument("--n-grid", default=None, help="start:stop:count[:log]")
-    ps.add_argument("--workers", type=int, default=1,
-                    help="process pool size for grid points")
     ps.set_defaults(func=cmd_scan)
 
     pi = sub.add_parser("integrate", help="integrate a trajectory with monitors")

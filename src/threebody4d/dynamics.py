@@ -18,8 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    ChartSingular,
-    CollisionError,
+    DomainError,
     KineticDomainError,
     NoConvergence,
     StepLimitExceeded,
@@ -34,8 +33,6 @@ from .model import (
 )
 from . import reduction
 from .reduction import ReducedState
-
-DOMAIN_ERRORS = (CollisionError, ChartSingular, KineticDomainError)
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,8 @@ class TrajectoryRecord:
     n_steps: int = 0
     n_rejected: int = 0
 
-    def to_csv(self, fh, state_labels=None):
-        dim = self.states.shape[1]
-        labels = state_labels or [f"y{i}" for i in range(dim)]
-        cols = ["t"] + list(labels) + list(self.monitors.keys())
+    def to_csv(self, fh, state_labels):
+        cols = ["t"] + list(state_labels) + list(self.monitors.keys())
         fh.write(",".join(cols) + "\n")
         table = np.column_stack([self.times, self.states]
                                 + [np.asarray(v) for v in self.monitors.values()])
@@ -126,13 +121,11 @@ class TrajectoryRecord:
         for row in table:
             fh.write(line % tuple(row.tolist()))
 
-    def to_json(self, fh, state_labels=None):
-        dim = self.states.shape[1]
-        labels = state_labels or [f"y{i}" for i in range(dim)]
+    def to_json(self, fh, state_labels):
         obj = {
             "t": [float(t) for t in self.times],
             "states": {lab: [float(v) for v in self.states[:, i]]
-                       for i, lab in enumerate(labels)},
+                       for i, lab in enumerate(state_labels)},
             "monitors": {k: [float(v) for v in np.asarray(vs)]
                          for k, vs in self.monitors.items()},
             "domain_exit": self.domain_exit,
@@ -389,10 +382,10 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     Both methods step on lists of Python floats through `field.kernel`;
     `t_end` and the sample times are taken as floats.  An array of the state
     is built only for a recorded sample: `monitors` maps names to callables
-    fn(t, z) on that array, sampled together with the states.  A domain
-    error of the field (collision, chart failure, kinetic boundary) ends the
-    run as a domain exit: the record is returned with `domain_exit` set to
-    the error and `exit_time` to the last time reached.
+    fn(t, z) on that array, sampled together with the states.  A
+    `DomainError` of the field (collision, chart failure, kinetic boundary)
+    ends the run as a domain exit: the record is returned with `domain_exit`
+    set to the error and `exit_time` to the last time reached.
     `dopri` rejects a step with a stage outside the domain and shrinks it by
     0.2; it exits when a step shorter than 1e-14 * max(1, |t|) still leaves
     the domain.  If `t_samples` is given, steps land exactly on those times
@@ -474,7 +467,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
                 k0 = (_EXTRAPOLATE[m] @ slopes[-m:]).tolist()
             try:
                 y, k = _midpoint_step(kernel, t, y, hs, k0)
-            except DOMAIN_ERRORS as exc:
+            except DomainError as exc:
                 exit_reason, exit_time = f"{type(exc).__name__}: {exc}", t
                 break
             slopes[:-1] = slopes[1:]
@@ -491,7 +484,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
             h = min(h, config.max_step, stop - t)
             try:
                 ynew, err = _dopri_step(kernel, t, y, h)
-            except DOMAIN_ERRORS as exc:
+            except DomainError as exc:
                 # a stage outside the domain rejects the step, as an infinite
                 # error estimate would; the run exits where even a step below
                 # the floor leaves the domain
@@ -592,7 +585,7 @@ def _midpoint_step(kernel, t, y, h, k, max_iter=100):
             k, delta = _midpoint_iterate(kernel, t, y, h, k, bound, max_iter)
             if delta < bound:
                 return [u + h * v for u, v in zip(y, k)], k
-        except DOMAIN_ERRORS:
+        except DomainError:
             pass
     k, delta = _midpoint_iterate(kernel, t, y, h, kernel(t, y), bound, max_iter)
     if delta < bound:
@@ -609,32 +602,23 @@ def reduced_monitors(masses: MassTriple, mu1: float, mu2: float) -> dict:
     return {"H": lambda t, z: value(z.tolist())}
 
 
-def _per_sample(decode):
-    """Memoise decode(z) on the values of z, compared bit for bit.
+def _sample_monitors(values, names) -> dict:
+    """One monitor per name, the i-th entry of values(z), evaluated once per sample.
 
     The integrator passes one phase point to every monitor of a sample, so
-    monitors that share a decoding compute it once per sample.  The key is
-    the bytes of z: cheaper to take and compare than its list of floats,
-    and unlike that list it tells 0.0 from -0.0.
+    values(z) is memoised on z compared bit for bit.  The key is the bytes
+    of z: cheaper to take and compare than its list of floats, and unlike
+    that list it tells 0.0 from -0.0.
     """
     key = value = None
 
-    def cached(z):
-        nonlocal key, value
-        raw = z.tobytes()
-        if raw != key:
-            key, value = raw, decode(z)
-        return value
-    return cached
-
-
-def _sample_monitors(values, names) -> dict:
-    """One monitor per name, the i-th entry of values(z), evaluated once per sample."""
-    sample = _per_sample(values)
-
     def make(i):
         def monitor(t, z):
-            return sample(z)[i]
+            nonlocal key, value
+            raw = z.tobytes()
+            if raw != key:
+                key, value = raw, values(z)
+            return value[i]
         return monitor
     return {name: make(i) for i, name in enumerate(names)}
 

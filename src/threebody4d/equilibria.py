@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from dataclasses import dataclass, field
 from decimal import Context, Decimal, localcontext
 from typing import Optional
@@ -32,6 +31,7 @@ from .errors import (
     DegenerateHessian,
     NoConvergence,
     NoRealMomenta,
+    SolverFailure,
 )
 from .model import (
     MassTriple,
@@ -405,9 +405,8 @@ def stability_polynomials(n: float, t: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class RegionLabel:
-    sign_p1: int
-    sign_p2: int
-    sign_t: int           # sign of (2 - sqrt(3)) - t
+    p1: float             # the stability polynomials at (n, t)
+    p2: float
     name: str
     minimum: bool         # all eight Hessian eigenvalues positive
     adjacent_to_n_axis: bool  # the canonical mu1 > mu2 minimum region
@@ -434,7 +433,7 @@ def region_classification(n: float, t: float) -> RegionLabel:
     minimum = (s2 * s1 < 0 and s2 * st > 0)
     name = "boundary" if boundary else \
         f"P1{'+' if s1 > 0 else '-'}P2{'+' if s2 > 0 else '-'}T{'+' if st > 0 else '-'}"
-    return RegionLabel(s1, s2, st, name, minimum, minimum and s2 > 0, boundary)
+    return RegionLabel(p1, p2, name, minimum, minimum and s2 > 0, boundary)
 
 
 def predicted_negative_count(n: float, t: float) -> int:
@@ -712,56 +711,31 @@ class ScanTable:
         json.dump(obj, fh)
 
 
-def _scan_row(param: float, rep: EquilibriumReport) -> ScanRow:
+def _scan_point(param: float, solve, *args) -> ScanRow:
+    """The row of solve(*args) at `param`, or an error row when the solve fails."""
+    try:
+        rep = solve(*args)
+    except (SolverFailure, ValueError) as exc:
+        return ScanRow(param=param, error=str(exc))
     return ScanRow(param=param, mu1=rep.mu1, mu2=rep.mu2, h=rep.h, b=rep.b,
                    neg_inv_h=-1.0 / rep.h, classification=rep.classification,
                    eigenvalues=rep.eigenvalues)
 
 
-def _isosceles_scan_point(args) -> ScanRow:
-    n, t = args
-    try:
-        return _scan_row(float(t), isosceles_equilibrium(n, float(t)))
-    except (NoRealMomenta, ValueError) as exc:
-        return ScanRow(param=float(t), error=str(exc))
-
-
-def _general_scan_point(args) -> ScanRow:
-    m1, m2, m3, u, dps = args
-    mm = MassTriple(m1, m2, m3)
-    try:
-        seed = general_series_equilibrium(mm, float(u))
-        return _scan_row(float(u), newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps))
-    except (NoRealMomenta, NoConvergence, DegenerateHessian, ValueError) as exc:
-        return ScanRow(param=float(u), error=str(exc))
-
-
-def _run_scan(point_fn, jobs, workers: int) -> list:
-    # a process beyond one per grid point or per CPU only costs its start-up
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(point_fn, jobs)  # map keeps grid order
-    return [point_fn(job) for job in jobs]
-
-
-def isosceles_scan(n: float, t_grid, workers: int = 1) -> ScanTable:
+def isosceles_scan(n: float, t_grid) -> ScanTable:
     """Energy-momentum data of the isosceles family over a t grid.
 
-    Per-point failures are recorded in the row and the scan continues; grid
-    points are pure and independent, so `workers > 1` fans them out over a
-    process pool of at most one process per grid point and per CPU
-    (ordering and output are identical either way).  A bad mass
-    ratio `n` is shared by every point, so it raises ValueError at once.
+    Per-point failures are recorded in the row and the scan continues.  A
+    bad mass ratio `n` is shared by every point, so it raises ValueError at
+    once.
     """
     _check_mass_ratio(n)
-    jobs = [(n, float(t)) for t in t_grid]
-    return ScanTable(_run_scan(_isosceles_scan_point, jobs, workers))
+    return ScanTable([_scan_point(float(t), isosceles_equilibrium, n, float(t))
+                      for t in t_grid])
 
 
 def general_scan(masses: MassTriple, u_grid, pair: tuple[int, int] = (2, 3),
-                 dps: Optional[int] = None, workers: int = 1) -> ScanTable:
+                 dps: Optional[int] = None) -> ScanTable:
     """Energy-momentum data of a general-mass family over a u grid.
 
     `pair` names the binary (which bodies collide as u -> 0); the masses are
@@ -771,5 +745,8 @@ def general_scan(masses: MassTriple, u_grid, pair: tuple[int, int] = (2, 3),
     if dps is not None:
         _check_dps(dps)
     mm = masses.permuted(pair)
-    jobs = [(mm.m1, mm.m2, mm.m3, float(u), dps) for u in u_grid]
-    return ScanTable(_run_scan(_general_scan_point, jobs, workers))
+
+    def solve(u):
+        seed = general_series_equilibrium(mm, u)
+        return newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps)
+    return ScanTable([_scan_point(float(u), solve, float(u)) for u in u_grid])

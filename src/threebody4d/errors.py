@@ -1,11 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two base classes decide how a failure is handled.  Every `SolverFailure`
+ends the CLI with exit code 3; a `DomainError` is the subset that leaves
+the domain of a vector field, which an integration reports as its domain
+exit rather than raising.  Any other `ValueError` is invalid input.
+"""
 
 
-class CollisionError(ValueError):
+class SolverFailure(Exception):
+    """A computation failed on valid input (the CLI exits 3)."""
+
+
+class DomainError(SolverFailure, ValueError):
+    """The point lies outside a field's domain (an integration ends as a domain exit)."""
+
+
+class CollisionError(DomainError):
     """A squared mutual distance fell below the collision tolerance."""
 
 
-class ChartSingular(ValueError):
+class ChartSingular(DomainError):
     """The local rotation chart is singular at the requested point.
 
     Raised when the oriented area A vanishes or when cos(2*psi1) equals
@@ -17,7 +31,7 @@ class DegeneratePlane(ChartSingular):
     """x1 and x2 do not span a 2-plane (oriented area A = 0)."""
 
 
-class KineticDomainError(ValueError):
+class KineticDomainError(DomainError):
     """L3^2 exceeds Delta^2 or Sigma^2, so the kinetic roots turn complex."""
 
 
@@ -25,22 +39,22 @@ class DegenerateMomenta(ValueError):
     """mu1 == mu2 (or |mu1| == |mu2|), where the restricted form degenerates."""
 
 
-class NoRealMomenta(ValueError):
+class NoRealMomenta(SolverFailure, ValueError):
     """The equilibrium conditions give a non-positive mu_i^2."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(SolverFailure, RuntimeError):
     """An iterative solver ran out of iterations."""
 
 
-class DegenerateHessian(RuntimeError):
+class DegenerateHessian(SolverFailure, RuntimeError):
     """|det| of a Hessian fell below tolerance where definiteness is needed."""
 
 
-class StepSizeUnderflow(RuntimeError):
+class StepSizeUnderflow(SolverFailure, RuntimeError):
     """Adaptive step control collapsed: a non-finite error estimate, or a
     rejected step shrank below 1e-14 * max(1, |t|)."""
 
 
-class StepLimitExceeded(RuntimeError):
+class StepLimitExceeded(SolverFailure, RuntimeError):
     """An integration needed more steps than `IntegratorConfig.max_steps`."""

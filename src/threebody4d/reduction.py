@@ -349,8 +349,7 @@ def inverse_chart(z) -> list:
     q2 = (st1 * a0 + ct1 * a1) * sec2
     q3 = (ct1 * b0 - st1 * b1) * sec1
     q4 = (st1 * b0 + ct1 * b1) * sec2
-    if abs(0.5 * (q1 * q4 - q2 * q3)) < AREA_TOL:
-        raise DegeneratePlane("recovered chart point has A = 0")
+    _chart_area((q1, q2, q3, q4))
 
     def momenta(y0, y1, y2, y3):
         # the first two components of M_psi^t M_theta^t y

@@ -414,7 +414,7 @@ def project_to_partial(state: model.FullState) -> reduction.PartialState:
     q = np.array([qmat[0, 0], qmat[1, 0], qmat[0, 1], qmat[1, 1]])
     area = 0.5 * (q[0] * q[3] - q[1] * q[2])
     if abs(area) < reduction.AREA_TOL:
-        raise DegeneratePlane("recovered chart point has A = 0")
+        raise ChartSingular(f"oriented area A = {area} too small")
 
     m = reduction.rotation_matrix(ang)
     yh1 = m.T @ state.y1
@@ -447,11 +447,9 @@ def midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):
     return ynext
 
 
-def to_csv(rec, fh, state_labels=None):
+def to_csv(rec, fh, state_labels):
     """TrajectoryRecord.to_csv formatting each value as a numpy scalar."""
-    dim = rec.states.shape[1]
-    labels = state_labels or [f"y{i}" for i in range(dim)]
-    cols = ["t"] + list(labels) + list(rec.monitors.keys())
+    cols = ["t"] + list(state_labels) + list(rec.monitors.keys())
     fh.write(",".join(cols) + "\n")
     mon = [np.asarray(v) for v in rec.monitors.values()]
     for k in range(len(rec.times)):

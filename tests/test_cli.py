@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threebody4d import cli, dynamics, model
+from threebody4d import cli, dynamics, equilibria, errors, model
 
 from conftest import singular_newton_system
 
@@ -245,15 +245,10 @@ def test_deterministic_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_scan_worker_pool_identical_output(tmp_path):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    args = ["scan", "--isosceles", "-n", "1.0", "--t-grid", "0.05:0.6:12"]
-    assert cli.main(args + ["--out", str(a)]) == 0
-    assert cli.main(args + ["--workers", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_verify_same_seed_same_output(tmp_path):
     code, text = run(tmp_path, "verify", "--checks", "symplectic", "--seed", "3")
     code2, text2 = run(tmp_path, "verify", "--checks", "symplectic", "--seed", "3")
+    assert code == code2 == 0
     assert text == text2
 
 
@@ -374,6 +369,7 @@ def test_unopenable_path_is_invalid_config(tmp_path, capsys, flag):
     ["equilibrium", "--isosceles", "-n", "1", "-t", "0.01", "--tol", "1e-3"],
     ["scan", "--isosceles", "-n", "1", "--t-grid", "0.1,0.2", "--seed", "3"],
     ["scan", "--isosceles", "-n", "1", "--t-grid", "0.1,0.2", "--tol", "1e-3"],
+    ["scan", "--isosceles", "-n", "1", "--t-grid", "0.1,0.2", "--workers", "2"],
     ["integrate", "--t-end", "0.1", "--seed", "3"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
@@ -386,6 +382,40 @@ def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
     assert err.splitlines()[-1].endswith(
         f"error: unrecognized arguments: {argv[-2]} {argv[-1]}")
     assert not out.exists()
+
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and c.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_classes_decide_exit_code_and_domain_exit(tmp_path, capsys, monkeypatch, cls):
+    # the CLI exits 3 exactly on a SolverFailure and 2 on any other error of
+    # the package; an integration ends as a domain exit exactly on a DomainError
+    def failing(*args):
+        raise cls("boom")
+    monkeypatch.setattr(equilibria, "isosceles_equilibrium", failing)
+    code = cli.main(["equilibrium", "--isosceles", "-n", "1", "-t", "0.01",
+                     "--out", str(tmp_path / "out.json")])
+    solver = issubclass(cls, errors.SolverFailure)
+    assert code == (3 if solver else 2)
+    kind = "solver failure" if solver else "invalid config"
+    assert capsys.readouterr().err == f"{kind}: {cls.__name__}: boom\n"
+
+    def kernel(t, z):
+        if t > 0.05:
+            raise cls("boom")
+        return [1.0]
+    field = dynamics.VectorField(1, kernel=kernel)
+    for method in ("dopri", "midpoint"):
+        cfg = dynamics.IntegratorConfig(method=method, dt=0.01)
+        if issubclass(cls, errors.DomainError):
+            rec = dynamics.integrate(field, [0.0], 0.1, cfg)
+            assert rec.domain_exit == f"{cls.__name__}: boom"
+            assert rec.exit_time < 0.1
+        else:
+            with pytest.raises(cls):
+                dynamics.integrate(field, [0.0], 0.1, cfg)
 
 
 def test_config_keys_a_command_does_not_read_are_refused(tmp_path, capsys):

@@ -333,9 +333,9 @@ def test_to_csv_bytes_equal_numpy_scalar_formatting():
     for field, z0, mons, t_end in runs:
         rec = dynamics.integrate(field, z0, t_end, cfg, monitors=mons)
         assert len(rec.times) > 10
-        for labels in (None, [f"s{i}" for i in range(field.dimension)]):
-            assert (_csv(dynamics.TrajectoryRecord.to_csv, rec, labels)
-                    == _csv(oracles.to_csv, rec, labels))
+        labels = [f"s{i}" for i in range(field.dimension)]
+        assert (_csv(dynamics.TrajectoryRecord.to_csv, rec, labels)
+                == _csv(oracles.to_csv, rec, labels))
     assert rec.domain_exit is not None
 
 

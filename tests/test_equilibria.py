@@ -656,43 +656,6 @@ def test_scan_records_per_point_errors():
     assert table.rows[1].classification == "error"
 
 
-@pytest.mark.parametrize("workers, points, cpus, pool", [
-    (1000, 3, 4, 3),         # one process per grid point at most
-    (1000, 10, 4, 4),        # and one per CPU
-    (3, 10, 4, 3),
-    (1000, 1, 4, None),      # one grid point: no pool
-    (2, 10, 1, None),        # one CPU: no pool
-    (1000, 10, None, None),  # CPU count unknown: no pool
-])
-def test_scan_pool_is_capped_by_grid_and_cpus(monkeypatch, workers, points, cpus, pool):
-    import multiprocessing
-    sizes = []
-
-    class RecordingPool:
-        """Records the pool size asked for and maps in this process."""
-
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return [fn(job) for job in jobs]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    t_grid = np.linspace(0.1, 0.3, points)
-    out, ref = io.StringIO(), io.StringIO()
-    equilibria.isosceles_scan(1.0, t_grid, workers=workers).to_csv(out)
-    assert sizes == ([] if pool is None else [pool])
-    equilibria.isosceles_scan(1.0, t_grid).to_csv(ref)
-    assert out.getvalue() == ref.getvalue()
-
-
 @pytest.mark.parametrize("dps", [-5, 0, 3, 20, 30, 60.5, equilibria.DPS_MAX + 1, 100000000])
 def test_dps_outside_the_accepted_range_refused(dps):
     seed = equilibria.general_series_equilibrium(MASSES, 1e-2)

@@ -338,6 +338,7 @@ def test_aligned_deviation_equals_min_over_chart_images():
     ([0.0, 0.0, 0.0, 0.0], [0.3, 1.0, -0.2, 0.5]),    # x1 = 0
     ([0.0, 0.0, 1.0, 0.3], [0.0, 0.0, 0.2, 1.0]),     # orthogonal to the (1,2)-plane
     ([6.123233995736766e-17, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, 0.0]),  # embedded L3 = 0
+    ([1e-7, 0.0, 0.0, 0.0], [0.0, 1e-7, 0.0, 0.0]),   # a plane, but A = 5e-15
 ])
 def test_inverse_chart_refuses_like_the_oracle(x):
     z = x[0] + x[1] + [0.1, -0.2, 0.3, 0.0, 0.2, 0.1, 0.0, -0.3]
