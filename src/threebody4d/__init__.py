@@ -41,7 +41,6 @@ from .reduction import (
     lift_to_full,
     project_to_partial,
     restriction_matrix_A,
-    rotation_matrix,
 )
 from .dynamics import (
     IntegratorConfig,

@@ -87,13 +87,14 @@ def _parse_grid(text: str) -> np.ndarray:
             raise ConfigError(f"bad grid count in {text!r}") from exc
         if count < 1:
             raise ConfigError("grid needs at least one point")
-        if len(parts) == 4 and parts[3] == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError("log grid needs positive endpoints")
-            return np.geomspace(start, stop, count)
-        if len(parts) == 4:
+        if len(parts) == 4 and parts[3] != "log":
             raise ConfigError(f"unknown grid qualifier {parts[3]!r}")
-        return np.linspace(start, stop, count)
+        if len(parts) == 4 and (start <= 0 or stop <= 0):
+            raise ConfigError("log grid needs positive endpoints")
+        try:
+            return (np.geomspace if len(parts) == 4 else np.linspace)(start, stop, count)
+        except MemoryError as exc:
+            raise ConfigError(f"a grid of {count} points does not fit in memory") from exc
     vals = [_number(v) for v in text.split(",") if v.strip()]
     if not vals:
         raise ConfigError("empty grid")

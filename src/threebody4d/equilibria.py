@@ -462,30 +462,6 @@ def solvability_residual(masses: MassTriple, q) -> float:
     return q1 * q2 * masses.nu1 + q3 * q4 * masses.nu2
 
 
-def simplified_equilibrium_residual(masses: MassTriple, q, mu1: float,
-                                    mu2: float) -> np.ndarray:
-    """The four solvability-simplified equilibrium equations as residuals.
-
-    Uses the simplified moments of inertia I1 = nu2 q4^2 + nu1 q2^2,
-    I2 = nu1 q1^2 + nu2 q3^2; the zero set contains the critical points of
-    V_eff.  Runs on Python floats; the squares stay `** 2`, which rounds
-    differently from `x * x` for about one float in a thousand.
-    """
-    q1, q2, q3, q4 = q = np.asarray(q, dtype=float).tolist()
-    nu1, nu2 = masses.nu1, masses.nu2
-    k = masses.potential_constants
-    a = reduction._chart_area(q, k[-1])
-    i1 = nu2 * q4 ** 2 + nu1 * q2 ** 2
-    i2 = nu1 * q1 ** 2 + nu2 * q3 ** 2
-    s11, s22, s12 = q1 ** 2 + q2 ** 2, q3 ** 2 + q4 ** 2, q1 * q3 + q2 * q4
-    _, v1, v2, v3 = potential_partials(k, s11, s22, s12)
-    pref = 1.0 / (8.0 * a ** 3 * nu1 * nu2)
-    return np.array([2 * q1 * v1 + q3 * v3 - i1 * mu2 * mu2 * q4 * pref,
-                     2 * q2 * v1 + q4 * v3 + i2 * mu1 * mu1 * q3 * pref,
-                     2 * q3 * v2 + q1 * v3 + i1 * mu2 * mu2 * q2 * pref,
-                     2 * q4 * v2 + q2 * v3 - i2 * mu1 * mu1 * q1 * pref])
-
-
 @dataclass(frozen=True)
 class SeriesSeed:
     q: np.ndarray

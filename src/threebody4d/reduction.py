@@ -163,25 +163,6 @@ class ReducedState:
         return momentum_l3(self.q, self.p)
 
 
-def plane_rotation(i: int, j: int, t: float) -> np.ndarray:
-    """exp(B_ij t): rotation by t in the oriented (i, j) plane (0-based)."""
-    m = np.eye(4)
-    c, s = math.cos(t), math.sin(t)
-    m[i, i] = c
-    m[j, j] = c
-    m[i, j] = s
-    m[j, i] = -s
-    return m
-
-
-def rotation_matrix(angles: RotationAngles) -> np.ndarray:
-    """M = exp(B12 th1) exp(B34 th2) exp(B13 ps1) exp(B24 ps2)."""
-    return (plane_rotation(0, 1, angles.theta1)
-            @ plane_rotation(2, 3, angles.theta2)
-            @ plane_rotation(0, 2, angles.psi1)
-            @ plane_rotation(1, 3, angles.psi2))
-
-
 def _lift_momenta(q, l3, p_theta, p_psi, psi1, psi2):
     """(u1, u2, u3, u4), the last two components of M^t y1 and M^t y2 in the lift.
 
@@ -203,50 +184,50 @@ def _lift_momenta(q, l3, p_theta, p_psi, psi1, psi2):
             q[1] * c - q[0] * pp2 * inv2a)
 
 
-def lift_to_full(partial: PartialState) -> FullState:
-    """Chart point -> (x1, x2, y1, y2); the exact cotangent lift."""
-    q, p = partial.q, partial.p
-    ang = partial.angles
-    u1, u2, u3, u4 = _lift_momenta(q, partial.l3, partial.p_theta, partial.p_psi,
-                                   ang.psi1, ang.psi2)
-    m = rotation_matrix(ang)
-    x1 = m @ np.array([q[0], q[1], 0.0, 0.0])
-    x2 = m @ np.array([q[2], q[3], 0.0, 0.0])
-    y1 = m @ np.array([p[0], p[1], u1, u2])
-    y2 = m @ np.array([p[2], p[3], u3, u4])
-    return FullState(x1, x2, y1, y2)
+def lift_kernel(z) -> list:
+    """The cotangent lift on plain floats: the 16 chart values -> (x1, x2, y1, y2).
 
-
-def configuration_jacobian(partial: PartialState) -> np.ndarray:
-    """The 8x8 factor U with d(x1,x2)/d(q,psi,theta) = diag(M,M) U.
-
-    Column order (q1, q2, q3, q4, psi1, psi2, theta1, theta2).  Its
-    determinant is 2 A^2 (cos 2psi1 - cos 2psi2).
+    `z` holds the 16 floats in the order of `partial_to_array`; the values
+    come back in the order of `full_to_array`.  x1 = M (q1, q2, 0, 0),
+    x2 = M (q3, q4, 0, 0), y1 = M (p1, p2, u1, u2), y2 = M (p3, p4, u3, u4)
+    with u from `_lift_momenta`; each vector is turned by M_psi and then by
+    M_theta, one plane at a time.  `inverse_chart` is its inverse.
     """
-    q = partial.q
-    ps1, ps2 = partial.angles.psi1, partial.angles.psi2
-    s1, c1 = math.sin(ps1), math.cos(ps1)
-    s2, c2 = math.sin(ps2), math.cos(ps2)
-    u = np.zeros((8, 8))
-    for row, (qa, qb) in enumerate(((q[0], q[1]), (q[2], q[3]))):
-        r = 4 * row
-        u[r + 0, 2 * row + 0] = 1.0
-        u[r + 1, 2 * row + 1] = 1.0
-        u[r + 0, 6] = qb * c1 * c2
-        u[r + 0, 7] = qb * s1 * s2
-        u[r + 1, 6] = -qa * c1 * c2
-        u[r + 1, 7] = -qa * s1 * s2
-        u[r + 2, 4] = -qa
-        u[r + 2, 6] = qb * s1 * c2
-        u[r + 2, 7] = -qb * c1 * s2
-        u[r + 3, 5] = -qb
-        u[r + 3, 6] = -qa * c1 * s2
-        u[r + 3, 7] = qa * s1 * c2
-    return u
+    (q1, q2, q3, q4, psi1, psi2, theta1, theta2,
+     p1, p2, p3, p4, pp1, pp2, pt1, pt2) = z
+    l3 = q1 * p2 - q2 * p1 + q3 * p4 - q4 * p3
+    u1, u2, u3, u4 = _lift_momenta((q1, q2, q3, q4), l3, (pt1, pt2), (pp1, pp2),
+                                   psi1, psi2)
+    cp1, sp1 = math.cos(psi1), math.sin(psi1)
+    cp2, sp2 = math.cos(psi2), math.sin(psi2)
+    ct1, st1 = math.cos(theta1), math.sin(theta1)
+    ct2, st2 = math.cos(theta2), math.sin(theta2)
+
+    def rotate(v0, v1, v2, v3):
+        # exp(B_ij t) sends (v_i, v_j) to (c v_i + s v_j, -s v_i + c v_j)
+        v0, v2 = cp1 * v0 + sp1 * v2, -sp1 * v0 + cp1 * v2
+        v1, v3 = cp2 * v1 + sp2 * v3, -sp2 * v1 + cp2 * v3
+        v0, v1 = ct1 * v0 + st1 * v1, -st1 * v0 + ct1 * v1
+        v2, v3 = ct2 * v2 + st2 * v3, -st2 * v2 + ct2 * v3
+        # + 0.0 turns -0.0 into 0.0: a matrix product summed up from 0.0
+        # never gives -0.0, and the lift's zeros keep that sign
+        return [v0 + 0.0, v1 + 0.0, v2 + 0.0, v3 + 0.0]
+
+    return (rotate(q1, q2, 0.0, 0.0) + rotate(q3, q4, 0.0, 0.0)
+            + rotate(p1, p2, u1, u2) + rotate(p3, p4, u3, u4))
+
+
+def lift_to_full(partial: PartialState) -> FullState:
+    """Chart point -> (x1, x2, y1, y2); the exact cotangent lift, by `lift_kernel`."""
+    z = lift_kernel(partial_to_array(partial).tolist())
+    return FullState(z[0:4], z[4:8], z[8:12], z[12:16])
 
 
 def configuration_jacobian_det(partial: PartialState) -> float:
-    """det U = 2 A^2 (cos 2psi1 - cos 2psi2), in closed form."""
+    """det U = 2 A^2 (cos 2psi1 - cos 2psi2), in closed form.
+
+    U is the 8x8 factor with d(x1,x2)/d(q,psi,theta) = diag(M,M) U.
+    """
     a = partial.area
     return 2.0 * a * a * (math.cos(2 * partial.angles.psi1)
                           - math.cos(2 * partial.angles.psi2))
@@ -258,16 +239,13 @@ def lift_jacobian(partial: PartialState) -> np.ndarray:
     Row order (x1, x2, y1, y2); column order
     (q1..q4, psi1, psi2, theta1, theta2, p1..p4, p_psi1, p_psi2, p_th1, p_th2).
     """
-    base = partial_to_array(partial)
+    base = partial_to_array(partial).tolist()
 
     def column(k, hk):
-        zp = base.copy()
-        zm = base.copy()
+        zp, zm = list(base), list(base)
         zp[k] += hk
         zm[k] -= hk
-        fp = full_to_array(lift_to_full(array_to_partial(zp)))
-        fm = full_to_array(lift_to_full(array_to_partial(zm)))
-        return (fp - fm) / (2.0 * hk)
+        return (np.array(lift_kernel(zp)) - np.array(lift_kernel(zm))) / (2.0 * hk)
 
     jac = np.zeros((16, 16))
     for k in range(16):
@@ -312,7 +290,7 @@ def inverse_chart(z) -> list:
     follow from exact identities: p = first components of M^t y,
     p_theta = -(L_12, L_34) and p_psi = -(Lhat_13, Lhat_24) with
     Lhat = M_theta^t L M_theta.  The result is one of the finitely many chart
-    preimages; `lift_to_full` maps it back onto the state.
+    preimages; `lift_kernel` maps it back onto the state.
     """
     (a0, a1, a2, a3, b0, b1, b2, b3,
      u0, u1, u2, u3, v0, v1, v2, v3) = z

@@ -5,7 +5,8 @@ potential partials and its s-Hessian, the effective potential with its
 gradient and Hessian, the analytic gradients, the three vector fields, the
 full, partial and reduced Hamiltonians, the invariant-set residual, the
 monitors of the three systems, the conjugated angular momentum and the
-Pfaffian in closed form, the inverse chart, the CSV rows of a
+Pfaffian in closed form, the rotation matrix with the lift through it and
+the configuration Jacobian, the inverse chart, the CSV rows of a
 trajectory, the Dormand-Prince step on arrays and its error norm (numpy
 and list forms), the simplified equilibrium equations, the equilibrium
 report,
@@ -370,10 +371,69 @@ def angular_momentum_partial(partial: reduction.PartialState) -> np.ndarray:
     return out
 
 
+def plane_rotation(i: int, j: int, t: float) -> np.ndarray:
+    """exp(B_ij t): rotation by t in the oriented (i, j) plane (0-based)."""
+    m = np.eye(4)
+    c, s = math.cos(t), math.sin(t)
+    m[i, i] = c
+    m[j, j] = c
+    m[i, j] = s
+    m[j, i] = -s
+    return m
+
+
+def rotation_matrix(angles: reduction.RotationAngles) -> np.ndarray:
+    """M = exp(B12 th1) exp(B34 th2) exp(B13 ps1) exp(B24 ps2)."""
+    return (plane_rotation(0, 1, angles.theta1)
+            @ plane_rotation(2, 3, angles.theta2)
+            @ plane_rotation(0, 2, angles.psi1)
+            @ plane_rotation(1, 3, angles.psi2))
+
+
 def theta_rotation(angles: reduction.RotationAngles) -> np.ndarray:
     """M_theta = exp(B12 theta1) exp(B34 theta2)."""
-    return (reduction.plane_rotation(0, 1, angles.theta1)
-            @ reduction.plane_rotation(2, 3, angles.theta2))
+    return plane_rotation(0, 1, angles.theta1) @ plane_rotation(2, 3, angles.theta2)
+
+
+def lift_to_full(partial: reduction.PartialState) -> model.FullState:
+    """The cotangent lift as the 4x4 product `rotation_matrix` times each vector."""
+    q, p = partial.q, partial.p
+    ang = partial.angles
+    u1, u2, u3, u4 = reduction._lift_momenta(q, partial.l3, partial.p_theta, partial.p_psi,
+                                             ang.psi1, ang.psi2)
+    m = rotation_matrix(ang)
+    return model.FullState(m @ np.array([q[0], q[1], 0.0, 0.0]),
+                           m @ np.array([q[2], q[3], 0.0, 0.0]),
+                           m @ np.array([p[0], p[1], u1, u2]),
+                           m @ np.array([p[2], p[3], u3, u4]))
+
+
+def configuration_jacobian(partial: reduction.PartialState) -> np.ndarray:
+    """The 8x8 factor U with d(x1,x2)/d(q,psi,theta) = diag(M,M) U.
+
+    Column order (q1, q2, q3, q4, psi1, psi2, theta1, theta2).  Its
+    determinant is `reduction.configuration_jacobian_det`.
+    """
+    q = partial.q
+    ps1, ps2 = partial.angles.psi1, partial.angles.psi2
+    s1, c1 = math.sin(ps1), math.cos(ps1)
+    s2, c2 = math.sin(ps2), math.cos(ps2)
+    u = np.zeros((8, 8))
+    for row, (qa, qb) in enumerate(((q[0], q[1]), (q[2], q[3]))):
+        r = 4 * row
+        u[r + 0, 2 * row + 0] = 1.0
+        u[r + 1, 2 * row + 1] = 1.0
+        u[r + 0, 6] = qb * c1 * c2
+        u[r + 0, 7] = qb * s1 * s2
+        u[r + 1, 6] = -qa * c1 * c2
+        u[r + 1, 7] = -qa * s1 * s2
+        u[r + 2, 4] = -qa
+        u[r + 2, 6] = qb * s1 * c2
+        u[r + 2, 7] = -qb * c1 * s2
+        u[r + 3, 5] = -qb
+        u[r + 3, 6] = -qa * c1 * s2
+        u[r + 3, 7] = qa * s1 * c2
+    return u
 
 
 def wedge(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -416,7 +476,7 @@ def project_to_partial(state: model.FullState) -> reduction.PartialState:
     if abs(area) < reduction.AREA_TOL:
         raise ChartSingular(f"oriented area A = {area} too small")
 
-    m = reduction.rotation_matrix(ang)
+    m = rotation_matrix(ang)
     yh1 = m.T @ state.y1
     yh2 = m.T @ state.y2
     p = np.array([yh1[0], yh1[1], yh2[0], yh2[1]])

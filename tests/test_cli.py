@@ -331,6 +331,9 @@ def test_full_precision_roundtrip(tmp_path):
     # a finite start whose float `**` overflows in the field or the monitors
     *((["integrate", "--system", system, "-q", "1e200,0,0,1", "--t-end", "0.1"], 3)
       for system in ("reduced", "partial")),
+    # 10**16 points (71 PiB): an allocation that fails at once
+    (["scan", "--isosceles", "-n", "1", "--t-grid", "0.1:0.2:10000000000000000"], 2),
+    (["scan", "--isosceles", "-n", "1", "--t-grid", "0.1:0.2:10000000000000000:log"], 2),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):

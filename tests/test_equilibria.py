@@ -290,7 +290,7 @@ def test_solvability_at_isosceles():
 def test_simplified_equations_vanish_at_equilibrium():
     rep = equilibria.isosceles_equilibrium(1.0, 0.2)
     mm = model.MassTriple(1.0, 1.0, 1.0)
-    e = equilibria.simplified_equilibrium_residual(mm, rep.q, rep.mu1, rep.mu2)
+    e = oracles.simplified_equilibrium_residual(mm, rep.q, rep.mu1, rep.mu2)
     assert np.max(np.abs(e)) < 1e-12
 
 

@@ -28,7 +28,7 @@ J16[8:16, 0:8] = -np.eye(8)
 
 
 def test_rotation_matrix_identity():
-    m = reduction.rotation_matrix(reduction.RotationAngles(0.0, 0.0, 0.0, 0.0))
+    m = oracles.rotation_matrix(reduction.RotationAngles(0.0, 0.0, 0.0, 0.0))
     assert np.allclose(m, np.eye(4))
 
 
@@ -36,7 +36,7 @@ def test_rotation_matrix_orthogonal():
     rng = np.random.default_rng(0)
     for _ in range(10):
         ang = reduction.RotationAngles(*rng.uniform(-3, 3, size=4))
-        m = reduction.rotation_matrix(ang)
+        m = oracles.rotation_matrix(ang)
         assert np.max(np.abs(m.T @ m - np.eye(4))) < 1e-13
         assert np.linalg.det(m) == pytest.approx(1.0, abs=1e-12)
 
@@ -44,8 +44,8 @@ def test_rotation_matrix_orthogonal():
 def test_theta_factors_commute():
     rng = np.random.default_rng(1)
     th1, th2 = rng.uniform(-3, 3, size=2)
-    a = reduction.plane_rotation(0, 1, th1) @ reduction.plane_rotation(2, 3, th2)
-    b = reduction.plane_rotation(2, 3, th2) @ reduction.plane_rotation(0, 1, th1)
+    a = oracles.plane_rotation(0, 1, th1) @ oracles.plane_rotation(2, 3, th2)
+    b = oracles.plane_rotation(2, 3, th2) @ oracles.plane_rotation(0, 1, th1)
     assert np.max(np.abs(a - b)) < 1e-14
 
 
@@ -55,10 +55,21 @@ def test_lift_zero_momenta():
     part = reduction.PartialState(q=part.q, p=np.zeros(4), angles=part.angles,
                                   p_psi=np.zeros(2), p_theta=np.zeros(2))
     full = reduction.lift_to_full(part)
-    m = reduction.rotation_matrix(part.angles)
+    m = oracles.rotation_matrix(part.angles)
     assert np.allclose(full.x1, m @ np.array([part.q[0], part.q[1], 0, 0]))
     assert np.allclose(full.x2, m @ np.array([part.q[2], part.q[3], 0, 0]))
     assert np.allclose(full.y1, 0) and np.allclose(full.y2, 0)
+
+
+def test_lift_writes_no_negative_zero():
+    # mu2 = 0 puts psi2 at 0, where the rotations meet exact zeros; the CLI
+    # prints the lifted start, and its zeros keep the matrix lift's "0"
+    for q, p in (([0.5, 0.0, 0.0, 2.0], [-0.6, 0.0, 0.0, 0.0]),
+                 ([1.1, 0.1, -0.2, 0.9], [0.1, 0.2, 0.0, 0.1])):
+        emb = reduction.embed_reduced(reduction.ReducedState(q, p, 1.0, 0.0))
+        z = reduction.full_to_array(reduction.lift_to_full(emb))
+        assert np.count_nonzero(z == 0.0) >= 4
+        assert not np.any(np.signbit(z[z == 0.0]))
 
 
 def test_lift_symplectic():
@@ -75,7 +86,7 @@ def test_configuration_jacobian_determinant():
     rng = np.random.default_rng(4)
     for _ in range(10):
         part = random_chart_point(rng)
-        u = reduction.configuration_jacobian(part)
+        u = oracles.configuration_jacobian(part)
         det = np.linalg.det(u)
         closed = reduction.configuration_jacobian_det(part)
         assert det == pytest.approx(closed, rel=1e-10)
