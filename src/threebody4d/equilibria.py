@@ -167,14 +167,6 @@ def keff_correction(masses: MassTriple, q, mu1: float, mu2: float) -> float:
     return (-mu1 * mu1 * i1inv + mu2 * mu2 * i2inv) / (2 * (mu1 * mu1 - mu2 * mu2))
 
 
-def momentum_block(masses: MassTriple, q, mu1: float, mu2: float) -> np.ndarray:
-    """4x4 Hessian of H in p at p = 0: diag(1/nu) + 2 c2_comb v v^t, v = dL3/dp."""
-    nu1, nu2 = masses.nu1, masses.nu2
-    gamma = keff_correction(masses, q, mu1, mu2)
-    v = np.array([-q[1], q[0], -q[3], q[2]])
-    return np.diag([1 / nu1, 1 / nu1, 1 / nu2, 1 / nu2]) + 2 * gamma * np.outer(v, v)
-
-
 # --- equilibrium reports -----------------------------------------------------
 
 @dataclass
@@ -216,23 +208,24 @@ class EquilibriumReport:
         }
 
 
-def _unit_diagonal(block: np.ndarray) -> np.ndarray:
+def _unit_diagonal(block: list) -> list:
     """D^-1/2 B D^-1/2 with D = |diag B|: a symmetric block scaled to a unit diagonal.
 
-    By Sylvester's law of inertia its eigenvalues have the signs of B's own,
-    but a small eigenvalue next to entries some u^-6 larger keeps its sign
-    in float64 (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992).
+    `block` is a 4x4 matrix as 16 floats, row by row, and so is the result; a
+    diagonal entry that is not > 0 scales by 1.  By Sylvester's law of inertia
+    its eigenvalues have the signs of B's own, but a small eigenvalue next to
+    entries some u^-6 larger keeps its sign in float64 (Demmel & Veselic, SIAM
+    J. Matrix Anal. Appl. 13, 1992).
     """
-    d = np.abs(np.diag(block))
-    r = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-    return block * np.outer(r, r)
+    r = [1.0 / math.sqrt(d) if d > 0 else 1.0 for d in (abs(block[k]) for k in (0, 5, 10, 15))]
+    return [b * (r[k // 4] * r[k % 4]) for k, b in enumerate(block)]
 
 
-def _classify(vq_scaled_eigs: np.ndarray, kin_scaled_eigs: np.ndarray) -> str:
+def _classify(vq_scaled_eigs, kin_scaled_eigs) -> str:
     """Class by the signs of the eigenvalues of the two `_unit_diagonal` blocks."""
-    if not np.all(vq_scaled_eigs > 0):
+    if not all(e > 0 for e in vq_scaled_eigs):
         return "saddle"
-    return "minimum" if np.all(kin_scaled_eigs > 0) else "indefinite-K"
+    return "minimum" if all(e > 0 for e in kin_scaled_eigs) else "indefinite-K"
 
 
 def frequencies(masses: MassTriple, q, mu1: float, mu2: float):
@@ -252,27 +245,38 @@ def frequencies(masses: MassTriple, q, mu1: float, mu2: float):
 
 def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
                   kernel=None) -> EquilibriumReport:
-    """The report at q; `kernel` is effective_potential_kernel at q, if known."""
+    """The report at q; `kernel` is effective_potential_kernel at q, if known.
+
+    Plain floats summed in numpy's order, so each field keeps the numpy form's bits,
+    around one batched eigvalsh call for the raw and scaled eigenvalues of both blocks.
+    """
     q = np.asarray(q, dtype=float)
+    ql = q.tolist()
     if kernel is None:
-        kernel = effective_potential_kernel(masses, q.tolist(), mu1, mu2)
+        kernel = effective_potential_kernel(masses, ql, mu1, mu2)
     energy, grad, hess_v = kernel
+    # the momentum block, the Hessian of H in p at p = 0: diag(1/nu) + 2 gamma v v^t
+    # with v = dL3/dp; an off-diagonal entry is 0.0 + ..., so -0.0 comes out 0.0
+    gamma = keff_correction(masses, ql, mu1, mu2)
+    g2, v = 2 * gamma, (-ql[1], ql[0], -ql[3], ql[2])
+    inv_nu = (1 / masses.nu1, 1 / masses.nu1, 1 / masses.nu2, 1 / masses.nu2)
+    kin = [(inv_nu[i] if i == j else 0.0) + g2 * (v[i] * v[j]) for i in range(4) for j in range(4)]
+    vq = [x for row in hess_v for x in row]
+    blocks = np.array(vq + kin + _unit_diagonal(vq) + _unit_diagonal(kin)).reshape(4, 4, 4)
+    eigs = np.linalg.eigvalsh(blocks)
     # the 8x8 Hessian of the reduced Hamiltonian at (q, p = 0) is block diagonal
     hess = np.zeros((8, 8))
-    vq, kin = hess[0:4, 0:4], hess[4:8, 4:8]
-    vq[:] = hess_v
-    kin[:] = momentum_block(masses, q, mu1, mu2)
-    # raw and scaled eigenvalues of both blocks in one batched call
-    eigs = np.linalg.eigvalsh(np.stack([vq, kin, _unit_diagonal(vq), _unit_diagonal(kin)]))
-    om1, om2, kep1, kep2 = frequencies(masses, q, mu1, mu2)
+    hess[0:4, 0:4] = blocks[0]
+    hess[4:8, 4:8] = blocks[1]
+    om1, om2, kep1, kep2 = frequencies(masses, ql, mu1, mu2)
     return EquilibriumReport(
         q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
-        eigenvalues=np.concatenate([eigs[0], eigs[1]]),
-        classification=_classify(eigs[2], eigs[3]),
+        eigenvalues=eigs[0:2].ravel(),
+        classification=_classify(*eigs[2:4].tolist()),
         omega1=om1, omega2=om2, h=(mu1 + mu2) ** 2 * energy,
         b=mu1 * mu2 / (mu1 + mu2) ** 2,
         gradient_norm=float(np.linalg.norm(grad)),
-        keff_coefficient=keff_correction(masses, q, mu1, mu2),
+        keff_coefficient=gamma,
         energy=energy, kepler1=kep1, kepler2=kep2,
     )
 
@@ -302,10 +306,12 @@ def isosceles_momenta(n: float, t: float, m: float = 1.0,
     nu1 = m / 2.0
     nu2 = 2.0 * m * m1 / (2.0 * m + m1)
     q1 = rho_from_t(t) * q4
-    r32 = (q1 * q1 + 4.0 * q4 * q4) ** 1.5
-    mu2sq = nu1 * q1 ** 3 * (m * m / (q1 * q1) + 4.0 * m * m1 * q1 / r32)
+    q1sq = q1 * q1
+    r32 = (q1sq + 4.0 * q4 * q4) ** 1.5
+    # where q1^2 underflows, mu2^2 is 0 * inf or (at q1^2 = 0) NaN: refused like mu^2 <= 0
+    mu2sq = nu1 * q1 ** 3 * (m * m / q1sq + 4.0 * m * m1 * q1 / r32) if q1sq else math.nan
     mu1sq = 16.0 * m * m1 * nu2 * q4 ** 4 / r32
-    if mu1sq <= 0.0 or mu2sq <= 0.0:
+    if not (mu1sq > 0.0 and mu2sq > 0.0):
         raise NoRealMomenta(f"mu^2 = ({mu1sq}, {mu2sq}) not positive")
     return mu1sq, mu2sq, q1
 
@@ -487,7 +493,10 @@ def general_series_equilibrium(masses: MassTriple, u: float) -> SeriesSeed:
     """
     m1, m2, m3 = masses.m1, masses.m2, masses.m3
     msum = m2 + m3
-    kappa = masses.total / (m1 ** 2 * msum ** 2)
+    den = m1 ** 2 * msum ** 2
+    if not den > 0.0:
+        raise DegenerateMomenta(f"m1^2 (m2 + m3)^2 underflows to 0 for masses {(m1, m2, m3)}")
+    kappa = masses.total / den
     mu1 = 1.0 / math.sqrt(kappa)
     mu = u * m2 * m3 * math.sqrt(kappa / msum)
     scale = kappa * mu1 * mu1
@@ -525,7 +534,7 @@ def general_hessian_eigen_asymptotics(masses: MassTriple, u: float) -> np.ndarra
 # max|grad| < 10^-(dps - 15) x `_gradient_scale` is finer than double
 # precision only above 30 digits.  One solve took at most 0.45 s at 2000
 # digits, 1.3 s at 5000 and 23 s at 20000 (masses in [0.5, 2.5], u down to
-# 3e-5, one core of a 2-vCPU Xeon); at 60 digits it takes about 0.8 ms.
+# 3e-5, one core of a 2-vCPU Xeon); at 60 digits it takes about 0.6 ms.
 DPS_MIN, DPS_MAX = 31, 2000
 
 # Newton steps before a solve is reported as NoConvergence

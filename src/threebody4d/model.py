@@ -28,40 +28,31 @@ AREA_TOL = 1e-12
 class MassTriple:
     """The three masses with the derived reduced masses and ratios.
 
-    `potential_constants` holds the mass constants of the potential (see
-    `_potential_constants`), formed once, when the triple is made, in the
-    masses' own number type and at the precision then current.
+    `total`, `nu1`, `nu2`, `a2`, `a3` and `potential_constants` (see
+    `_potential_constants`) are formed once, when the triple is made, in the
+    masses' own number type and at the precision then current.  Equality,
+    hash and repr read only the masses.
     """
 
     m1: float
     m2: float
     m3: float
+    total: float = field(init=False, repr=False, compare=False)
+    nu1: float = field(init=False, repr=False, compare=False)
+    nu2: float = field(init=False, repr=False, compare=False)
+    a2: float = field(init=False, repr=False, compare=False)
+    a3: float = field(init=False, repr=False, compare=False)
     potential_constants: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.m1 > 0 and self.m2 > 0 and self.m3 > 0):
-            raise ValueError(f"masses must be positive, got {(self.m1, self.m2, self.m3)}")
+        m1, m2, m3 = self.m1, self.m2, self.m3
+        if not (m1 > 0 and m2 > 0 and m3 > 0):
+            raise ValueError(f"masses must be positive, got {(m1, m2, m3)}")
+        total, m23 = m1 + m2 + m3, m2 + m3
+        for name, value in (("total", total), ("nu1", m2 * m3 / m23), ("nu2", m1 * m23 / total),
+                            ("a2", m2 / m23), ("a3", m3 / m23)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "potential_constants", _potential_constants(self))
-
-    @property
-    def total(self) -> float:
-        return self.m1 + self.m2 + self.m3
-
-    @property
-    def nu1(self) -> float:
-        return self.m2 * self.m3 / (self.m2 + self.m3)
-
-    @property
-    def nu2(self) -> float:
-        return self.m1 * (self.m2 + self.m3) / self.total
-
-    @property
-    def a2(self) -> float:
-        return self.m2 / (self.m2 + self.m3)
-
-    @property
-    def a3(self) -> float:
-        return self.m3 / (self.m2 + self.m3)
 
     def permuted(self, pair: tuple[int, int]) -> "MassTriple":
         """Masses reordered so that the bodies `pair` (1-based) form the binary.
@@ -191,8 +182,7 @@ def _potential_constants(masses: MassTriple) -> tuple:
     so no comparison mixes in a float or changes its outcome; other masses
     get None (for `d ** -0.5` inline) and the floats.
     """
-    m1, m2, m3 = masses.m1, masses.m2, masses.m3
-    a2, a3 = m2 / (m2 + m3), m3 / (m2 + m3)
+    m1, m2, m3, a2, a3 = masses.m1, masses.m2, masses.m3, masses.a2, masses.a3
     c1, c2, c3 = -m2 * m3, -m3 * m1, -m1 * m2
     num = Decimal if isinstance(m1, Decimal) else float
     rsqrt = _decimal_rsqrt if num is Decimal else None

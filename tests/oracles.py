@@ -9,7 +9,7 @@ Pfaffian in closed form, the rotation matrix with the lift through it and
 the configuration Jacobian, the inverse chart, the CSV rows of a
 trajectory, the Dormand-Prince step on arrays and its error norm (numpy
 and list forms), the simplified equilibrium equations, the equilibrium
-report,
+report with its numpy momentum block and unit-diagonal scaling,
 and the high-precision equilibrium Newton on mpmath numbers: one small
 array per term, a fresh decoding of the phase point for every monitor, one
 eigvalsh call per Hessian block, and one svd call per inverse chart.  They
@@ -717,10 +717,23 @@ def newton_mp(masses, mu1, mu2, seed, max_iter=60, dps=60):
                             f"terms in {max_iter} steps")
 
 
-def inertia_positive(block: np.ndarray) -> bool:
+def momentum_block(masses: MassTriple, q, mu1: float, mu2: float) -> np.ndarray:
+    """4x4 Hessian of H in p at p = 0: diag(1/nu) + 2 c2_comb v v^t, v = dL3/dp."""
+    nu1, nu2 = masses.nu1, masses.nu2
+    gamma = equilibria.keff_correction(masses, q, mu1, mu2)
+    v = np.array([-q[1], q[0], -q[3], q[2]])
+    return np.diag([1 / nu1, 1 / nu1, 1 / nu2, 1 / nu2]) + 2 * gamma * np.outer(v, v)
+
+
+def unit_diagonal(block: np.ndarray) -> np.ndarray:
+    """D^-1/2 B D^-1/2 with D = |diag B|, and 1 where |diag B| is not > 0."""
     d = np.abs(np.diag(block))
     r = 1.0 / np.sqrt(np.where(d > 0, d, 1.0))
-    return bool(np.all(np.linalg.eigvalsh(block * np.outer(r, r)) > 0))
+    return block * np.outer(r, r)
+
+
+def inertia_positive(block: np.ndarray) -> bool:
+    return bool(np.all(np.linalg.eigvalsh(unit_diagonal(block)) > 0))
 
 
 def build_report(masses: MassTriple, q, mu1: float, mu2: float):
@@ -729,7 +742,7 @@ def build_report(masses: MassTriple, q, mu1: float, mu2: float):
     energy, grad, hess_v = equilibria.effective_potential_kernel(masses, q.tolist(), mu1, mu2)
     hess = np.zeros((8, 8))
     hess[0:4, 0:4] = hess_v
-    hess[4:8, 4:8] = equilibria.momentum_block(masses, q, mu1, mu2)
+    hess[4:8, 4:8] = momentum_block(masses, q, mu1, mu2)
     vq_eigs = np.linalg.eigvalsh(hess[0:4, 0:4])
     kin_eigs = np.linalg.eigvalsh(hess[4:8, 4:8])
     if not inertia_positive(hess[0:4, 0:4]):

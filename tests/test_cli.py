@@ -334,6 +334,9 @@ def test_full_precision_roundtrip(tmp_path):
     # 10**16 points (71 PiB): an allocation that fails at once
     (["scan", "--isosceles", "-n", "1", "--t-grid", "0.1:0.2:10000000000000000"], 2),
     (["scan", "--isosceles", "-n", "1", "--t-grid", "0.1:0.2:10000000000000000:log"], 2),
+    # q1^2 and m1^2 underflow to 0; they end like -t 1e-160 and -m 1e-150,2,3
+    (["equilibrium", "--isosceles", "-n", "1", "-t", "1e-300"], 3),
+    (["equilibrium", "--general", "-m", "1e-300,2,3", "-u", "0.01"], 2),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):
@@ -352,6 +355,34 @@ def test_singular_newton_system_is_a_solver_failure(tmp_path, capsys, monkeypatc
     assert cli.main(argv + ["--out", str(out)]) == 3
     assert capsys.readouterr().err == "solver failure: NoConvergence: singular Newton system\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, errors", [
+    (["scan", "--isosceles", "-n", "1", "--t-grid", "1e-160,1e-300,0.5"], [True, True, False]),
+    (["scan", "--general", "-m", "1e-300,2,3", "--u-grid", "0.01,0.02"], [True, True]),
+])
+def test_underflowing_scan_points_are_error_rows(tmp_path, capsys, argv, errors):
+    code, text = run(tmp_path, *argv)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert [",error," in line for line in text.splitlines()[1:]] == errors
+
+
+def test_degenerate_hessian_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # row and column 1 equal row and column 0: exactly singular and symmetric.
+    # The float solve takes no Newton step at this u, so only the report sees it
+    hessian = equilibria._veff_hessian
+
+    def singular(terms):
+        hess = hessian(terms)
+        hess[1] = list(hess[0])
+        for row in hess:
+            row[1] = row[0]
+        return hess
+    monkeypatch.setattr(equilibria, "_veff_hessian", singular)
+    code, text = run(tmp_path, "equilibrium", "--general", "-m", "1,2,3", "-u", "0.01")
+    assert code == 3 and text == ""
+    assert capsys.readouterr().err == \
+        "solver failure: DegenerateHessian: V_eff Hessian determinant below tolerance\n"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--config"])

@@ -438,15 +438,18 @@ def _assert_reports_equal(rep, ref):
 def test_float_report_equals_oracle_bitwise():
     # em-diagram-like inputs: all three binaries, masses in [0.5, 2.5],
     # u log-uniform in [3e-3, 1e-2]; the report reuses the solve's last
-    # kernel values, the oracle evaluates the kernel afresh at the root
+    # kernel values, the oracle evaluates the kernel afresh at the root.
+    # Every third input is solved at --dps 60 too, whose report evaluates
+    # the kernel afresh at the rounded root
     rng = np.random.default_rng(21)
-    for _ in range(60):
+    for k in range(60):
         pair = ((2, 3), (1, 3), (1, 2))[int(rng.integers(3))]
         mm = model.MassTriple(*rng.uniform(0.5, 2.5, size=3)).permuted(pair)
         u = math.exp(rng.uniform(math.log(3e-3), math.log(1e-2)))
         seed = equilibria.general_series_equilibrium(mm, u)
-        rep = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q)
-        _assert_reports_equal(rep, oracles.build_report(mm, rep.q, seed.mu1, seed.mu2))
+        for dps in (None, 60) if k % 3 == 0 else (None,):
+            rep = equilibria.newton_equilibrium(mm, seed.mu1, seed.mu2, seed.q, dps=dps)
+            _assert_reports_equal(rep, oracles.build_report(mm, rep.q, seed.mu1, seed.mu2))
 
 
 def test_isosceles_report_equals_oracle_bitwise():
@@ -455,6 +458,24 @@ def test_isosceles_report_equals_oracle_bitwise():
         n, t = math.exp(rng.uniform(math.log(0.2), math.log(5.0))), rng.uniform(0.02, 0.98)
         rep = equilibria.isosceles_equilibrium(n, t)
         _assert_reports_equal(rep, oracles.build_report(rep.masses, rep.q, rep.mu1, rep.mu2))
+
+
+def test_report_equals_oracle_bitwise_in_every_class():
+    # the isosceles family holds saddles and minima but no indefinite-K
+    # point (the region map has no P1-P2+T- or P1+P2-T+ cell), so the
+    # report is also taken at its q with mu2 moved by 10 %, off the family,
+    # where the V_eff block can stay definite while the momentum block is not
+    seen = set()
+    for n in (0.2, 0.5, 1.0, 1.6, 3.0, 5.0):
+        for t in np.linspace(0.02, 0.98, 25).tolist():
+            rep = equilibria.isosceles_equilibrium(n, t)
+            _assert_reports_equal(rep, oracles.build_report(rep.masses, rep.q, rep.mu1, rep.mu2))
+            seen.add(rep.classification)
+            for mu2 in (0.9 * rep.mu2, 1.1 * rep.mu2):
+                off = equilibria._build_report(rep.masses, rep.q, rep.mu1, mu2)
+                _assert_reports_equal(off, oracles.build_report(rep.masses, rep.q, rep.mu1, mu2))
+                seen.add(off.classification)
+    assert seen == {"saddle", "indefinite-K", "minimum"}
 
 
 def _random_systems(rng):

@@ -23,6 +23,38 @@ def test_mass_triple_derived():
     assert m.total == 6.0
 
 
+def _derived_by_formula(m1, m2, m3):
+    return (m1 + m2 + m3, m2 * m3 / (m2 + m3), m1 * (m2 + m3) / (m1 + m2 + m3),
+            m2 / (m2 + m3), m3 / (m2 + m3))
+
+
+def _derived(m):
+    return m.total, m.nu1, m.nu2, m.a2, m.a3
+
+
+def test_mass_triple_derived_fields_equal_the_formulas_bitwise():
+    # formed once, at construction: on floats, and on Decimals in the context
+    # current then, which is not the one current when they are read
+    rng = np.random.default_rng(40)
+    for m in rng.uniform(0.5, 2.5, size=(50, 3)).tolist():
+        assert list(map(repr, _derived(model.MassTriple(*m)))) \
+            == list(map(repr, _derived_by_formula(*m)))
+        with localcontext(Context(prec=60)):
+            dm = [Decimal(v) for v in m]
+            triple, ref = model.MassTriple(*dm), _derived_by_formula(*dm)
+        assert list(map(repr, _derived(triple))) == list(map(repr, ref))
+        assert _derived(model.MassTriple(*dm)) != ref  # at the default 28 digits
+
+
+def test_mass_triple_equality_hash_and_repr_read_only_the_masses():
+    a, b = model.MassTriple(1.0, 2.0, 3.0), model.MassTriple(1.0, 2.0, 3.0)
+    for name in ("total", "nu1", "nu2", "a2", "a3", "potential_constants"):
+        object.__setattr__(b, name, None)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == "MassTriple(m1=1.0, m2=2.0, m3=3.0)"
+    assert a != model.MassTriple(1.0, 3.0, 2.0)
+
+
 def test_mass_triple_rejects_nonpositive():
     with pytest.raises(ValueError):
         model.MassTriple(1.0, -2.0, 3.0)
