@@ -374,157 +374,163 @@ def _error_norm(err, y, ynew, abs_tol, rel_tol):
     return math.sqrt(total / len(err))
 
 
+class _Run:
+    """One integration as it goes: where it is, what it recorded, how it ended."""
+
+    def __init__(self, z, t_end, config, monitors, t_samples):
+        self.t, self.y, self.t_end = 0.0, z.tolist(), t_end
+        self.every = config.monitor_every
+        self.monitors = monitors
+        self.times, self.states, self.values = [], [], []
+        queue = [] if t_samples is None else [float(s) for s in t_samples]
+        self.queue = sorted(s for s in queue if 0.0 < s <= t_end)
+        self.n_steps = self.n_rejected = 0
+        self.exit = None
+        self.record()
+
+    def record(self):
+        """Record the state at t with its monitor values, all or nothing."""
+        t, z = self.t, np.array(self.y)
+        self.values.append([fn(t, z) for fn in self.monitors.values()])
+        self.times.append(t)
+        self.states.append(z)
+
+    def next_stop(self):
+        """The next sample time past t, or t_end; None once t has reached t_end."""
+        t, t_end, queue = self.t, self.t_end, self.queue
+        if not t < t_end - 1e-15 * max(1.0, t_end):
+            return None
+        while queue and queue[0] <= t + 1e-15 * max(1.0, abs(t)):
+            queue.pop(0)
+        return queue[0] if queue else t_end
+
+    def accept(self, t, y, stop):
+        """Count the step to (t, y); record it every `monitor_every` steps or on `stop`."""
+        self.t, self.y = t, y
+        self.n_steps += 1
+        if self.n_steps % self.every == 0 or abs(t - stop) < 1e-13 * max(1.0, stop):
+            self.record()
+
+    def finish(self) -> TrajectoryRecord:
+        # a state that a monitor refused is tried again here, so its error propagates
+        if self.times[-1] != self.t:
+            self.record()
+        return TrajectoryRecord(
+            times=np.array(self.times),
+            states=np.array(self.states),
+            monitors={k: np.array(v) for k, v in zip(self.monitors, zip(*self.values))},
+            domain_exit=self.exit,
+            exit_time=None if self.exit is None else self.t,
+            n_steps=self.n_steps,
+            n_rejected=self.n_rejected,
+        )
+
+
+def _midpoint_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
+    h, max_steps, t, y = config.dt, config.max_steps, run.t, run.y
+    # the same as ceil(t_end / h) > max_steps, and safe when t_end / h overflows
+    if run.t_end / h > max_steps:
+        raise StepLimitExceeded(f"t_end / dt = {run.t_end / h:.6g} steps exceed "
+                                f"max_steps = {max_steps}")
+    # converged slopes of the last steps, oldest first; `equal` counts the trailing
+    # ones from consecutive steps of length h, the only ones the extrapolation
+    # may span (with none, the solve starts from the last slope)
+    slopes = np.empty((_PREDICTOR_SLOPES, len(y)))
+    equal = 0
+    k0 = None
+    while (stop := run.next_stop()) is not None:
+        if run.n_steps == max_steps:
+            raise StepLimitExceeded(f"midpoint reached max_steps = {max_steps} at t = {t!r}")
+        # within 1e-9 h of h, the distance to the stop is h plus the rounding of
+        # the summed steps: land on the stop, leaving no sliver step of a few ulps
+        land = stop - t <= h * (1.0 + 1e-9)
+        hs = stop - t if land else h
+        if hs != h:
+            equal = 0
+        if run.n_steps:
+            m = max(equal, 1)
+            k0 = (_EXTRAPOLATE[m] @ slopes[-m:]).tolist()
+        y, k = _midpoint_step(kernel, t, y, hs, k0)
+        slopes[:-1] = slopes[1:]
+        slopes[-1] = k
+        if hs == h:
+            equal = min(equal + 1, _PREDICTOR_SLOPES)
+        t = stop if land else t + hs
+        run.accept(t, y, stop)
+
+
+def _dopri_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
+    max_step, max_steps = config.max_step, config.max_steps
+    t, y = run.t, run.y
+    h = max(min(max_step, run.t_end / 50.0), 1e-12)
+    while (stop := run.next_stop()) is not None:
+        h = min(h, max_step, stop - t)
+        try:
+            ynew, err = _dopri_step(kernel, t, y, h)
+        except DomainError:
+            # a stage outside the domain rejects the step, as an infinite
+            # error estimate would; the run exits where even a step below
+            # the floor leaves the domain
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise
+            run.n_rejected += 1
+            h *= 0.2
+        else:
+            enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol)
+            if not math.isfinite(enorm):
+                raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
+            if enorm <= 1.0:
+                t += h
+                y = ynew
+                run.accept(t, y, stop)
+            else:
+                run.n_rejected += 1
+            fac = 0.9 * (enorm + 1e-300) ** -0.2
+            h *= min(5.0, max(0.2, fac))
+            h = min(h, max_step)
+            if enorm > 1.0 and h < 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflow(f"step size {h!r} underflows at t = {t!r}")
+        if run.n_steps + run.n_rejected > max_steps:
+            raise StepLimitExceeded(f"dopri exceeded max_steps = {max_steps} at t = {t!r}")
+
+
 def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
               monitors: Optional[dict] = None,
               t_samples: Optional[np.ndarray] = None) -> TrajectoryRecord:
     """Integrate dz/dt = field(t, z) from t = 0 to t_end.
 
     Both methods step on lists of Python floats through `field.kernel`;
-    `t_end` and the sample times are taken as floats.  An array of the state
-    is built only for a recorded sample: `monitors` maps names to callables
-    fn(t, z) on that array, sampled together with the states.  A
-    `DomainError` of the field (collision, chart failure, kinetic boundary)
-    ends the run as a domain exit: the record is returned with `domain_exit`
-    set to the error and `exit_time` to the last time reached.
+    `t_end` and the sample times are taken as floats.  `monitors` maps names
+    to callables fn(t, z) on the array of a recorded state; an error of a
+    monitor propagates.  If `t_samples` is given, steps land exactly on those
+    times (on top of adaptive control).  A `DomainError` of the field
+    (collision, chart failure, kinetic boundary) ends the run as a domain
+    exit: the record is returned with `domain_exit` set to the error and
+    `exit_time` to the last time reached.
+
     `dopri` rejects a step with a stage outside the domain and shrinks it by
     0.2; it exits when a step shorter than 1e-14 * max(1, |t|) still leaves
-    the domain.  If `t_samples` is given, steps land exactly on those times
-    (on top of adaptive control).
-
-    The midpoint rule starts each implicit solve from the polynomial
-    extrapolation of the slopes of up to six preceding steps of length dt
-    (the last slope after a landing step of another length, f(t, y) at the
-    first step).  A solve from a predicted slope that leaves the domain at
-    an iterate or does not converge is solved again from f(t, y); only a
-    domain error in that solve ends the run as a domain exit, and only its
-    failure to converge raises `NoConvergence` (see `_midpoint_step`).
-    `dopri` raises `StepSizeUnderflow` when its step control collapses.
-    Both raise `StepLimitExceeded` when a run needs more than
-    `config.max_steps` steps; the midpoint rule does so before its first
-    step when t_end / dt alone exceeds the limit.
+    the domain, and raises `StepSizeUnderflow` when its step control
+    collapses.  The midpoint rule starts each implicit solve from the
+    polynomial extrapolation of the slopes of up to six preceding steps of
+    length dt (the last slope after a landing step of another length,
+    f(t, y) at the first step).  A solve from a predicted slope that leaves
+    the domain at an iterate or does not converge is solved again from
+    f(t, y); only a domain error in that solve ends the run as a domain exit,
+    and only its failure to converge raises `NoConvergence` (see
+    `_midpoint_step`).  Both raise `StepLimitExceeded` when a run needs more
+    than `config.max_steps` steps; the midpoint rule does so before its
+    first step when t_end / dt alone exceeds the limit.
     """
     z = np.array(start, dtype=float)
     if not (np.all(np.isfinite(z)) and math.isfinite(t_end)):
         raise ValueError("start and t_end must be finite")
-    t_end = float(t_end)
-    kernel = field.kernel
-    y = z.tolist()
-    monitors = monitors or {}
-    times = [0.0]
-    states = [z]
-    mon_vals = {k: [fn(0.0, z)] for k, fn in monitors.items()}
-    exit_reason = None
-    exit_time = None
-    n_steps = 0
-    n_rejected = 0
-    sample_queue = [] if t_samples is None else [float(s) for s in t_samples]
-    sample_queue = [s for s in sample_queue if 0.0 < s <= t_end]
-    sample_queue.sort()
-
-    def record(t, y, force=False):
-        if force or n_steps % config.monitor_every == 0:
-            times.append(t)
-            z = np.array(y)
-            states.append(z)
-            for k, fn in monitors.items():
-                mon_vals[k].append(fn(t, z))
-
-    def next_stop(t):
-        while sample_queue and sample_queue[0] <= t + 1e-15 * max(1.0, abs(t)):
-            sample_queue.pop(0)
-        return sample_queue[0] if sample_queue else t_end
-
-    t = 0.0
-    if config.method == "midpoint":
-        h = config.dt
-        # the same as ceil(t_end / h) > max_steps, and safe when t_end / h
-        # overflows
-        if t_end / h > config.max_steps:
-            raise StepLimitExceeded(f"t_end / dt = {t_end / h:.6g} steps exceed "
-                                    f"max_steps = {config.max_steps}")
-        # converged midpoint slopes of the last steps, oldest first; `equal`
-        # counts how many trailing ones come from consecutive steps of length
-        # h, the only ones the extrapolation may span; with none (a step of
-        # another length on either side), the solve starts from the last slope
-        slopes = np.empty((_PREDICTOR_SLOPES, len(y)))
-        equal = 0
-        while t < t_end - 1e-15 * max(1.0, t_end):
-            if n_steps == config.max_steps:
-                raise StepLimitExceeded(f"midpoint reached max_steps = {config.max_steps} "
-                                        f"at t = {t!r}")
-            stop = min(next_stop(t), t_end)
-            # within 1e-9 h of h, the distance to the stop is h plus the
-            # rounding of the summed steps: land on the stop exactly instead
-            # of leaving a sliver step of a few ulps
-            land = stop - t <= h * (1.0 + 1e-9)
-            hs = stop - t if land else h
-            if hs != h:
-                equal = 0
-            if n_steps == 0:
-                k0 = None
-            else:
-                m = max(equal, 1)
-                k0 = (_EXTRAPOLATE[m] @ slopes[-m:]).tolist()
-            try:
-                y, k = _midpoint_step(kernel, t, y, hs, k0)
-            except DomainError as exc:
-                exit_reason, exit_time = f"{type(exc).__name__}: {exc}", t
-                break
-            slopes[:-1] = slopes[1:]
-            slopes[-1] = k
-            if hs == h:
-                equal = min(equal + 1, _PREDICTOR_SLOPES)
-            t = stop if land else t + hs
-            n_steps += 1
-            record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
-    else:
-        h = max(min(config.max_step, t_end / 50.0), 1e-12)
-        while t < t_end - 1e-15 * max(1.0, t_end):
-            stop = min(next_stop(t), t_end)
-            h = min(h, config.max_step, stop - t)
-            try:
-                ynew, err = _dopri_step(kernel, t, y, h)
-            except DomainError as exc:
-                # a stage outside the domain rejects the step, as an infinite
-                # error estimate would; the run exits where even a step below
-                # the floor leaves the domain
-                if h < 1e-14 * max(1.0, abs(t)):
-                    exit_reason, exit_time = f"{type(exc).__name__}: {exc}", t
-                    break
-                n_rejected += 1
-                h *= 0.2
-            else:
-                enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol)
-                if not math.isfinite(enorm):
-                    raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
-                if enorm <= 1.0:
-                    t += h
-                    y = ynew
-                    n_steps += 1
-                    record(t, y, force=(abs(t - stop) < 1e-13 * max(1.0, stop)))
-                else:
-                    n_rejected += 1
-                fac = 0.9 * (enorm + 1e-300) ** -0.2
-                h *= min(5.0, max(0.2, fac))
-                h = min(h, config.max_step)
-                if enorm > 1.0 and h < 1e-14 * max(1.0, abs(t)):
-                    raise StepSizeUnderflow(f"step size {h!r} underflows at t = {t!r}")
-            if n_steps + n_rejected > config.max_steps:
-                raise StepLimitExceeded(f"dopri exceeded max_steps = {config.max_steps} "
-                                        f"at t = {t!r}")
-
-    if times[-1] != t:
-        record(t, y, force=True)
-    rec = TrajectoryRecord(
-        times=np.array(times),
-        states=np.array(states),
-        monitors={k: np.array(v) for k, v in mon_vals.items()},
-        domain_exit=exit_reason,
-        exit_time=exit_time,
-        n_steps=n_steps,
-        n_rejected=n_rejected,
-    )
-    return rec
+    run = _Run(z, float(t_end), config, monitors or {}, t_samples)
+    try:
+        (_midpoint_loop if config.method == "midpoint" else _dopri_loop)(run, field.kernel, config)
+    except DomainError as exc:
+        run.exit = f"{type(exc).__name__}: {exc}"
+    return run.finish()
 
 
 # The midpoint predictor extrapolates the polynomial through the last m

@@ -262,6 +262,8 @@ def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
     inv_nu = (1 / masses.nu1, 1 / masses.nu1, 1 / masses.nu2, 1 / masses.nu2)
     kin = [(inv_nu[i] if i == j else 0.0) + g2 * (v[i] * v[j]) for i in range(4) for j in range(4)]
     vq = [x for row in hess_v for x in row]
+    if not all(map(math.isfinite, vq + kin)):
+        raise DegenerateHessian("Hessian of the reduced Hamiltonian not finite")
     blocks = np.array(vq + kin + _unit_diagonal(vq) + _unit_diagonal(kin)).reshape(4, 4, 4)
     eigs = np.linalg.eigvalsh(blocks)
     # the 8x8 Hessian of the reduced Hamiltonian at (q, p = 0) is block diagonal
@@ -496,6 +498,8 @@ def general_series_equilibrium(masses: MassTriple, u: float) -> SeriesSeed:
     den = m1 ** 2 * msum ** 2
     if not den > 0.0:
         raise DegenerateMomenta(f"m1^2 (m2 + m3)^2 underflows to 0 for masses {(m1, m2, m3)}")
+    if den == math.inf:
+        raise DegenerateMomenta(f"m1^2 (m2 + m3)^2 overflows for masses {(m1, m2, m3)}")
     kappa = masses.total / den
     mu1 = 1.0 / math.sqrt(kappa)
     mu = u * m2 * m3 * math.sqrt(kappa / msum)

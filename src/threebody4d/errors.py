@@ -48,7 +48,7 @@ class NoConvergence(SolverFailure, RuntimeError):
 
 
 class DegenerateHessian(SolverFailure, RuntimeError):
-    """|det| of a Hessian fell below tolerance where definiteness is needed."""
+    """A Hessian whose definiteness is needed is not finite or has |det| below tolerance."""
 
 
 class StepSizeUnderflow(SolverFailure, RuntimeError):

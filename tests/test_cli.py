@@ -337,6 +337,9 @@ def test_full_precision_roundtrip(tmp_path):
     # q1^2 and m1^2 underflow to 0; they end like -t 1e-160 and -m 1e-150,2,3
     (["equilibrium", "--isosceles", "-n", "1", "-t", "1e-300"], 3),
     (["equilibrium", "--general", "-m", "1e-300,2,3", "-u", "0.01"], 2),
+    # m1^2 (m2 + m3)^2 overflows; a V_eff Hessian entry is inf
+    (["equilibrium", "--general", "-m", "1e150,1e5,1", "-u", "0.01"], 2),
+    (["equilibrium", "--general", "-m", "1,1e-300,3", "-u", "0.01"], 3),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):
@@ -360,6 +363,7 @@ def test_singular_newton_system_is_a_solver_failure(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("argv, errors", [
     (["scan", "--isosceles", "-n", "1", "--t-grid", "1e-160,1e-300,0.5"], [True, True, False]),
     (["scan", "--general", "-m", "1e-300,2,3", "--u-grid", "0.01,0.02"], [True, True]),
+    (["scan", "--general", "-m", "1e150,1e5,1", "--u-grid", "0.01,0.02"], [True, True]),
 ])
 def test_underflowing_scan_points_are_error_rows(tmp_path, capsys, argv, errors):
     code, text = run(tmp_path, *argv)

@@ -260,6 +260,58 @@ def test_compare_records_only_the_start_and_the_sample_times(monkeypatch):
         assert len(rec.states) == 9
 
 
+@pytest.mark.parametrize("n_samples", [1, 6, 32])
+def test_compare_runs_pair_up_row_by_row(monkeypatch, n_samples):
+    # compare_full_vs_reduced zips the states of its two runs: each run holds
+    # the start and then one row at each sample time
+    records = []
+    integrate = dynamics.integrate
+    monkeypatch.setattr(dynamics, "integrate",
+                        lambda *a, **k: records.append(integrate(*a, **k)) or records[-1])
+    rep = equilibria.isosceles_equilibrium(1.0, 0.25)
+    start = reduction.ReducedState(rep.q, np.array([1e-3, -5e-4, 8e-4, -2e-4]),
+                                   rep.mu1, rep.mu2)
+    cfg = dynamics.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    report = dynamics.compare_full_vs_reduced(EQUAL, start, 0.5, cfg, n_samples=n_samples)
+    assert len(records) == 2 and len(report.times) == n_samples
+    for rec in records:
+        assert len(rec.times) == len(rec.states) == n_samples + 1
+        assert rec.times[0] == 0.0
+        for t, sample in zip(rec.times[1:].tolist(), report.times.tolist()):
+            assert abs(t - sample) <= 1e-13 * sample
+
+
+@pytest.mark.parametrize("method", ["dopri", "midpoint"])
+def test_sample_landings_are_recorded_between_monitor_every_rows(method):
+    rep = equilibria.isosceles_equilibrium(1.0, 0.25)
+    z0 = np.concatenate([rep.q, [1e-3, -5e-4, 8e-4, -2e-4]])
+    samples = [0.0123, 0.05, 0.1, 0.17, 0.2345]
+    cfg = dynamics.IntegratorConfig(method=method, dt=1e-3, monitor_every=3)
+    rec = dynamics.integrate(dynamics.reduced_field(EQUAL, rep.mu1, rep.mu2), z0, 0.3, cfg,
+                             monitors=dynamics.reduced_monitors(EQUAL, rep.mu1, rep.mu2),
+                             t_samples=np.array(samples))
+    times = rec.times.tolist()
+    assert all(a < b for a, b in zip(times, times[1:]))
+    assert times[-1] == 0.3 and len(rec.monitors["H"]) == len(times)
+    for sample in samples:
+        assert min(abs(t - sample) for t in times) <= 1e-13 * sample
+    # every third step is recorded too, so far more rows than samples
+    assert len(times) > rec.n_steps // 3
+
+
+@pytest.mark.parametrize("method", ["dopri", "midpoint"])
+def test_monitor_domain_error_propagates(method):
+    # only the field's domain errors end a run as a domain exit
+    def monitor(t, z):
+        if t > 0.05:
+            raise CollisionError("in a monitor")
+        return 0.0
+    cfg = dynamics.IntegratorConfig(method=method, dt=0.01)
+    with pytest.raises(CollisionError, match="in a monitor"):
+        dynamics.integrate(dynamics.VectorField(1, kernel=lambda t, z: [1.0]), [0.0], 0.1, cfg,
+                           monitors={"m": monitor})
+
+
 def test_compare_at_equilibrium_stays_on_group_orbit():
     rep = equilibria.isosceles_equilibrium(1.0, 0.2)
     start = reduction.ReducedState(rep.q, np.zeros(4), rep.mu1, rep.mu2)
