@@ -9,6 +9,7 @@ behaviour.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -329,49 +330,52 @@ _E1, _E2, _E3, _E4, _E5, _E6, _E7 = (
     _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40)
 
 
-def _dopri_step(kernel, t, y, h):
-    """One Dormand-Prince step on lists of floats: (fifth-order state, error estimate).
+@functools.cache
+def _dopri_step(n: int):
+    """The Dormand-Prince step on n floats as straight-line source, built once per n.
 
-    Exactly seven kernel calls.  Each stage sums its slopes and then adds
-    them to y.  The error estimate carries the second slope with its zero
-    weight, so a NaN in any stage reaches it.
+    Returns step(kernel, t, y, h, abs_tol, rel_tol) -> (ynew, enorm) with
+    exactly seven kernel calls: the fifth-order state, and the RMS over i of
+    err_i / (abs_tol + rel_tol * max(|y_i|, |ynew_i|)), summed in order of i.
+    A stage input is y_i + (a1 k1_i + a2 k2_i + ...) with a_j = h A_sj.  err
+    keeps the second slope's zero weight and the maximum lets a NaN ynew_i
+    win, so a NaN in any stage makes the norm NaN (y holds no NaN).  Unrolled,
+    a step spends no time in the zip and list work of a loop over components.
     """
-    k1 = kernel(t, y)
-    a1 = h * _A21
-    k2 = kernel(t + _C2 * h, [u + a1 * v1 for u, v1 in zip(y, k1)])
-    a1, a2 = h * _A31, h * _A32
-    k3 = kernel(t + _C3 * h, [u + (a1 * v1 + a2 * v2) for u, v1, v2 in zip(y, k1, k2)])
-    a1, a2, a3 = h * _A41, h * _A42, h * _A43
-    k4 = kernel(t + _C4 * h, [u + (a1 * v1 + a2 * v2 + a3 * v3)
-                              for u, v1, v2, v3 in zip(y, k1, k2, k3)])
-    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
-    k5 = kernel(t + _C5 * h, [u + (a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4)
-                              for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)])
-    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    k6 = kernel(t + h, [u + (a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5)
-                        for u, v1, v2, v3, v4, v5 in zip(y, k1, k2, k3, k4, k5)])
-    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
-    ynew = [u + (b1 * v1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
-            for u, v1, v3, v4, v5, v6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = kernel(t + h, ynew)
-    e1, e2, e3, e4, e5, e6, e7 = (h * _E1, h * _E2, h * _E3, h * _E4, h * _E5, h * _E6,
-                                  h * _E7)
-    err = [e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7
-           for v1, v2, v3, v4, v5, v6, v7 in zip(k1, k2, k3, k4, k5, k6, k7)]
-    return ynew, err
+    idx = range(n)
 
+    def scaled(p, js, const):
+        return (f"    {', '.join(f'{p}{j}' for j in js)} = "
+                + ", ".join(f"h * {const}{j}" for j in js))
 
-def _error_norm(err, y, ynew, abs_tol, rel_tol):
-    """RMS of err / (abs_tol + rel_tol * max(|y|, |ynew|)), the step-control norm.
+    def terms(p, js, i):
+        return " + ".join(f"{p}{j} * k{j}_{i}" for j in js)
 
-    The squares are summed left to right.  The maximum is taken so that a
-    NaN in ynew makes the norm NaN (y holds no NaN).
-    """
-    total = 0.0
-    for e, u, v in zip(err, map(abs, y), map(abs, ynew)):
-        r = e / (abs_tol + rel_tol * (u if v < u else v))
-        total += r * r
-    return math.sqrt(total / len(err))
+    def slopes(s):
+        return "    " + "".join(f"k{s}_{i}, " for i in idx) + "= kernel"
+
+    src = ["def step(kernel, t, y, h, abs_tol, rel_tol):",
+           "    " + "".join(f"y{i}, " for i in idx) + "= y",
+           slopes(1) + "(t, y)"]
+    for s in range(2, 7):
+        js = range(1, s)
+        src += [scaled("a", js, f"_A{s}"),
+                slopes(s) + f"(t + {f'_C{s} * h' if s < 6 else 'h'}, ["
+                + ", ".join(f"y{i} + ({terms('a', js, i)})" for i in idx) + "])"]
+    # the fifth-order weights skip the second slope, whose weight is zero
+    src.append(scaled("b", (1, 3, 4, 5, 6), "_B"))
+    src += [f"    z{i} = y{i} + ({terms('b', (1, 3, 4, 5, 6), i)})" for i in idx]
+    src += [f"    ynew = [{', '.join(f'z{i}' for i in idx)}]", slopes(7) + "(t + h, ynew)",
+            scaled("e", range(1, 8), "_E"), "    total = 0.0"]
+    for i in idx:
+        src += [f"    u, v = abs(y{i}), abs(z{i})",
+                f"    r = ({terms('e', range(1, 8), i)}) / "
+                "(abs_tol + rel_tol * (u if v < u else v))",
+                "    total += r * r"]
+    src.append(f"    return ynew, math.sqrt(total / {n})")
+    namespace = {}
+    exec(compile("\n".join(src), f"<dopri step, n = {n}>", "exec"), globals(), namespace)
+    return namespace["step"]
 
 
 class _Run:
@@ -462,11 +466,12 @@ def _midpoint_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
 def _dopri_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
     max_step, max_steps = config.max_step, config.max_steps
     t, y = run.t, run.y
+    step = _dopri_step(len(y))
     h = max(min(max_step, run.t_end / 50.0), 1e-12)
     while (stop := run.next_stop()) is not None:
         h = min(h, max_step, stop - t)
         try:
-            ynew, err = _dopri_step(kernel, t, y, h)
+            ynew, enorm = step(kernel, t, y, h, config.abs_tol, config.rel_tol)
         except DomainError:
             # a stage outside the domain rejects the step, as an infinite
             # error estimate would; the run exits where even a step below
@@ -476,7 +481,6 @@ def _dopri_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
             run.n_rejected += 1
             h *= 0.2
         else:
-            enorm = _error_norm(err, y, ynew, config.abs_tol, config.rel_tol)
             if not math.isfinite(enorm):
                 raise StepSizeUnderflow(f"non-finite error estimate at t = {t!r}")
             if enorm <= 1.0:

@@ -245,7 +245,7 @@ def frequencies(masses: MassTriple, q, mu1: float, mu2: float):
 
 def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
                   kernel=None) -> EquilibriumReport:
-    """The report at q; `kernel` is effective_potential_kernel at q, if known.
+    """The finite report at q; `kernel` is effective_potential_kernel at q, if known.
 
     Plain floats summed in numpy's order, so each field keeps the numpy form's bits,
     around one batched eigvalsh call for the raw and scaled eigenvalues of both blocks.
@@ -271,12 +271,18 @@ def _build_report(masses: MassTriple, q, mu1: float, mu2: float,
     hess[0:4, 0:4] = blocks[0]
     hess[4:8, 4:8] = blocks[1]
     om1, om2, kep1, kep2 = frequencies(masses, ql, mu1, mu2)
+    h, b = (mu1 + mu2) ** 2 * energy, mu1 * mu2 / (mu1 + mu2) ** 2
+    # gradient_norm is tested squared: np.linalg.norm warns where that overflows
+    values = (om1, om2, h, b, sum([g * g for g in grad]), gamma, energy, kep1, kep2)
+    if not all(map(math.isfinite, values)):
+        names = "omega1 omega2 h b gradient_norm keff_coefficient energy kepler1 kepler2".split()
+        bad = ", ".join(name for name, value in zip(names, values) if not math.isfinite(value))
+        raise SolverFailure(f"equilibrium report not finite: {bad}")
     return EquilibriumReport(
         q=q, mu1=mu1, mu2=mu2, masses=masses, hessian=hess,
         eigenvalues=eigs[0:2].ravel(),
         classification=_classify(*eigs[2:4].tolist()),
-        omega1=om1, omega2=om2, h=(mu1 + mu2) ** 2 * energy,
-        b=mu1 * mu2 / (mu1 + mu2) ** 2,
+        omega1=om1, omega2=om2, h=h, b=b,
         gradient_norm=float(np.linalg.norm(grad)),
         keff_coefficient=gamma,
         energy=energy, kepler1=kep1, kepler2=kep2,

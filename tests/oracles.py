@@ -7,8 +7,8 @@ full, partial and reduced Hamiltonians, the invariant-set residual, the
 monitors of the three systems, the conjugated angular momentum and the
 Pfaffian in closed form, the rotation matrix with the lift through it and
 the configuration Jacobian, the inverse chart, the CSV rows of a
-trajectory, the Dormand-Prince step on arrays and its error norm (numpy
-and list forms), the simplified equilibrium equations, the equilibrium
+trajectory, the Dormand-Prince step and its error norm (numpy and list
+forms), the simplified equilibrium equations, the equilibrium
 report with its numpy momentum block and unit-diagonal scaling,
 and the high-precision equilibrium Newton on mpmath numbers: one small
 array per term, a fresh decoding of the phase point for every monitor, one
@@ -22,6 +22,9 @@ import math
 import numpy as np
 
 from threebody4d import equilibria, model, reduction
+from threebody4d.dynamics import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+                                 _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2,
+                                 _C3, _C4, _C5, _E1, _E2, _E3, _E4, _E5, _E6, _E7)
 from threebody4d.errors import (ChartSingular, CollisionError, DegeneratePlane,
                                KineticDomainError, NoConvergence)
 from threebody4d.model import MassTriple, ScalarProducts
@@ -545,6 +548,38 @@ def dopri_step(field, t, y, h, k):
         yi = y + h * (DP_A[i] @ k[:i])
         k[i] = field.evaluate(t + DP_C[i] * h, yi)
     return yi, h * (DP_E @ k)
+
+
+def dopri_step_list(kernel, t, y, h):
+    """One Dormand-Prince step on lists of floats: (fifth-order state, error estimate).
+
+    Exactly seven kernel calls.  Each stage sums its slopes and then adds
+    them to y.  The error estimate carries the second slope with its zero
+    weight, so a NaN in any stage reaches it.
+    """
+    k1 = kernel(t, y)
+    a1 = h * _A21
+    k2 = kernel(t + _C2 * h, [u + a1 * v1 for u, v1 in zip(y, k1)])
+    a1, a2 = h * _A31, h * _A32
+    k3 = kernel(t + _C3 * h, [u + (a1 * v1 + a2 * v2) for u, v1, v2 in zip(y, k1, k2)])
+    a1, a2, a3 = h * _A41, h * _A42, h * _A43
+    k4 = kernel(t + _C4 * h, [u + (a1 * v1 + a2 * v2 + a3 * v3)
+                              for u, v1, v2, v3 in zip(y, k1, k2, k3)])
+    a1, a2, a3, a4 = h * _A51, h * _A52, h * _A53, h * _A54
+    k5 = kernel(t + _C5 * h, [u + (a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4)
+                              for u, v1, v2, v3, v4 in zip(y, k1, k2, k3, k4)])
+    a1, a2, a3, a4, a5 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    k6 = kernel(t + h, [u + (a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5)
+                        for u, v1, v2, v3, v4, v5 in zip(y, k1, k2, k3, k4, k5)])
+    b1, b3, b4, b5, b6 = h * _B1, h * _B3, h * _B4, h * _B5, h * _B6
+    ynew = [u + (b1 * v1 + b3 * v3 + b4 * v4 + b5 * v5 + b6 * v6)
+            for u, v1, v3, v4, v5, v6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = kernel(t + h, ynew)
+    e1, e2, e3, e4, e5, e6, e7 = (h * _E1, h * _E2, h * _E3, h * _E4, h * _E5, h * _E6,
+                                  h * _E7)
+    err = [e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7
+           for v1, v2, v3, v4, v5, v6, v7 in zip(k1, k2, k3, k4, k5, k6, k7)]
+    return ynew, err
 
 
 def error_norm(err, y, ynew, abs_tol, rel_tol):

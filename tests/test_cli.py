@@ -340,6 +340,8 @@ def test_full_precision_roundtrip(tmp_path):
     # m1^2 (m2 + m3)^2 overflows; a V_eff Hessian entry is inf
     (["equilibrium", "--general", "-m", "1e150,1e5,1", "-u", "0.01"], 2),
     (["equilibrium", "--general", "-m", "1,1e-300,3", "-u", "0.01"], 3),
+    # h and the gradient's squares overflow: the report is not finite
+    (["equilibrium", "--isosceles", "-n", "2.0761396006481793e+276", "-t", "0.99996422963585"], 3),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threebody4d import dynamics, equilibria, model, reduction
 from threebody4d.errors import (
@@ -391,20 +392,38 @@ def test_to_csv_bytes_equal_numpy_scalar_formatting():
     assert rec.domain_exit is not None
 
 
+def _fixed_slopes(slopes):
+    """A kernel that ignores its input and returns the next row of `slopes`."""
+    rows = iter(slopes)
+    return lambda t, z: next(rows)
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
 def test_error_norm_equals_list_oracle_bitwise():
+    # fixed slopes hand the step its y, new state and error estimate: the new
+    # state and y vanish at every third component (the seventh slope enters
+    # only the estimate), and the estimate at every second one
     rng = np.random.default_rng(5)
     for dim in (1, 7, 8, 16, 200):
         for scale in (1e-12, 1.0, 1e150, 1e300):
-            y, ynew, err = scale * rng.normal(size=(3, dim))
+            draws = scale * rng.normal(size=(8, dim))
+            y, slopes = draws[0], draws[1:]
             y[::3] = 0.0
-            ynew[::3] = 0.0
-            err[::2] = 0.0
+            slopes[:6, ::3] = 0.0
+            slopes[:, ::2] = 0.0
             for abs_tol, rel_tol in ((1e-13, 1e-11), (1e-10, 1e-10)):
-                args = (err.tolist(), y.tolist(), ynew.tolist(), abs_tol, rel_tol)
-                fast = dynamics._error_norm(*args)
-                assert fast == oracles.error_norm_list(*args)
+                ynew, fast = dynamics._dopri_step(dim)(_fixed_slopes(slopes.tolist()), 0.3,
+                                                       y.tolist(), 1.0, abs_tol, rel_tol)
+                ynew_ref, err = oracles.dopri_step_list(_fixed_slopes(slopes.tolist()), 0.3,
+                                                        y.tolist(), 1.0)
+                assert _hex(ynew) == _hex(ynew_ref)
+                assert fast.hex() == oracles.error_norm_list(err, y.tolist(), ynew, abs_tol,
+                                                             rel_tol).hex()
                 with np.errstate(over="ignore"):
-                    ref = oracles.error_norm(err, y, ynew, abs_tol, rel_tol)
+                    ref = oracles.error_norm(np.array(err), y, np.array(ynew), abs_tol, rel_tol)
                 if scale == 1e300 and dim > 1:
                     # an error over abs_tol alone overflows to inf, in every form
                     assert fast == ref == math.inf
@@ -413,10 +432,69 @@ def test_error_norm_equals_list_oracle_bitwise():
 
 
 def test_error_norm_is_nan_when_the_new_state_is():
+    # the sixth slope enters the new state and the error estimate alike
     for i in range(4):
-        ynew = [1.0, -2.0, 0.5, 3.0]
-        ynew[i] = math.nan
-        assert math.isnan(dynamics._error_norm([1e-12] * 4, [1.0] * 4, ynew, 1e-12, 1e-10))
+        slopes = [[1.0] * 4 for _ in range(7)]
+        slopes[5][i] = math.nan
+        ynew, norm = dynamics._dopri_step(4)(_fixed_slopes(slopes), 0.0, [1.0] * 4, 1e-3,
+                                             1e-12, 1e-10)
+        assert [math.isnan(v) for v in ynew] == [j == i for j in range(4)]
+        assert math.isnan(norm)
+
+
+def _random_kernel(rng, n):
+    """A nonlinear field on n floats whose components mix others, some of them -0.0 or NaN."""
+    a, b, c = rng.normal(size=(3, n)).tolist()
+    j, m = rng.integers(0, n, size=(2, n)).tolist()
+    form = rng.choice(5, size=n, p=[0.3, 0.3, 0.3, 0.08, 0.02]).tolist()
+
+    def kernel(t, z):
+        return tuple(a[i] * math.sin(z[j[i]] + t) + b[i] if f == 0
+                     else a[i] * z[i] * z[m[i]] - c[i] * z[j[i]] if f == 1
+                     else b[i] / (1.0 + z[j[i]] * z[j[i]]) - c[i] * t if f == 2
+                     else -0.0 if f == 3 else math.nan
+                     for i, f in enumerate(form))
+    return kernel
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.sampled_from((1, 2, 7, 8, 16, 17)), h=st.sampled_from((1e-1, 1e-3, 1e-6)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_dopri_step_equals_the_list_step_bitwise(n, h, seed):
+    rng = np.random.default_rng(seed)
+    kernel = _random_kernel(rng, n)
+    y = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)).tolist()
+    for i in rng.integers(0, n, size=2).tolist():
+        y[i] = float(rng.choice((0.0, -0.0)))
+    calls = []
+    ynew, enorm = dynamics._dopri_step(n)(_counted(kernel, calls), 0.7, y, h, 1e-12, 1e-10)
+    ynew_ref, err = oracles.dopri_step_list(kernel, 0.7, y, h)
+    assert len(calls) == 7
+    assert _hex(ynew) == _hex(ynew_ref)
+    assert enorm.hex() == oracles.error_norm_list(err, y, ynew_ref, 1e-12, 1e-10).hex()
+
+
+@pytest.mark.parametrize("stage", range(7))
+def test_generated_dopri_step_at_a_nan_or_out_of_domain_stage(stage):
+    # the slopes ignore the input, so only the error estimate can carry a NaN
+    # of the second or seventh stage to the norm
+    for n in (1, 2, 7, 8, 16, 17):
+        slopes = [[0.5] * n for _ in range(7)]
+        slopes[stage][n // 2] = math.nan
+        _, norm = dynamics._dopri_step(n)(_fixed_slopes(slopes), 0.0, [1.0] * n, 1e-3,
+                                          1e-12, 1e-10)
+        assert math.isnan(norm)
+        calls = []
+
+        def kernel(t, z):
+            calls.append(t)
+            if len(calls) == stage + 1:
+                raise KineticDomainError("stage outside the domain")
+            return [0.5] * n
+
+        with pytest.raises(KineticDomainError):
+            dynamics._dopri_step(n)(kernel, 0.0, [1.0] * n, 1e-3, 1e-12, 1e-10)
+        assert len(calls) == stage + 1
 
 
 def _seeded_fields(rng):
@@ -442,11 +520,13 @@ def test_dopri_list_step_agrees_with_the_numpy_step():
             for h in (1e-1, 1e-2, 1e-3):
                 k = np.empty((7, z.size))
                 ynew_ref, err_ref = oracles.dopri_step(field, 0.3, z, h, k)
-                ynew, err = dynamics._dopri_step(field.kernel, 0.3, z.tolist(), h)
+                ynew, err = oracles.dopri_step_list(field.kernel, 0.3, z.tolist(), h)
                 assert np.max(np.abs(np.array(ynew) - ynew_ref)) \
                     <= 1e-14 * np.max(np.abs(ynew_ref))
                 assert np.max(np.abs(np.array(err) - err_ref)) <= 1e-14 * h * np.max(np.abs(k))
-                norm = dynamics._error_norm(err, z.tolist(), ynew, abs_tol, rel_tol)
+                step_ynew, norm = dynamics._dopri_step(z.size)(field.kernel, 0.3, z.tolist(), h,
+                                                               abs_tol, rel_tol)
+                assert _hex(step_ynew) == _hex(ynew)
                 assert norm == pytest.approx(
                     oracles.error_norm(np.array(err), z, np.array(ynew), abs_tol, rel_tol),
                     rel=1e-14)

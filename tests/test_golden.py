@@ -1,4 +1,4 @@
-"""Golden outputs of the integrator commands: exit code, stdout and stderr, byte for byte.
+"""Golden outputs of the integrator and equilibrium commands: exit code, stdout and stderr.
 
 Each record in `tests/golden/` holds one command's argv, exit code, stdout
 and stderr, the two texts split at newlines, with the checkout path in
@@ -54,6 +54,15 @@ COMMANDS = {
     "integrate-step-limit": ["integrate", "--method", "midpoint", "--dt", "1e-9",
                              "--t-end", "1"],
     "verify-invariant": ["verify", "--seed", "0", "--checks", "invariant"],
+    "equilibrium-isosceles": ["equilibrium", "--isosceles", "-n", "1", "-t", "0.01"],
+    "equilibrium-general-pair": ["equilibrium", "--general", "-m", "1,2,3", "-u", "0.01",
+                                 "--pair", "2,3"],
+    "equilibrium-general-dps": ["equilibrium", "--general", "-m", "1,2,3", "-u", "0.01",
+                                "--dps", "60"],
+    "equilibrium-general-small-u": ["equilibrium", "--general", "-m", "1,2,3", "-u", "0.001"],
+    # h and the gradient's squares overflow: exit 3, and no numpy warning
+    "equilibrium-isosceles-overflow": ["equilibrium", "--isosceles", "-n",
+                                       "2.0761396006481793e+276", "-t", "0.99996422963585"],
 }
 
 # `model.full_values_kernel` forms H of the full system from numpy (BLAS) dot
@@ -61,6 +70,12 @@ COMMANDS = {
 # the `--system full` rows compares at this relative tolerance, and every
 # other byte exactly
 H_REL_TOL = 1e-12
+
+# `eigenvalues` of an equilibrium report comes from LAPACK's eigvalsh, whose
+# error on a symmetric block is a small multiple of eps times the block's norm;
+# so each block's four (the V_eff Hessian's, then the momentum block's) compare
+# within this fraction of the block's largest |eigenvalue|, every other byte exactly
+EIG_REL_TOL = 1e-12
 
 
 def run(argv: list) -> dict:
@@ -90,6 +105,15 @@ def _split_h(lines: list) -> tuple:
     return values, rest
 
 
+def _split_eigenvalues(lines: list) -> tuple:
+    """The `eigenvalues` of a JSON report as floats, and the lines with those numbers cut."""
+    start = lines.index('  "eigenvalues": [') + 1
+    end = lines.index("  ],", start)
+    numbers = [line.strip().rstrip(",") for line in lines[start:end]]
+    rest = [line.replace(num, "", 1) for line, num in zip(lines[start:end], numbers)]
+    return [float(num) for num in numbers], lines[:start] + rest + lines[end:]
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_output(name):
     argv = COMMANDS[name]
@@ -100,6 +124,14 @@ def test_golden_output(name):
         got_h, got["stdout"] = _split_h(got["stdout"])
         want_h, want["stdout"] = _split_h(want["stdout"])
         assert got_h == pytest.approx(want_h, rel=H_REL_TOL, abs=0.0)
+    if want["exit"] == 0 and argv[0] == "equilibrium":
+        got_eigs, got["stdout"] = _split_eigenvalues(got["stdout"])
+        want_eigs, want["stdout"] = _split_eigenvalues(want["stdout"])
+        assert len(got_eigs) == len(want_eigs) == 8
+        for block in (slice(0, 4), slice(4, 8)):
+            scale = max(map(abs, want_eigs[block]))
+            assert got_eigs[block] == pytest.approx(want_eigs[block], rel=0.0,
+                                                    abs=EIG_REL_TOL * scale)
     assert got == want
 
 
