@@ -439,7 +439,8 @@ def _midpoint_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
     # converged slopes of the last steps, oldest first; `equal` counts the trailing
     # ones from consecutive steps of length h, the only ones the extrapolation
     # may span (with none, the solve starts from the last slope)
-    slopes = np.empty((_PREDICTOR_SLOPES, len(y)))
+    slopes = []
+    solve = _midpoint_solve(len(y))
     equal = 0
     k0 = None
     while (stop := run.next_stop()) is not None:
@@ -453,10 +454,9 @@ def _midpoint_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
             equal = 0
         if run.n_steps:
             m = max(equal, 1)
-            k0 = (_EXTRAPOLATE[m] @ slopes[-m:]).tolist()
-        y, k = _midpoint_step(kernel, t, y, hs, k0)
-        slopes[:-1] = slopes[1:]
-        slopes[-1] = k
+            k0 = _predictor(m)(*slopes[-m:])
+        y, k = solve(kernel, t, y, hs, k0, _MIDPOINT_MAX_ITER)
+        slopes = slopes[1 - _PREDICTOR_SLOPES:] + [k]
         if hs == h:
             equal = min(equal + 1, _PREDICTOR_SLOPES)
         t = stop if land else t + hs
@@ -522,7 +522,7 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     the domain at an iterate or does not converge is solved again from
     f(t, y); only a domain error in that solve ends the run as a domain exit,
     and only its failure to converge raises `NoConvergence` (see
-    `_midpoint_step`).  Both raise `StepLimitExceeded` when a run needs more
+    `_midpoint_solve`).  Both raise `StepLimitExceeded` when a run needs more
     than `config.max_steps` steps; the midpoint rule does so before its
     first step when t_end / dt alone exceeds the limit.
     """
@@ -544,64 +544,95 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
 # which also amplifies the slopes' rounding by up to 2^m - 1 (the sum of the
 # absolute weights).
 _PREDICTOR_SLOPES = 6
-_EXTRAPOLATE = [None] + [np.array([(-1) ** (m - 1 - j) * math.comb(m, j) for j in range(m)],
-                                  dtype=float)
-                         for m in range(1, _PREDICTOR_SLOPES + 1)]
 
 
-def _midpoint_iterate(kernel, t, y, h, k, bound, max_iter):
-    """Fixed-point iteration k <- f(t + h/2, y + (h/2) k) from the slope `k`.
+@functools.cache
+def _predictor(m: int):
+    """predict(s_0, ..., s_{m-1}) -> the slope extrapolated from m slopes, oldest first.
 
-    Returns the last slope and the last difference of successive iterates of
-    the new state, which is below `bound` when the iteration converged within
-    `max_iter` iterations; raises `NoConvergence` at once when the
-    difference is not finite.
+    Component i is w_0 s_0i + w_1 s_1i + ... on plain floats, summed oldest
+    first, so that no prediction depends on a BLAS build; for m = 1 it is the
+    last slope itself.
     """
-    tm = t + 0.5 * h
-    half = 0.5 * h
-    for _ in range(max_iter):
-        knew = kernel(tm, [u + half * v for u, v in zip(y, k)])
-        diff = [abs(u - v) for u, v in zip(knew, k)]
-        # max passes over a NaN that is not first; their sum keeps it
-        total = sum(diff)
-        delta = h * (max(diff) if total == total else total)
-        k = knew
-        if delta < bound:
-            break
-        if not math.isfinite(delta):
-            raise NoConvergence(f"implicit midpoint diverged at t = {t!r}: "
-                                f"iterate difference {delta!r}")
-    return k, delta
+    if m == 1:
+        return lambda s: s
+    weights = [float((-1) ** (m - 1 - j) * math.comb(m, j)) for j in range(m)]
+    terms = " + ".join(f"{w!r} * a{j}" for j, w in enumerate(weights))
+    slopes = ", ".join(f"s{j}" for j in range(m))
+    components = ", ".join(f"a{j}" for j in range(m))
+    return eval(f"lambda {slopes}: [{terms} for {components} in zip({slopes})]", {})
 
 
-def _midpoint_step(kernel, t, y, h, k, max_iter=100):
-    """One implicit midpoint step on lists of floats: (y + h k, k) with
-    k = f(t + h/2, y + (h/2) k).
+_MIDPOINT_MAX_ITER = 100
 
-    The slope k is found by fixed-point iteration from the predicted slope
-    `k`, or from f(t, y) when `k` is None.  It stops when successive iterates
-    of the new state differ by less than 1e-14 (max|y| + 1).  When the
-    iteration from a predicted slope leaves the field's domain at an iterate,
-    or does not converge within `max_iter` iterations, the step is solved
-    again from f(t, y): a poor prediction can stray where the solution does
-    not.  Only a domain error in that solve propagates, as the trajectory's
-    domain exit, and only its failure to converge raises `NoConvergence`;
-    a non-finite iterate difference raises `NoConvergence` at once.
+
+@functools.cache
+def _midpoint_solve(n: int):
+    """The implicit midpoint solve on n floats as straight-line source, built once per n.
+
+    Returns solve(kernel, t, y, h, k, max_iter) -> (y + h k, k) with
+    k = f(t + h/2, y + (h/2) k), the slope returned by the kernel's last call.
+    k is found by fixed-point iteration from the predicted slope `k`, or from
+    f(t, y) when `k` is None.  It stops when successive iterates of the new
+    state differ by less than 1e-14 (max|y| + 1).  When the iteration from a
+    predicted slope leaves the field's domain at an iterate, or does not
+    converge within `max_iter` iterations, the step is solved again from
+    f(t, y): a poor prediction can stray where the solution does not.  Only a
+    domain error in that solve propagates, as the trajectory's domain exit,
+    and only its failure to converge raises `NoConvergence`; a non-finite
+    iterate difference raises `NoConvergence` at once.  Unrolled, with the
+    operations of a loop over the components in the same order.
     """
-    # y holds no NaN, so max sees every entry
-    bound = 1e-14 * (max(map(abs, y)) + 1.0)
-    if k is not None:
-        try:
-            k, delta = _midpoint_iterate(kernel, t, y, h, k, bound, max_iter)
-            if delta < bound:
-                return [u + h * v for u, v in zip(y, k)], k
-        except DomainError:
-            pass
-    k, delta = _midpoint_iterate(kernel, t, y, h, kernel(t, y), bound, max_iter)
-    if delta < bound:
-        return [u + h * v for u, v in zip(y, k)], k
-    raise NoConvergence(f"implicit midpoint did not converge at t = {t!r} in "
-                        f"{max_iter} iterations: last iterate difference {delta!r}")
+    idx = range(n)
+
+    def names(form):
+        return ", ".join(form.format(i) for i in idx) + ("," if n == 1 else "")
+
+    def largest(form):
+        # max of one argument would iterate over it
+        return f"max({names(form)})" if n > 1 else form.format(0)
+
+    def iterate(pad):
+        # the sum of the differences keeps a NaN that max passes over when it is not first
+        lines = ["for _ in range(max_iter):",
+                 f"    k = kernel(tm, [{names('y{0} + half * k{0}')}])",
+                 f"    {names('n{}')} = k",
+                 *(f"    d{i} = abs(n{i} - k{i})" for i in idx),
+                 f"    total = {' + '.join(f'd{i}' for i in idx)}",
+                 f"    delta = h * ({largest('d{}')} if total == total else total)",
+                 f"    {names('k{}')} = {names('n{}')}",
+                 "    if delta < bound:",
+                 f"        return [{names('y{0} + h * k{0}')}], k",
+                 "    if not math.isfinite(delta):",
+                 "        raise NoConvergence(f'implicit midpoint diverged at t = {t!r}: '",
+                 "                            f'iterate difference {delta!r}')"]
+        return [pad + line for line in lines]
+
+    src = ["def solve(kernel, t, y, h, k, max_iter):",
+           f"    {names('y{}')} = y",
+           # y holds no NaN, so max sees every entry
+           f"    bound = 1e-14 * ({largest('abs(y{})')} + 1.0)",
+           "    tm = t + 0.5 * h",
+           "    half = 0.5 * h",
+           "    if k is not None:",
+           "        try:",
+           f"            {names('k{}')} = k",
+           *iterate(" " * 12),
+           "        except DomainError:",
+           "            pass",
+           "    k = kernel(t, y)",
+           f"    {names('k{}')} = k",
+           *iterate(" " * 4),
+           "    raise NoConvergence(f'implicit midpoint did not converge at t = {t!r} in '",
+           "                        f'{max_iter} iterations: last iterate difference {delta!r}')"]
+    namespace = {}
+    exec(compile("\n".join(src), f"<midpoint solve, n = {n}>", "exec"), globals(), namespace)
+    return namespace["solve"]
+
+
+def _midpoint_step(kernel, t, y, h, k, max_iter=_MIDPOINT_MAX_ITER):
+    """One implicit midpoint step on lists of floats: `_midpoint_solve` for len(y)."""
+    return _midpoint_solve(len(y))(kernel, t, y, h, k, max_iter)
 
 
 # --- standard monitors and the full/reduced comparison ----------------------
@@ -673,7 +704,7 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
     the last one at t_end, so their states pair up row by row.
     """
     part0 = reduction.embed_reduced(reduced_start)
-    z_full0 = reduction.full_to_array(reduction.lift_to_full(part0))
+    z_full0 = reduction.lift_kernel(reduction.partial_to_array(part0).tolist())
     z_red0 = np.concatenate([reduced_start.q, reduced_start.p])
     samples = np.linspace(0.0, t_end, n_samples + 1)[1:]
     # no step count reaches monitor_every, so only the forced landings are kept
@@ -691,7 +722,7 @@ def compare_full_vs_reduced(masses: MassTriple, reduced_start: ReducedState,
     def spectral_pair(z):
         return spectral_pair_components(angular_momentum_components(z))
 
-    mu10, mu20 = spectral_pair(z_full0.tolist())
+    mu10, mu20 = spectral_pair(z_full0)
     residual = reduction.partial_values_kernel(None, mu10, abs(mu20))
     devs = []
     max_res = 0.0

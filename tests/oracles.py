@@ -8,13 +8,14 @@ monitors of the three systems, the conjugated angular momentum and the
 Pfaffian in closed form, the rotation matrix with the lift through it and
 the configuration Jacobian, the inverse chart, the CSV rows of a
 trajectory, the Dormand-Prince step and its error norm (numpy and list
-forms), the simplified equilibrium equations, the equilibrium
-report with its numpy momentum block and unit-diagonal scaling,
-and the high-precision equilibrium Newton on mpmath numbers: one small
-array per term, a fresh decoding of the phase point for every monitor, one
-eigvalsh call per Hessian block, and one svd call per inverse chart.  They
-are slower than the library versions and exist only so the tests can check
-that the fast forms compute the same numbers.
+forms), the implicit midpoint step on lists and its predictor on arrays,
+the simplified equilibrium equations, the equilibrium report with its
+numpy momentum block and unit-diagonal scaling, and the high-precision
+equilibrium Newton on mpmath numbers: one small array per term, a fresh
+decoding of the phase point for every monitor, one eigvalsh call per
+Hessian block, and one svd call per inverse chart.  They are slower than
+the library versions and exist only so the tests can check that the fast
+forms compute the same numbers.
 """
 
 import math
@@ -25,7 +26,7 @@ from threebody4d import equilibria, model, reduction
 from threebody4d.dynamics import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
                                  _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6, _C2,
                                  _C3, _C4, _C5, _E1, _E2, _E3, _E4, _E5, _E6, _E7)
-from threebody4d.errors import (ChartSingular, CollisionError, DegeneratePlane,
+from threebody4d.errors import (ChartSingular, CollisionError, DegeneratePlane, DomainError,
                                KineticDomainError, NoConvergence)
 from threebody4d.model import MassTriple, ScalarProducts
 
@@ -508,6 +509,69 @@ def midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):
         if delta < tol * scale:
             break
     return ynext
+
+
+def extrapolate(slopes, m):
+    """The midpoint predictor on arrays: the last m of `slopes` (oldest first)
+    extrapolated to the next, their weights (-1)^(m-1-j) C(m, j) applied by a
+    BLAS dot product."""
+    weights = np.array([(-1) ** (m - 1 - j) * math.comb(m, j) for j in range(m)], dtype=float)
+    return (weights @ np.array(slopes[-m:], dtype=float)).tolist()
+
+
+def _midpoint_iterate(kernel, t, y, h, k, bound, max_iter):
+    """Fixed-point iteration k <- f(t + h/2, y + (h/2) k) from the slope `k`.
+
+    Returns the last slope and the last difference of successive iterates of
+    the new state, which is below `bound` when the iteration converged within
+    `max_iter` iterations; raises `NoConvergence` at once when the
+    difference is not finite.
+    """
+    tm = t + 0.5 * h
+    half = 0.5 * h
+    for _ in range(max_iter):
+        knew = kernel(tm, [u + half * v for u, v in zip(y, k)])
+        diff = [abs(u - v) for u, v in zip(knew, k)]
+        # max passes over a NaN that is not first; their sum keeps it
+        total = sum(diff)
+        delta = h * (max(diff) if total == total else total)
+        k = knew
+        if delta < bound:
+            break
+        if not math.isfinite(delta):
+            raise NoConvergence(f"implicit midpoint diverged at t = {t!r}: "
+                                f"iterate difference {delta!r}")
+    return k, delta
+
+
+def midpoint_step_list(kernel, t, y, h, k, max_iter=100):
+    """One implicit midpoint step on lists of floats: (y + h k, k) with
+    k = f(t + h/2, y + (h/2) k).
+
+    The slope k is found by fixed-point iteration from the predicted slope
+    `k`, or from f(t, y) when `k` is None.  It stops when successive iterates
+    of the new state differ by less than 1e-14 (max|y| + 1).  When the
+    iteration from a predicted slope leaves the field's domain at an iterate,
+    or does not converge within `max_iter` iterations, the step is solved
+    again from f(t, y): a poor prediction can stray where the solution does
+    not.  Only a domain error in that solve propagates, as the trajectory's
+    domain exit, and only its failure to converge raises `NoConvergence`;
+    a non-finite iterate difference raises `NoConvergence` at once.
+    """
+    # y holds no NaN, so max sees every entry
+    bound = 1e-14 * (max(map(abs, y)) + 1.0)
+    if k is not None:
+        try:
+            k, delta = _midpoint_iterate(kernel, t, y, h, k, bound, max_iter)
+            if delta < bound:
+                return [u + h * v for u, v in zip(y, k)], k
+        except DomainError:
+            pass
+    k, delta = _midpoint_iterate(kernel, t, y, h, kernel(t, y), bound, max_iter)
+    if delta < bound:
+        return [u + h * v for u, v in zip(y, k)], k
+    raise NoConvergence(f"implicit midpoint did not converge at t = {t!r} in "
+                        f"{max_iter} iterations: last iterate difference {delta!r}")
 
 
 def to_csv(rec, fh, state_labels):

@@ -827,6 +827,69 @@ def test_midpoint_retries_an_unconverged_predicted_solve():
         dynamics._midpoint_step(kernel, 0.0, y, 1e-3, far, max_iter=2)
 
 
+def _solve_outcome(solve, kernel, *args):
+    """(ynew, k) as hex, or the type and message of the error raised, with the kernel calls."""
+    calls = []
+    try:
+        ynew, k = solve(_counted(kernel, calls), *args)
+    except (KineticDomainError, NoConvergence) as exc:
+        return type(exc), str(exc), len(calls)
+    return _hex(ynew), _hex(k), len(calls)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.sampled_from((1, 2, 7, 8, 16, 17)), h=st.sampled_from((1e-1, 1e-2, 1e-3)),
+       start=st.sampled_from((None, 1e-9, 1e2)), fault=st.sampled_from((None, "domain", "nan")),
+       at=st.integers(0, 6), contracting=st.booleans(), max_iter=st.sampled_from((1, 3, 100)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_generated_midpoint_solve_equals_the_list_step_bitwise(n, h, start, fault, at,
+                                                               contracting, max_iter, seed):
+    # the linear field -6/h z makes each iteration triple the error: it never converges
+    rng = np.random.default_rng(seed)
+    field = _random_kernel(rng, n) if contracting else (lambda t, z: [-6.0 / h * v for v in z])
+    y = rng.normal(size=n).tolist()
+    y[int(rng.integers(n))] = float(rng.choice((0.0, -0.0)))
+    k = None if start is None else [v + start * w for v, w in zip(field(0.3, y),
+                                                                   rng.normal(size=n))]
+    where = int(rng.integers(n))
+
+    def faulty():
+        calls = itertools.count()
+
+        def kernel(t, z):
+            out = list(field(t, z))
+            if next(calls) == at:
+                if fault == "domain":
+                    raise KineticDomainError("iterate outside the domain")
+                if fault == "nan":
+                    out[where] = math.nan
+            return out
+        return kernel
+
+    args = (0.3, y, h, k, max_iter)
+    assert (_solve_outcome(dynamics._midpoint_solve(n), faulty(), *args)
+            == _solve_outcome(oracles.midpoint_step_list, faulty(), *args))
+
+
+@pytest.mark.parametrize("m", range(1, dynamics._PREDICTOR_SLOPES + 1))
+def test_predictor_extrapolates_polynomials_of_degree_below_m_exactly(m):
+    # integer values this small are exact in every product and partial sum
+    rng = np.random.default_rng(m)
+    coefficients = rng.integers(-50, 50, size=(9, m)).tolist()
+    first = int(rng.integers(-20, 20))
+
+    def values(x):
+        return [float(sum(c * x ** d for d, c in enumerate(cs))) for cs in coefficients]
+
+    predicted = dynamics._predictor(m)(*[values(first + j) for j in range(m)])
+    assert list(predicted) == values(first + m)
+    if m <= 2:
+        # the numpy row adds to +0.0, so only a slope's signed zero can tell them apart
+        for n in (1, 2, 7, 8, 16, 17):
+            slopes = (rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-100, 100, (m, n))).tolist()
+            assert _hex(dynamics._predictor(m)(*slopes)) == _hex(oracles.extrapolate(slopes, m))
+
+
 def test_midpoint_domain_exit_when_the_solve_from_the_step_start_fails():
     # dz/dt = 1 on z <= 1: from t = 1 on, every iterate of a step lies past
     # the boundary, from the predicted slope and from f(t, y) alike

@@ -3,9 +3,13 @@
 Each record in `tests/golden/` holds one command's argv, exit code, stdout
 and stderr, the two texts split at newlines, with the checkout path in
 stderr written as `<checkout>`.  The test runs every command in-process
-through `cli.main` and compares.  After a change that moves an output on
-purpose, regenerate the records of the moved commands only, and let their
-diff record the move:
+through `cli.main` and compares.  No midpoint state depends on BLAS: the
+midpoint predictor sums its weighted slopes on plain floats.  So the only
+bytes that do are the two fields compared within the tolerances below, and
+the records hold whichever kernel OpenBLAS picks (`OPENBLAS_CORETYPE`).
+After a change that moves an output on purpose,
+regenerate the records of the moved commands only, and let their diff
+record the move:
 
     PYTHONPATH=src python tests/test_golden.py NAME [NAME ...]    # or --all
 """
