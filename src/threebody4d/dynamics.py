@@ -440,7 +440,8 @@ def _midpoint_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
     # ones from consecutive steps of length h, the only ones the extrapolation
     # may span (with none, the solve starts from the last slope)
     slopes = []
-    solve = _midpoint_solve(len(y))
+    n = len(y)
+    solve = _midpoint_solve(n)
     equal = 0
     k0 = None
     while (stop := run.next_stop()) is not None:
@@ -454,7 +455,7 @@ def _midpoint_loop(run: _Run, kernel, config: IntegratorConfig) -> None:
             equal = 0
         if run.n_steps:
             m = max(equal, 1)
-            k0 = _predictor(m)(*slopes[-m:])
+            k0 = _predictor(m, n)(*slopes[-m:])
         y, k = solve(kernel, t, y, hs, k0, _MIDPOINT_MAX_ITER)
         slopes = slopes[1 - _PREDICTOR_SLOPES:] + [k]
         if hs == h:
@@ -515,16 +516,17 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     `dopri` rejects a step with a stage outside the domain and shrinks it by
     0.2; it exits when a step shorter than 1e-14 * max(1, |t|) still leaves
     the domain, and raises `StepSizeUnderflow` when its step control
-    collapses.  The midpoint rule starts each implicit solve from the
-    polynomial extrapolation of the slopes of up to six preceding steps of
-    length dt (the last slope after a landing step of another length,
-    f(t, y) at the first step).  A solve from a predicted slope that leaves
-    the domain at an iterate or does not converge is solved again from
-    f(t, y); only a domain error in that solve ends the run as a domain exit,
-    and only its failure to converge raises `NoConvergence` (see
-    `_midpoint_solve`).  Both raise `StepLimitExceeded` when a run needs more
-    than `config.max_steps` steps; the midpoint rule does so before its
-    first step when t_end / dt alone exceeds the limit.
+    collapses.  The midpoint rule starts each implicit solve from the slopes
+    of up to eight preceding steps of length dt, extrapolated by their
+    least-squares polynomial of degree at most 6 (the last slope after a
+    landing step of another length, f(t, y) at the first step), so that one
+    field evaluation per step mostly suffices.  A solve from a predicted
+    slope that leaves the domain at an iterate or does not converge is
+    solved again from f(t, y); only a domain error in that solve ends the
+    run as a domain exit, and only its failure to converge raises
+    `NoConvergence` (see `_midpoint_solve`).  Both raise `StepLimitExceeded`
+    when a run needs more than `config.max_steps` steps; the midpoint rule
+    does so before its first step when t_end / dt alone exceeds the limit.
     """
     z = np.array(start, dtype=float)
     if not (np.all(np.isfinite(z)) and math.isfinite(t_end)):
@@ -537,30 +539,61 @@ def integrate(field: VectorField, start, t_end: float, config: IntegratorConfig,
     return run.finish()
 
 
-# The midpoint predictor extrapolates the polynomial through the last m
-# equally spaced slopes, oldest first, to the next: weights (-1)^(m-1-j) C(m, j),
-# so that the m-th difference vanishes.  m = 1 is the last slope.  Past six
-# slopes (degree 5) fewer iterations no longer pay for the wider stencil,
-# which also amplifies the slopes' rounding by up to 2^m - 1 (the sum of the
-# absolute weights).
-_PREDICTOR_SLOPES = 6
+# The midpoint predictor evaluates at the next step the least-squares
+# polynomial of degree min(m - 1, 6) through the last m equally spaced
+# slopes.  Up to m = 7 that polynomial interpolates, and its row is
+# (-1)^(m-1-j) C(m, j), oldest first, so that the m-th difference vanishes;
+# m = 1 is the last slope.  A converged slope is off by what the solve's
+# stopping test allows, and an interpolating row amplifies that by the sum
+# of its absolute weights, 2^m - 1.  From the start of criterion 11,
+# interpolating seven slopes took 1.38 field evaluations per step, and
+# eight (amplifying by 255) 1.59.  The degree-6 least-squares row over eight
+# slopes, (7, -41, 91, -77, -35, 133, -119, 49) / 8 and exact in binary,
+# keeps degree 6 exact and amplifies by 69: 1.09 evaluations per step.
+_PREDICTOR_DEGREE = 6
+_PREDICTOR_SLOPES = _PREDICTOR_DEGREE + 2
+
+
+def _predictor_weights(m: int) -> list:
+    """The predictor's row for m slopes, oldest first, each weight rounded once to a float.
+
+    The interpolating row b_j = (-1)^(m-1-j) C(m, j) takes each degree below
+    m exactly.  For m = degree + 2, the largest m, the least-squares fit of
+    the degree is the interpolant of the slopes less their component along
+    the (m-1)-th difference row c_j = (-1)^(m-1-j) C(m-1, j), the one
+    direction that the degree leaves out; so the row is b - (b.c / c.c) c,
+    formed here on integers over the common denominator c.c = C(2m-2, m-1).
+    """
+    row = [(-1) ** (m - 1 - j) * math.comb(m, j) for j in range(m)]
+    if m <= _PREDICTOR_DEGREE + 1:
+        return [float(b) for b in row]
+    c = [(-1) ** (m - 1 - j) * math.comb(m - 1, j) for j in range(m)]
+    cc = math.comb(2 * m - 2, m - 1)
+    bc = sum(b * u for b, u in zip(row, c))
+    return [(b * cc - bc * u) / cc for b, u in zip(row, c)]
 
 
 @functools.cache
-def _predictor(m: int):
-    """predict(s_0, ..., s_{m-1}) -> the slope extrapolated from m slopes, oldest first.
+def _predictor(m: int, n: int):
+    """predict(s_0, ..., s_{m-1}) -> the slope predicted from m slopes of n floats, oldest first.
 
-    Component i is w_0 s_0i + w_1 s_1i + ... on plain floats, summed oldest
-    first, so that no prediction depends on a BLAS build; for m = 1 it is the
-    last slope itself.
+    Straight-line source built once per (m, n): component i is
+    w_0 s_0i + w_1 s_1i + ... on plain floats, summed oldest first, so that
+    no prediction depends on a BLAS build; for m = 1 it is the last slope
+    itself.
     """
     if m == 1:
         return lambda s: s
-    weights = [float((-1) ** (m - 1 - j) * math.comb(m, j)) for j in range(m)]
-    terms = " + ".join(f"{w!r} * a{j}" for j, w in enumerate(weights))
-    slopes = ", ".join(f"s{j}" for j in range(m))
-    components = ", ".join(f"a{j}" for j in range(m))
-    return eval(f"lambda {slopes}: [{terms} for {components} in zip({slopes})]", {})
+    weights = _predictor_weights(m)
+    src = [f"def predict({', '.join(f's{j}' for j in range(m))}):"]
+    src += [f"    {''.join(f'a{j}_{i}, ' for i in range(n))}= s{j}" for j in range(m)]
+    src.append("    return [" + ", ".join(
+        " + ".join(f"{w!r} * a{j}_{i}" for j, w in enumerate(weights))
+        for i in range(n)) + "]")
+    namespace = {}
+    exec(compile("\n".join(src), f"<midpoint predictor, m = {m}, n = {n}>", "exec"),
+         {}, namespace)
+    return namespace["predict"]
 
 
 _MIDPOINT_MAX_ITER = 100

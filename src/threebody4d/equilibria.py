@@ -506,6 +506,9 @@ def general_series_equilibrium(masses: MassTriple, u: float) -> SeriesSeed:
         raise DegenerateMomenta(f"m1^2 (m2 + m3)^2 underflows to 0 for masses {(m1, m2, m3)}")
     if den == math.inf:
         raise DegenerateMomenta(f"m1^2 (m2 + m3)^2 overflows for masses {(m1, m2, m3)}")
+    # q3 divides by (m2 + m3)^4, which underflows before den does when m1 > m2 + m3
+    if not msum ** 4 > 0.0:
+        raise DegenerateMomenta(f"(m2 + m3)^4 underflows to 0 for masses {(m1, m2, m3)}")
     kappa = masses.total / den
     mu1 = 1.0 / math.sqrt(kappa)
     mu = u * m2 * m3 * math.sqrt(kappa / msum)

@@ -119,7 +119,8 @@ class PartialState:
 
     @property
     def l3(self) -> float:
-        return momentum_l3(self.q, self.p)
+        # on Python floats, an overflowing product is inf without numpy's warning
+        return momentum_l3(self.q.tolist(), self.p.tolist())
 
     @property
     def sigma_momentum(self) -> float:
@@ -160,7 +161,8 @@ class ReducedState:
 
     @property
     def l3(self) -> float:
-        return momentum_l3(self.q, self.p)
+        # on Python floats, an overflowing product is inf without numpy's warning
+        return momentum_l3(self.q.tolist(), self.p.tolist())
 
 
 def _lift_momenta(q, l3, p_theta, p_psi, psi1, psi2):

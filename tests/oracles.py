@@ -8,9 +8,10 @@ monitors of the three systems, the conjugated angular momentum and the
 Pfaffian in closed form, the rotation matrix with the lift through it and
 the configuration Jacobian, the inverse chart, the CSV rows of a
 trajectory, the Dormand-Prince step and its error norm (numpy and list
-forms), the implicit midpoint step on lists and its predictor on arrays,
-the simplified equilibrium equations, the equilibrium report with its
-numpy momentum block and unit-diagonal scaling, and the high-precision
+forms), the implicit midpoint step on lists and its predictor on arrays
+with its least-squares rows from the normal equations on fractions, the
+simplified equilibrium equations, the equilibrium report with its numpy
+momentum block and unit-diagonal scaling, and the high-precision
 equilibrium Newton on mpmath numbers: one small array per term, a fresh
 decoding of the phase point for every monitor, one eigvalsh call per
 Hessian block, and one svd call per inverse chart.  They are slower than
@@ -19,6 +20,7 @@ forms compute the same numbers.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -511,11 +513,34 @@ def midpoint_step(field, t, y, h, tol=1e-14, max_iter=100):
     return ynext
 
 
+def predictor_row(m, degree=6):
+    """The weights, oldest first, that evaluate at x = m the least-squares
+    polynomial of degree min(m - 1, degree) through values at x = 0..m-1.
+
+    Exact: the normal equations (X^T X) g = e(m), with X_jk = j^k and
+    e(m)_k = m^k, are solved by Gauss-Jordan elimination on fractions, and
+    the row is X g.
+    """
+    d = min(m - 1, degree) + 1
+    x = [[Fraction(j) ** k for k in range(d)] for j in range(m)]
+    a = [[sum(x[j][r] * x[j][c] for j in range(m)) for c in range(d)] + [Fraction(m) ** r]
+         for r in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        a[c] = [v / a[c][c] for v in a[c]]
+        for r in range(d):
+            if r != c:
+                a[r] = [v - a[r][c] * w for v, w in zip(a[r], a[c])]
+    g = [a[r][d] for r in range(d)]
+    return [sum(x[j][k] * g[k] for k in range(d)) for j in range(m)]
+
+
 def extrapolate(slopes, m):
     """The midpoint predictor on arrays: the last m of `slopes` (oldest first)
-    extrapolated to the next, their weights (-1)^(m-1-j) C(m, j) applied by a
+    extrapolated to the next, their weights `predictor_row(m)` applied by a
     BLAS dot product."""
-    weights = np.array([(-1) ** (m - 1 - j) * math.comb(m, j) for j in range(m)], dtype=float)
+    weights = np.array([float(w) for w in predictor_row(m)])
     return (weights @ np.array(slopes[-m:], dtype=float)).tolist()
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,9 @@ import pytest
 from threebody4d import cli, dynamics, equilibria, errors, model
 
 from conftest import singular_newton_system
+
+# masses whose (m2 + m3)^4 underflows to 0 while m1^2 (m2 + m3)^2 does not
+TINY_PAIR = "3.760725156749772e-41,1.0169205777639024e-136,8.847029910864082e-95"
 
 
 def run(tmp_path, *argv):
@@ -342,6 +346,8 @@ def test_full_precision_roundtrip(tmp_path):
     (["equilibrium", "--general", "-m", "1,1e-300,3", "-u", "0.01"], 3),
     # h and the gradient's squares overflow: the report is not finite
     (["equilibrium", "--isosceles", "-n", "2.0761396006481793e+276", "-t", "0.99996422963585"], 3),
+    # (m2 + m3)^4 underflows to 0 while m1^2 (m2 + m3)^2 does not
+    (["equilibrium", "--general", "-m", TINY_PAIR, "-u", "1.2657338875606962e+296"], 2),
 ])
 def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys,
                                                                 argv, code):
@@ -351,6 +357,22 @@ def test_bad_value_or_solver_failure_reported_without_traceback(tmp_path, capsys
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("invalid config: " if code == 2 else "solver failure: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("system", ["reduced", "partial", "full"])
+def test_overflowing_l3_is_one_error_line_and_no_warning(tmp_path, capsys, system):
+    # q4 p3 overflows: the start's L3 is inf, outside the kinetic domain
+    argv = ["integrate", "--system", system, "-m", "1,2,3", "--mu1", "1.2", "--mu2", "0.3",
+            "-q", "4.091167558480331e+199,-1.538585935564729e+200,1.9112920005914405e+200,"
+            "-7.525907431279224e+199",
+            "-p=0.14980435226545852,-0.012826833894005296,9.800711377392912e+197,"
+            "0.2712125682603898", "--t-end", "0.05"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, text = run(tmp_path, *argv)
+    assert code == 3 and text == "" and caught == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("solver failure: KineticDomainError: ")
 
 
 def test_singular_newton_system_is_a_solver_failure(tmp_path, capsys, monkeypatch):
@@ -366,6 +388,8 @@ def test_singular_newton_system_is_a_solver_failure(tmp_path, capsys, monkeypatc
     (["scan", "--isosceles", "-n", "1", "--t-grid", "1e-160,1e-300,0.5"], [True, True, False]),
     (["scan", "--general", "-m", "1e-300,2,3", "--u-grid", "0.01,0.02"], [True, True]),
     (["scan", "--general", "-m", "1e150,1e5,1", "--u-grid", "0.01,0.02"], [True, True]),
+    (["scan", "--general", "-m", TINY_PAIR, "--u-grid", "1e296,1.2657338875606962e+296"],
+     [True, True]),
 ])
 def test_underflowing_scan_points_are_error_rows(tmp_path, capsys, argv, errors):
     code, text = run(tmp_path, *argv)

@@ -753,7 +753,7 @@ def _oracle_deviation(field, rec):
     return worst
 
 
-def test_midpoint_predictor_matches_oracle_at_about_two_evaluations_per_step():
+def test_midpoint_predictor_matches_oracle_at_about_one_evaluation_per_step():
     field, z0, dt = _criterion_11_start()
     counted = itertools.count()
 
@@ -764,8 +764,9 @@ def test_midpoint_predictor_matches_oracle_at_about_two_evaluations_per_step():
     rec = dynamics.integrate(dynamics.VectorField(8, evaluate), z0, 300 * dt,
                              dynamics.IntegratorConfig(method="midpoint", dt=dt))
     assert rec.n_steps == 300 and len(rec.times) == 301
-    # 613 evaluations, 2.04 per step, with six extrapolated slopes
-    assert next(counted) <= 2.1 * rec.n_steps
+    # 327 evaluations, 1.09 per step, with the degree-6 least-squares
+    # slope over eight steps
+    assert next(counted) <= 1.2 * rec.n_steps
     assert _oracle_deviation(field, rec) < 1e-12
 
 
@@ -873,21 +874,35 @@ def test_generated_midpoint_solve_equals_the_list_step_bitwise(n, h, start, faul
 
 @pytest.mark.parametrize("m", range(1, dynamics._PREDICTOR_SLOPES + 1))
 def test_predictor_extrapolates_polynomials_of_degree_below_m_exactly(m):
-    # integer values this small are exact in every product and partial sum
+    # integer values this small are exact in every product and partial sum,
+    # and the weights of the least-squares row are multiples of 1/8
     rng = np.random.default_rng(m)
-    coefficients = rng.integers(-50, 50, size=(9, m)).tolist()
+    degree = min(m - 1, dynamics._PREDICTOR_DEGREE)
+    coefficients = rng.integers(-50, 50, size=(9, degree + 1)).tolist()
     first = int(rng.integers(-20, 20))
 
     def values(x):
         return [float(sum(c * x ** d for d, c in enumerate(cs))) for cs in coefficients]
 
-    predicted = dynamics._predictor(m)(*[values(first + j) for j in range(m)])
+    predicted = dynamics._predictor(m, 9)(*[values(first + j) for j in range(m)])
     assert list(predicted) == values(first + m)
     if m <= 2:
         # the numpy row adds to +0.0, so only a slope's signed zero can tell them apart
         for n in (1, 2, 7, 8, 16, 17):
             slopes = (rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-100, 100, (m, n))).tolist()
-            assert _hex(dynamics._predictor(m)(*slopes)) == _hex(oracles.extrapolate(slopes, m))
+            assert (_hex(dynamics._predictor(m, n)(*slopes))
+                    == _hex(oracles.extrapolate(slopes, m)))
+
+
+@pytest.mark.parametrize("m", range(1, dynamics._PREDICTOR_SLOPES + 1))
+def test_predictor_weights_are_the_least_squares_rows_of_the_normal_equations(m):
+    row = oracles.predictor_row(m)
+    assert dynamics._predictor_weights(m) == row
+    # the unit slopes pick each weight out of the generated sums exactly
+    units = [[float(j == i) for i in range(m)] for j in range(m)]
+    assert dynamics._predictor(m, m)(*units) == [float(w) for w in row]
+    if m == 8:
+        assert [8 * w for w in row] == [7, -41, 91, -77, -35, 133, -119, 49]
 
 
 def test_midpoint_domain_exit_when_the_solve_from_the_step_start_fails():
